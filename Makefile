@@ -12,11 +12,9 @@ build:
 test:
 	$(GO) test ./...
 
-# The facade package replays every golden trace through many engine
-# configurations; instrumented it needs more than the default 10m.
 .PHONY: race
 race:
-	$(GO) test -race -timeout 20m ./...
+	$(GO) test -race ./...
 
 .PHONY: vet
 vet:
@@ -53,7 +51,6 @@ fuzz-short:
 	$(GO) test -fuzz FuzzInvertibleDecode -fuzztime $(FUZZTIME) ./internal/invsketch
 	$(GO) test -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME) ./internal/aggregate
 	$(GO) test -fuzz FuzzObserve -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -fuzz FuzzShardRoute -fuzztime $(FUZZTIME) ./internal/pipeline
 	$(GO) test -fuzz FuzzBurstDetect -fuzztime $(FUZZTIME) ./internal/burst
 	$(GO) test -fuzz FuzzPersistence -fuzztime $(FUZZTIME) ./internal/persist
 
@@ -95,7 +92,6 @@ bench:
 FRESH_HOTPATH ?= BENCH_hotpath.fresh.json
 FRESH_INFERENCE ?= BENCH_inference.fresh.json
 FRESH_CACHE ?= BENCH_cache.fresh.json
-FRESH_PIPELINE ?= BENCH_pipeline.fresh.json
 .PHONY: bench-gate
 bench-gate:
 	$(GO) run ./cmd/benchtables -table hotpath -benchout $(FRESH_HOTPATH)
@@ -104,5 +100,3 @@ bench-gate:
 	$(GO) run ./cmd/benchgate -table inference -baseline BENCH_inference.json -fresh $(FRESH_INFERENCE)
 	$(GO) run ./cmd/benchtables -table cache -benchout $(FRESH_CACHE)
 	$(GO) run ./cmd/benchgate -table cache -baseline BENCH_cache.json -fresh $(FRESH_CACHE)
-	$(GO) run ./cmd/benchtables -table pipeline -benchout $(FRESH_PIPELINE)
-	$(GO) run ./cmd/benchgate -table pipeline -baseline BENCH_pipeline.json -fresh $(FRESH_PIPELINE)

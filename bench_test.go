@@ -11,7 +11,6 @@ package hifind_test
 // paper-layout tables.
 
 import (
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -23,7 +22,6 @@ import (
 	"github.com/hifind/hifind/internal/mitigate"
 	"github.com/hifind/hifind/internal/netflow"
 	"github.com/hifind/hifind/internal/netmodel"
-	"github.com/hifind/hifind/internal/pipeline"
 	"github.com/hifind/hifind/internal/revsketch"
 	"github.com/hifind/hifind/internal/sketch"
 	"github.com/hifind/hifind/internal/sketch2d"
@@ -378,70 +376,6 @@ func BenchmarkRecorderObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineThroughput compares a single sequential recorder
-// against the sharded ingestion engine at several worker counts. The
-// parallel timing runs through Flush+Rotate so it measures packets fully
-// recorded and merged, not merely enqueued. Speedups only appear with
-// multiple cores; on one core the parallel numbers show the engine's
-// fan-out overhead instead.
-func BenchmarkPipelineThroughput(b *testing.B) {
-	benchPkt := netmodel.Packet{
-		SrcIP: 0x08080808, DstIP: 0x81690101, SrcPort: 40000, DstPort: 80,
-		Flags: netmodel.FlagSYN, Dir: netmodel.Inbound,
-	}
-
-	b.Run("sequential", func(b *testing.B) {
-		rec, err := core.NewRecorder(core.TestRecorderConfig(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		pkt := benchPkt
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pkt.SrcIP = netmodel.IPv4(i)
-			rec.Observe(pkt)
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/sec")
-	})
-
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eng, err := pipeline.New(pipeline.Config{
-				Recorder:   core.TestRecorderConfig(1),
-				Workers:    workers,
-				BatchSize:  256,
-				QueueDepth: 8,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			prod := eng.NewProducer()
-			ev := pipeline.Event{Pkt: benchPkt}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ev.Pkt.SrcIP = netmodel.IPv4(i)
-				prod.Ingest(ev)
-			}
-			prod.Flush()
-			merged, err := eng.Rotate()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			if merged.Packets() != int64(b.N) {
-				b.Fatalf("recorded %d of %d packets", merged.Packets(), b.N)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/sec")
-			if err := eng.Recycle(); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := eng.Close(); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
 // BenchmarkHotpath pits the fused update engine against the legacy one
 // on both per-packet Observe and NetFlow-record ObserveFlow. The flow
 // records carry the SYN-count mix of a collector batch during a flood
@@ -661,8 +595,8 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 // BenchmarkObserveInstrumented measures the facade's per-packet cost
 // with a live telemetry registry side by side with the bare detector.
 // The instrumented delta is one nil-check-guarded atomic increment per
-// packet; BENCH_telemetry.json records the engine-level overhead and
-// TestInstrumentedObserveAllocFree pins the allocation count at zero.
+// packet; TestInstrumentedObserveAllocFree pins the allocation count at
+// zero.
 func BenchmarkObserveInstrumented(b *testing.B) {
 	src := netip.MustParseAddr("8.8.8.8")
 	dst := netip.MustParseAddr("129.105.1.1")

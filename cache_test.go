@@ -2,15 +2,15 @@ package hifind_test
 
 // Facade-level differential suite for the flow-aggregation cache: every
 // golden scenario is replayed through the cache-less detector (the
-// witness) and cache-enabled variants — a large cache, a deliberately
-// tiny one that evicts constantly, and a sharded detector with one
-// cache per worker — and the complete per-interval alert output must
-// agree exactly. Together with the byte-identity tests in internal/core
-// this proves the cache changes only speed, never detection behavior,
-// on the same traces the golden regression suite pins. The suite also
-// covers the aggregated deployment (cached remote Recorders merged into
-// a cached central Detector), checkpoint round-trips, and the loud
-// failure on cache-configuration mismatch.
+// witness) and cache-enabled variants — a large cache and a
+// deliberately tiny one that evicts constantly — and the complete
+// per-interval alert output must agree exactly. Together with the
+// byte-identity tests in internal/core this proves the cache changes
+// only speed, never detection behavior, on the same traces the golden
+// regression suite pins. The suite also covers the aggregated
+// deployment (cached remote Recorders merged into a cached central
+// Detector), checkpoint round-trips, and the loud failure on
+// cache-configuration mismatch.
 
 import (
 	"bytes"
@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	hifind "github.com/hifind/hifind"
-	"github.com/hifind/hifind/internal/netmodel"
 	"github.com/hifind/hifind/internal/pcap"
 	"github.com/hifind/hifind/internal/trace"
 )
@@ -58,12 +57,6 @@ func TestFlowCacheDifferentialGoldenTraces(t *testing.T) {
 					return replayGolden(t, capture, edge,
 						newCompact(t, sc.options(hifind.WithFlowCache(64))...))
 				}},
-				{"cached-workers-3", func(t *testing.T) string {
-					p := newParallelCompact(t, sc.options(hifind.WithWorkers(3),
-						hifind.WithBatchSize(64), hifind.WithFlowCache(4096))...)
-					defer p.Close()
-					return replayGolden(t, capture, edge, p)
-				}},
 			}
 			want := variants[0].replay(t)
 			if name != "benign-only" && want == "" {
@@ -85,56 +78,12 @@ func TestFlowCacheDifferentialGoldenTraces(t *testing.T) {
 // caches, so the wire format is unchanged and the merge stays exact.
 func TestFlowCacheAggregatedDeployment(t *testing.T) {
 	intervals := equivTrace(t)
-
-	type site struct {
-		det  *hifind.Detector
-		recs [2]*hifind.Recorder
-	}
-	build := func(opts ...hifind.Option) site {
-		s := site{det: newCompact(t, opts...)}
-		for i := range s.recs {
-			r, err := hifind.NewRecorder(append([]hifind.Option{hifind.WithCompactSketches()}, opts...)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.recs[i] = r
-		}
-		return s
-	}
-	cached := build(hifind.WithFlowCache(512))
-	plain := build()
-
-	run := func(s site, pkts []netmodel.Packet) hifind.Result {
-		t.Helper()
-		// Deterministic 3-way split: each site sees every third packet.
-		for i, p := range pkts {
-			switch i % 3 {
-			case 0:
-				s.det.Observe(toPublic(p))
-			case 1:
-				s.recs[0].Observe(toPublic(p))
-			case 2:
-				s.recs[1].Observe(toPublic(p))
-			}
-		}
-		states := make([][]byte, 0, len(s.recs))
-		for _, r := range s.recs {
-			state, err := r.StateSnapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			states = append(states, state)
-		}
-		res, err := s.det.EndIntervalMerged(states...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stripTimes(res)
-	}
+	cached := newReplicaSite(t, hifind.WithFlowCache(512))
+	plain := newReplicaSite(t)
 
 	sawFinal := false
 	for i, pkts := range intervals {
-		cres, pres := run(cached, pkts), run(plain, pkts)
+		cres, pres := stripTimes(cached.endInterval(t, pkts)), stripTimes(plain.endInterval(t, pkts))
 		if !reflect.DeepEqual(cres, pres) {
 			t.Errorf("interval %d: cached aggregated deployment diverged from cache-less", i)
 		}

@@ -152,6 +152,20 @@ fi
 echo "smoke: flow cache wired (nonzero hit counter, clean exit)"
 
 # ---------------------------------------------------------------------
+# The -workers flag went with the key-sharded pipeline: a stale runbook
+# must fail at flag parsing (exit status 2), not run sequentially in
+# silence.
+echo "smoke: -workers must be rejected"
+rc=0
+"$workdir/hifind" -pcap "$workdir/smoke.pcap" -edge 129.105.0.0/16 -workers 2 \
+    >"$workdir/stdout-workers.log" 2>"$workdir/stderr-workers.log" || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q 'flag provided but not defined: -workers' "$workdir/stderr-workers.log"; then
+    echo "smoke: hifind -workers 2 exited $rc, want 2 with 'flag provided but not defined'" >&2
+    cat "$workdir/stderr-workers.log" >&2
+    exit 1
+fi
+
+# ---------------------------------------------------------------------
 # Burst detection: replay the burst-pulse scenario trace with the
 # sub-interval burst detector on and require at least one burst-flood
 # alert in the NDJSON output — the pulses stay under the interval

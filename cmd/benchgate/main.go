@@ -40,26 +40,11 @@
 //     (cached and cache-less recorders marshal to the same bytes) is a
 //     correctness invariant, not a perf number.
 //
-// Pipeline mode (`-table pipeline`, the BENCH_pipeline.json shape
-// written by `benchtables -table pipeline`):
-//
-//  1. On a machine with GOMAXPROCS ≥ 4: the 4-worker speedup must reach
-//     -min-scale-speedup (default 2.0) — sharding must actually scale,
-//     not merely avoid slowing down — and the speedup curve must stay
-//     monotone (within tolerance) for worker counts up to GOMAXPROCS.
-//     On smaller machines these scaling checks are skipped with a note:
-//     a 1-core box cannot measure parallel speedup, and fabricating a
-//     curve would be worse than not gating it.
-//  2. Always: each fresh per-worker-count speedup ≥ (1 - tolerance) ×
-//     the committed baseline for the same worker count, so engine
-//     overhead cannot silently grow even where parallelism cannot show.
-//
 // Usage:
 //
 //	benchgate -baseline BENCH_hotpath.json -fresh /tmp/fresh.json
 //	benchgate -table inference -baseline BENCH_inference.json -fresh /tmp/fresh.json
 //	benchgate -table cache -baseline BENCH_cache.json -fresh /tmp/fresh.json
-//	benchgate -table pipeline -baseline BENCH_pipeline.json -fresh /tmp/fresh.json
 package main
 
 import (
@@ -80,14 +65,13 @@ func main() {
 
 func run() error {
 	var (
-		table        = flag.String("table", "hotpath", "which contract to enforce: hotpath, inference, cache or pipeline")
+		table        = flag.String("table", "hotpath", "which contract to enforce: hotpath, inference or cache")
 		baselinePath = flag.String("baseline", "", "committed baseline JSON (default BENCH_<table>.json)")
 		freshPath    = flag.String("fresh", "", "freshly measured JSON (required)")
 		tolerance    = flag.Float64("tolerance", 0.10, "allowed fractional speedup regression vs baseline")
 		minFlow      = flag.Float64("min-flow-speedup", 2.0, "absolute floor for the NetFlow replay speedup")
 		minInfer     = flag.Float64("min-inference-speedup", 5.0, "absolute floor for the invertible decode speedup")
 		minCache     = flag.Float64("min-cache-speedup", 1.5, "absolute floor for the flow-cache packet speedup on Zipf traffic")
-		minScale     = flag.Float64("min-scale-speedup", 2.0, "absolute floor for the 4-worker pipeline speedup on machines with GOMAXPROCS >= 4")
 	)
 	flag.Parse()
 	if *freshPath == "" {
@@ -102,11 +86,8 @@ func run() error {
 	if *table == "cache" {
 		return gateCache(*baselinePath, *freshPath, *tolerance, *minCache)
 	}
-	if *table == "pipeline" {
-		return gatePipeline(*baselinePath, *freshPath, *tolerance, *minScale)
-	}
 	if *table != "hotpath" {
-		return fmt.Errorf("-table must be hotpath, inference, cache or pipeline, got %q", *table)
+		return fmt.Errorf("-table must be hotpath, inference or cache, got %q", *table)
 	}
 	baseline, err := load(*baselinePath)
 	if err != nil {
@@ -241,98 +222,6 @@ func gateCache(baselinePath, freshPath string, tolerance, minSpeedup float64) er
 	}
 	fmt.Println("  PASS")
 	return nil
-}
-
-// gatePipeline enforces the multi-worker scaling contract over the
-// BENCH_pipeline.json shape. Speedups are engine-vs-sequential ratios
-// measured in one process, so the gate is machine-speed independent;
-// the SCALING checks additionally need real cores, so they arm only
-// when the fresh run had GOMAXPROCS >= 4.
-func gatePipeline(baselinePath, freshPath string, tolerance, minScale float64) error {
-	baseline, err := loadPipeline(baselinePath)
-	if err != nil {
-		return err
-	}
-	fresh, err := loadPipeline(freshPath)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("pipeline gate: baseline %s, fresh %s (tolerance %.0f%%)\n",
-		baselinePath, freshPath, 100*tolerance)
-	for _, p := range fresh.Points {
-		fmt.Printf("  %d worker(s): %.2fx vs sequential\n", p.Workers, p.Speedup)
-	}
-
-	var failures []string
-	if fresh.GoMaxProcs >= 4 {
-		prev := 0.0
-		prevWorkers := 0
-		for _, p := range fresh.Points {
-			if p.Workers == 4 && p.Speedup < minScale {
-				failures = append(failures, fmt.Sprintf(
-					"4-worker speedup %.2fx below the %.1fx floor on a %d-way machine — sharding is not scaling",
-					p.Speedup, minScale, fresh.GoMaxProcs))
-			}
-			// Monotone curve up to the machine's parallelism: more
-			// workers must never cost throughput (beyond tolerance)
-			// while real cores remain to run them.
-			if p.Workers <= fresh.GoMaxProcs && prevWorkers > 0 {
-				if floor := prev * (1 - tolerance); p.Speedup < floor {
-					failures = append(failures, fmt.Sprintf(
-						"speedup curve not monotone: %d workers %.2fx < %d workers %.2fx (floor %.2fx)",
-						p.Workers, p.Speedup, prevWorkers, prev, floor))
-				}
-			}
-			if p.Workers <= fresh.GoMaxProcs {
-				prev, prevWorkers = p.Speedup, p.Workers
-			}
-		}
-	} else {
-		fmt.Printf("  note: fresh run had GOMAXPROCS %d < 4; scaling floors skipped (regression checks still apply)\n",
-			fresh.GoMaxProcs)
-	}
-
-	// Per-point regression against the committed baseline, regardless
-	// of core count: engine overhead must not silently grow.
-	base := make(map[int]float64, len(baseline.Points))
-	for _, p := range baseline.Points {
-		base[p.Workers] = p.Speedup
-	}
-	for _, p := range fresh.Points {
-		b, ok := base[p.Workers]
-		if !ok {
-			continue
-		}
-		if floor := b * (1 - tolerance); p.Speedup < floor {
-			failures = append(failures, fmt.Sprintf(
-				"%d-worker speedup regressed: %.2fx vs baseline %.2fx (floor %.2fx)",
-				p.Workers, p.Speedup, b, floor))
-		}
-	}
-
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "benchgate: FAIL:", f)
-		}
-		return fmt.Errorf("%d check(s) failed", len(failures))
-	}
-	fmt.Println("  PASS")
-	return nil
-}
-
-func loadPipeline(path string) (experiments.PipelineBench, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return experiments.PipelineBench{}, err
-	}
-	var b experiments.PipelineBench
-	if err := json.Unmarshal(data, &b); err != nil {
-		return experiments.PipelineBench{}, fmt.Errorf("%s: %w", path, err)
-	}
-	if b.SequentialPPS <= 0 || len(b.Points) == 0 {
-		return experiments.PipelineBench{}, fmt.Errorf("%s: not a pipeline benchmark (no sequential rate or points)", path)
-	}
-	return b, nil
 }
 
 func loadCache(path string) (experiments.CacheBench, error) {

@@ -27,10 +27,10 @@ func main() {
 func run() error {
 	var (
 		table = flag.String("table", "all",
-			"which artifact to regenerate: 1, 4, 5, 6, 7, 9, f4, mr, val, ma, perf, pipeline, telemetry, hotpath, cache, inference, mit, ttd, ablation, scenarios or all")
+			"which artifact to regenerate: 1, 4, 5, 6, 7, 9, f4, mr, val, ma, perf, hotpath, cache, inference, mit, ttd, ablation, scenarios or all")
 		full     = flag.Bool("full", false, "run at the larger scale")
 		benchout = flag.String("benchout", "",
-			"write the pipeline/telemetry benchmark results as JSON to this file (default BENCH_telemetry.json for -table telemetry)")
+			"write the hotpath/cache/inference benchmark results as JSON to this file (default BENCH_<table>.json; only with that -table named)")
 	)
 	flag.Parse()
 	scale := experiments.QuickScale()
@@ -146,65 +146,6 @@ func run() error {
 		fmt.Printf("compressed stress (top-100 anomalies): mean %.3fs, max %.3fs\n",
 			st.MeanSec, st.MaxSec)
 	}
-	if want("pipeline") {
-		section("Parallel pipeline — recording throughput vs worker count")
-		events := 2_000_000
-		if *full {
-			events = 8_000_000
-		}
-		pb, err := experiments.PipelineThroughput(events, []int{1, 2, 4, 8})
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatPipeline(pb))
-		// Asking for the pipeline table explicitly always records the
-		// numbers for the scaling gate; -table all writes only when
-		// -benchout names a file.
-		out := *benchout
-		if out == "" && *table == "pipeline" {
-			out = "BENCH_pipeline.json"
-		}
-		if out != "" {
-			data, err := json.MarshalIndent(pb, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", out)
-		}
-	}
-	if want("telemetry") {
-		section("Telemetry overhead — instrumented vs bare recording path")
-		events := 2_000_000
-		if *full {
-			events = 8_000_000
-		}
-		tb, err := experiments.TelemetryOverhead(events)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatTelemetry(tb))
-		// -table all leaves JSON emission to the pipeline table; asking
-		// for the telemetry table explicitly always records the numbers.
-		out := ""
-		if *table == "telemetry" {
-			if out = *benchout; out == "" {
-				out = "BENCH_telemetry.json"
-			}
-		}
-		if out != "" {
-			data, err := json.MarshalIndent(tb, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", out)
-		}
-	}
 	if want("hotpath") {
 		section("Hot path — fused vs legacy update engine")
 		packets := 1_000_000
@@ -217,8 +158,8 @@ func run() error {
 			return err
 		}
 		fmt.Print(experiments.FormatHotpath(hb))
-		// As with the telemetry table, -table all leaves the committed
-		// JSON alone; asking for the hotpath table explicitly records it.
+		// -table all leaves the committed JSON alone; asking for the
+		// hotpath table explicitly records it.
 		out := ""
 		if *table == "hotpath" {
 			if out = *benchout; out == "" {

@@ -1,9 +1,8 @@
 package hifind_test
 
 // Facade-level differential suite for the fused update engine: every
-// golden scenario is replayed through four detector variants — fused
-// and legacy, sequential and sharded — and the complete per-interval
-// alert output must agree exactly. Together with the byte-identity
+// golden scenario is replayed through the fused and the legacy engine
+// and the complete per-interval alert output must agree exactly. Together with the byte-identity
 // tests in internal/core this proves the fused engine changes only
 // speed, never detection behavior, on the same traces the golden
 // regression suite pins.
@@ -44,18 +43,6 @@ func TestEngineDifferentialGoldenTraces(t *testing.T) {
 				{"legacy-sequential", func(t *testing.T) string {
 					return replayGolden(t, capture, edge,
 						newCompact(t, sc.options(hifind.WithLegacyEngine())...))
-				}},
-				{"fused-workers-3", func(t *testing.T) string {
-					p := newParallelCompact(t, sc.options(
-						hifind.WithWorkers(3), hifind.WithBatchSize(64))...)
-					defer p.Close()
-					return replayGolden(t, capture, edge, p)
-				}},
-				{"legacy-workers-3", func(t *testing.T) string {
-					p := newParallelCompact(t, sc.options(hifind.WithWorkers(3),
-						hifind.WithBatchSize(64), hifind.WithLegacyEngine())...)
-					defer p.Close()
-					return replayGolden(t, capture, edge, p)
 				}},
 			}
 			want := variants[0].replay(t)

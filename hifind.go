@@ -222,11 +222,14 @@ type Result struct {
 
 // Detector is a complete HiFIND instance. The sketch-recording path is
 // not safe for concurrent use: Observe, ObserveFlow and EndInterval
-// must all run on one goroutine (or be externally serialized). Callers
-// that want multiple feeding goroutines should use NewParallel, which
-// shards recording across workers and merges losslessly by sketch
-// linearity. Only Dropped may be called concurrently with ingestion;
-// its counter is atomic.
+// must all run on one goroutine (or be externally serialized). To feed
+// from several goroutines, do what the paper does across routers
+// (§3.1): give each extra goroutine its own Recorder built with the
+// same options and pass every Recorder's StateSnapshot to
+// EndIntervalMerged at rotation — sketch linearity makes the sum exact,
+// so alerts and SaveState bytes match a single-goroutine run. Only
+// Dropped may be called concurrently with ingestion; its counter is
+// atomic.
 type Detector struct {
 	det      *core.Detector
 	rcfg     core.RecorderConfig
@@ -394,6 +397,16 @@ func (d *Detector) EndIntervalMerged(states ...[]byte) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	// The active-service memory is cross-interval state and survives the
+	// reset above: keep the summed memory (Reset+Union, so the insertion
+	// count carries over too) so SaveState checkpoints what every
+	// Recorder saw, byte for byte what one Detector fed all the traffic
+	// would save.
+	own := d.det.Recorder().Services
+	own.Reset()
+	if err := own.Union(merged.Services); err != nil {
+		return Result{}, fmt.Errorf("hifind: merged services: %w", err)
+	}
 	d.ins.recordInterval(res)
 	out := convertResult(res)
 	emitResult(d.sink, out)
@@ -463,13 +476,17 @@ func (r *Recorder) Observe(p Packet) {
 func (r *Recorder) Dropped() int64 { return r.dropped.Load() }
 
 // StateSnapshot serializes the interval's recorded state for transport to
-// the aggregation site and resets the recorder for the next interval.
+// the aggregation site and resets the recorder for the next interval. A
+// Recorder keeps nothing across intervals: the active services it saw
+// travel in the snapshot like its counters do, and the merging Detector
+// accumulates them (and checkpoints them in SaveState).
 func (r *Recorder) StateSnapshot() ([]byte, error) {
 	data, err := r.rec.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
 	r.rec.Reset()
+	r.rec.Services.Reset()
 	return data, nil
 }
 

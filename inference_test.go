@@ -3,8 +3,8 @@ package hifind_test
 // Cross-engine differential suite for the inference subsystem: every
 // golden scenario is replayed through the reverse-hashing engine (the
 // independently written witness) and the invertible-sketch decode
-// engine, sequentially and sharded, and the complete per-interval alert
-// output must agree exactly. Decoded keys are re-estimated against the
+// engine, and the complete per-interval alert output must agree
+// exactly. Decoded keys are re-estimated against the
 // same reversible-sketch error grids the witness uses, so when the
 // recovered key sets match, the rendered alerts are identical down to
 // the magnitudes — which is what this suite pins on the same traces the
@@ -47,12 +47,6 @@ func TestInferenceDifferentialGoldenTraces(t *testing.T) {
 					return replayGolden(t, capture, edge,
 						newCompact(t, sc.options(hifind.WithInvertibleInference())...))
 				}},
-				{"invertible-workers-3", func(t *testing.T) string {
-					p := newParallelCompact(t, sc.options(hifind.WithWorkers(3),
-						hifind.WithBatchSize(64), hifind.WithInvertibleInference())...)
-					defer p.Close()
-					return replayGolden(t, capture, edge, p)
-				}},
 			}
 			want := variants[0].replay(t)
 			if name != "benign-only" && want == "" {
@@ -75,11 +69,6 @@ func TestInferenceEngineAccessors(t *testing.T) {
 	}
 	if got := newCompact(t, hifind.WithInvertibleInference()).InferenceEngine(); got != "invertible" {
 		t.Fatalf("invertible engine = %q, want invertible", got)
-	}
-	p := newParallelCompact(t, hifind.WithWorkers(2), hifind.WithInvertibleInference())
-	defer p.Close()
-	if got := p.InferenceEngine(); got != "invertible" {
-		t.Fatalf("parallel invertible engine = %q, want invertible", got)
 	}
 }
 

@@ -14,9 +14,9 @@ import (
 // everywhere. A mixed regime — atomic.AddInt64 on the writer side, a
 // plain read on the reporting side — is a data race the race detector
 // only catches when a test happens to exercise both sides concurrently;
-// this rule catches it structurally, across package boundaries (the
-// sharded pipeline and multi-router aggregation split writer and reader
-// across packages as a matter of course). Fields of the atomic.Int64
+// this rule catches it structurally, across package boundaries
+// (multi-router aggregation splits writer and reader across packages
+// as a matter of course). Fields of the atomic.Int64
 // type family are immune by construction and preferred; the rule exists
 // for the counters that predate them or need the address-based API.
 var atomicConsistencyAnalyzer = &Analyzer{

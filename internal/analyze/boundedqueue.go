@@ -6,12 +6,10 @@ import (
 )
 
 // ingestionPackages are the layers that stand between the wire and the
-// sketches: the sharded pipeline, the NetFlow collector, the
-// multi-router aggregation transport, and the hifind CLI's replay
-// plumbing. Queues there absorb adversarial load, so their capacity is
+// sketches: the NetFlow collector, the multi-router aggregation
+// transport, and the hifind CLI's replay plumbing. Queues there absorb adversarial load, so their capacity is
 // a resilience parameter, not an implementation detail.
 var ingestionPackages = []string{
-	"internal/pipeline",
 	"internal/netflow",
 	"internal/aggregate",
 	"cmd/hifind",
@@ -20,7 +18,7 @@ var ingestionPackages = []string{
 // boundedQueueAnalyzer pins down queue sizing on the ingestion paths:
 // every data-carrying channel must be created with an explicit,
 // configuration-derived capacity. An unbuffered data channel couples
-// producer and consumer into lockstep (one slow worker stalls the
+// producer and consumer into lockstep (one slow consumer stalls the
 // collector — the paper's DoS-resilience argument assumes ingestion
 // never blocks on detection); a hardcoded literal capacity cannot be
 // tuned per deployment and silently encodes one machine's assumptions.

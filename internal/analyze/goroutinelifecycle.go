@@ -12,9 +12,8 @@ import (
 // pattern) or it is cancellable (its body blocks on a channel receive,
 // select or channel range somewhere — a done channel, a context's
 // Done, a queue that closes). A goroutine with neither is a leak: the
-// facade's -linger teardown, the pipeline's Close drain and the test
-// suite's goroutine-leak checks all assume background work can be shut
-// down deterministically.
+// facade's -linger teardown and the test suite's goroutine-leak checks
+// assume background work can be shut down deterministically.
 //
 // Package main is exempt (process exit bounds those goroutines), as
 // are goroutines whose target cannot be resolved statically — except

@@ -9,10 +9,8 @@ import (
 
 // hotpathPackages are the sketch-family packages whose per-packet
 // operations carry the paper's line-rate budget (§5.5.2: a handful of
-// memory accesses per packet, nothing else), plus the parallel
-// ingestion engine whose producer/worker Ingest runs once per packet,
-// plus the telemetry metric primitives whose Add/Set/Observe those hot
-// paths may call.
+// memory accesses per packet, nothing else), plus the telemetry metric
+// primitives whose Add/Set/Observe those hot paths may call.
 var hotpathPackages = []string{
 	"internal/sketch",
 	"internal/revsketch",
@@ -20,7 +18,6 @@ var hotpathPackages = []string{
 	"internal/sketch2d",
 	"internal/bloom",
 	"internal/core",
-	"internal/pipeline",
 	"internal/flowcache",
 	"internal/telemetry",
 }
@@ -45,25 +42,18 @@ var telemetryHotFuncs = map[string]bool{
 }
 
 // hotpathFunc reports whether a function name is part of the UPDATE /
-// ESTIMATE / COMBINE hot-path contract (paper Table 2), the pipeline's
-// per-packet Ingest, the recorder's per-packet Observe/ObserveFlow and
-// fused update internals, the plan API the fused engine fills and
-// applies per packet, or the sharded routing surface (the producer's
-// EmitOps op router and the worker-side Apply/ApplyInv/ApplyAt op
-// appliers — each runs per packet times per stage). EstimateGrid and
-// friends share the Estimate budget, and updateFused/updateLegacy share
-// Observe's, hence the prefix matches; the Apply names are exact so the
-// cold rotation-time ApplyTally stitch stays out of the contract. In
-// internal/telemetry the contract covers the sanctioned instrumentation
-// methods instead.
+// ESTIMATE / COMBINE hot-path contract (paper Table 2), the recorder's
+// per-packet Observe/ObserveFlow and fused update internals, or the
+// plan API the fused engine fills and applies per packet. EstimateGrid
+// and friends share the Estimate budget, and updateFused/updateLegacy
+// share Observe's, hence the prefix matches. In internal/telemetry the
+// contract covers the sanctioned instrumentation methods instead.
 func hotpathFunc(pkgPath, name string) bool {
 	if pathMatchesAny(pkgPath, telemetryPackage) {
 		return telemetryHotFuncs[name]
 	}
 	return name == "Update" || name == "UpdateAt" || name == "FillPlan" ||
-		name == "Combine" || name == "Ingest" ||
-		name == "Apply" || name == "ApplyInv" || name == "ApplyAt" ||
-		name == "EmitOps" ||
+		name == "Combine" ||
 		strings.HasPrefix(name, "Estimate") ||
 		strings.HasPrefix(name, "Observe") ||
 		strings.HasPrefix(name, "update")
@@ -71,7 +61,7 @@ func hotpathFunc(pkgPath, name string) bool {
 
 var hotpathAllocAnalyzer = &Analyzer{
 	Name: "hotpath-alloc",
-	Doc:  "forbids heap allocation (make/append/map or slice literals/fmt.Sprint*/string concat) and non-hot telemetry calls in the transitive hot set rooted at Update/Estimate/Combine/Ingest and //hifind:hot functions",
+	Doc:  "forbids heap allocation (make/append/map or slice literals/fmt.Sprint*/string concat) and non-hot telemetry calls in the transitive hot set rooted at Update/Estimate/Combine/Observe and //hifind:hot functions",
 	Run:  runHotpathAlloc,
 }
 

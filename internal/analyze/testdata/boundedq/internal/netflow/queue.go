@@ -1,6 +1,6 @@
-// Package pipeline exercises bounded-queue on an ingestion path: data
+// Package netflow exercises bounded-queue on an ingestion path: data
 // channels need explicit, configuration-derived capacities.
-package pipeline
+package netflow
 
 import (
 	"os"

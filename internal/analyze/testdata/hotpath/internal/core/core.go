@@ -5,7 +5,11 @@
 // flagged, while constructors and plan pre-allocation stay free.
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/hifind/hifind/internal/telemetry"
+)
 
 type Plan struct {
 	idx []uint32
@@ -72,5 +76,35 @@ func (c *Clean) FillPlan(key uint64) {
 func (c *Clean) UpdateAt(v int32) {
 	for _, ix := range c.plan.idx {
 		c.counts[ix] += v
+	}
+}
+
+// Instrumented mirrors the recorder's real wiring: metrics are looked up
+// once at construction and only bumped per packet.
+type Instrumented struct {
+	reg     *telemetry.Registry
+	packets *telemetry.Counter
+	hwm     *telemetry.Gauge
+	lat     *telemetry.Histogram
+}
+
+// Observe may bump pre-registered metrics — Add/SetMax/Observe are
+// single atomic ops — but must never touch the registry: registration
+// takes a lock and allocates the metric and its key.
+func (s *Instrumented) Observe(key uint64) {
+	s.packets.Add(1)
+	s.hwm.SetMax(float64(key))
+	s.lat.Observe(float64(key))
+	c := s.reg.Counter("core_late_total", "registered per packet") // want `telemetry.Counter is not allocation-free`
+	c.Inc()
+}
+
+// NewInstrumented is construction: registry lookups are sanctioned here.
+func NewInstrumented(reg *telemetry.Registry) *Instrumented {
+	return &Instrumented{
+		reg:     reg,
+		packets: reg.Counter("core_packets_total", "packets observed"),
+		hwm:     reg.Gauge("core_key_high_water", "largest key seen"),
+		lat:     reg.Histogram("core_key_seconds", "key as a latency stand-in", nil),
 	}
 }

@@ -22,8 +22,8 @@ import (
 	"github.com/hifind/hifind/internal/sketch"
 )
 
-// MaxSlots bounds the slot count so slot indices pack into the shard
-// segment space and the marshal header stays fixed-width.
+// MaxSlots bounds the slot count so the marshal header stays
+// fixed-width.
 const MaxSlots = 16
 
 // Config describes a burst monitor's geometry.
@@ -78,8 +78,7 @@ func (a *Array) Config() Config { return a.cfg }
 // Seed returns the shared hash seed.
 func (a *Array) Seed() uint64 { return a.seed }
 
-// SlotSketch exposes one slot's underlying sketch, for the shard
-// planner that addresses slot counters directly.
+// SlotSketch exposes one slot's underlying sketch.
 func (a *Array) SlotSketch(i int) *invsketch.Sketch { return a.slots[i] }
 
 // Slot maps a timestamp to its slot index. Slots cycle modulo the

@@ -148,14 +148,6 @@ func PaperRecorderConfig(seed uint64) RecorderConfig {
 	}
 }
 
-// NeedsInvOps reports whether recorders built from this configuration
-// carry any invertible-sketch structure — the inference set, the burst
-// monitor or the reflection monitor — and therefore whether the sharded
-// pipeline must provision its InvOp lane.
-func (c RecorderConfig) NeedsInvOps() bool {
-	return c.Inference == InferenceInvertible || c.BurstSlots > 0 || c.Reflection
-}
-
 // TestRecorderConfig returns a scaled-down configuration for fast tests:
 // the same structure set with smaller tables (24-bit reversible keys would
 // not fit real addresses, so key widths stay at 48/64 bits and only bucket

@@ -40,6 +40,33 @@ type HotpathBench struct {
 	FlowSpeedup   float64 `json:"flow_speedup"`
 }
 
+// pipelinePackets pre-generates the measurement traffic: mostly inbound
+// SYNs over spread keys with a periodic SYN/ACK, the recorder's
+// worst-case (every packet updates all nine structures or the Bloom
+// filter).
+func pipelinePackets(n int) []netmodel.Packet {
+	pkts := make([]netmodel.Packet, n)
+	for i := range pkts {
+		h := uint32(i) * 2654435761
+		p := netmodel.Packet{
+			SrcIP:   netmodel.IPv4(h),
+			DstIP:   netmodel.IPv4(0x81690000 | h>>24),
+			SrcPort: uint16(40000 + i%1000),
+			DstPort: uint16(1 + h%1024),
+			Flags:   netmodel.FlagSYN,
+			Dir:     netmodel.Inbound,
+		}
+		if i%16 == 0 {
+			p.SrcIP, p.DstIP = p.DstIP, p.SrcIP
+			p.SrcPort, p.DstPort = p.DstPort, p.SrcPort
+			p.Flags = netmodel.FlagSYN | netmodel.FlagACK
+			p.Dir = netmodel.Outbound
+		}
+		pkts[i] = p
+	}
+	return pkts
+}
+
 // hotpathFlows pre-generates NetFlow-style records as a collector would
 // export them during mixed traffic: mostly small benign flows with a
 // heavy tail of flood-aggregated records, plus a periodic outbound

@@ -6,9 +6,8 @@
 // SYN-flood threshold, but their streaks do clear MinIntervals — that
 // is the whole detection signal.
 //
-// The tracker is detection-time state only (it consumes decoded keys,
-// not packets), so it lives outside the sharded ingestion path and is
-// identical under any worker count by construction.
+// The tracker is detection-time state only: it consumes decoded keys,
+// not packets.
 package persist
 
 import (

@@ -1,36 +1,32 @@
 package hifind_test
 
-// The sharded-ingestion identity matrix: every golden trace is replayed
-// through the sequential Detector and through the key-sharded engine at
-// 1, 2, 4 and 8 workers, under both inference engines (reverse and
-// invertible sketches) and with the flow-aggregation cache off and on —
-// and for every cell of the matrix both the rendered per-interval alert
-// output AND the serialized cross-interval state must be byte-identical
-// to the sequential baseline of the same inference mode. This is the
-// facade-level statement of the sharding invariant: partitioning bucket
-// columns across workers is invisible in detection behavior and in the
-// wire format, for any worker count, on adversarial and benign traffic
-// alike.
+// The two facade-level identity statements over the golden corpus.
+//
+// TestFlowCacheIdentityMatrix: every golden trace is replayed under both
+// inference engines (reverse and invertible sketches) with the
+// flow-aggregation cache off and on, and in every cell both the rendered
+// per-interval alert output AND the serialized cross-interval state must
+// be byte-identical to the cache-less baseline of the same inference
+// mode.
+//
+// TestReplicaIngestIdentity: the multi-core ingestion route — a Detector
+// plus one Recorder per extra feeding goroutine, summed at rotation by
+// EndIntervalMerged — must be invisible in detection behavior and in
+// the checkpoint format, on adversarial and benign traffic alike.
 
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	hifind "github.com/hifind/hifind"
+	"github.com/hifind/hifind/internal/netmodel"
 	"github.com/hifind/hifind/internal/pcap"
 	"github.com/hifind/hifind/internal/trace"
 )
 
-func TestShardedIdentityMatrix(t *testing.T) {
-	workerCounts := []int{1, 2, 3, 4, 8}
-	cacheSizes := []int{0, 1024}
-	if testing.Short() || raceEnabled {
-		// One concurrent worker count is enough for -short iteration and
-		// for the race detector (any count ≥2 exercises the concurrent
-		// paths); the full sweep runs in the regular test step.
-		workerCounts = []int{3}
-	}
+func TestFlowCacheIdentityMatrix(t *testing.T) {
 	modes := map[string][]hifind.Option{
 		"reverse":    nil,
 		"invertible": {hifind.WithInvertibleInference()},
@@ -58,49 +54,114 @@ func TestShardedIdentityMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				if name != "benign-only" && wantAlerts == "" {
-					t.Fatal("sequential baseline produced no output; the matrix would be vacuous")
+					t.Fatal("cache-less baseline produced no output; the matrix would be vacuous")
 				}
 
-				check := func(variant string, d interface {
-					hifind.Replayable
-					SaveState() ([]byte, error)
-				}) {
-					t.Helper()
-					if got := replayGolden(t, capture, edge, d); got != wantAlerts {
-						t.Errorf("%s: alerts diverged from sequential:\n%s",
-							variant, goldenDiff(wantAlerts, got))
-					}
-					state, err := d.SaveState()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(state, wantState) {
-						t.Errorf("%s: serialized state not byte-identical to sequential", variant)
-					}
+				cached := newCompact(t, append(sc.options(modeOpts...), hifind.WithFlowCache(1024))...)
+				if got := replayGolden(t, capture, edge, cached); got != wantAlerts {
+					t.Errorf("cached: alerts diverged from cache-less:\n%s", goldenDiff(wantAlerts, got))
 				}
-
-				// Sequential with the flow cache: same wire bytes, alerts.
-				check("sequential/cached",
-					newCompact(t, sc.options(append([]hifind.Option{hifind.WithFlowCache(1024)}, modeOpts...)...)...))
-
-				for _, workers := range workerCounts {
-					for _, cache := range cacheSizes {
-						opts := sc.options(append([]hifind.Option{
-							hifind.WithWorkers(workers), hifind.WithBatchSize(64),
-						}, modeOpts...)...)
-						variant := fmt.Sprintf("workers-%d/uncached", workers)
-						if cache > 0 {
-							opts = append(opts, hifind.WithFlowCache(cache))
-							variant = fmt.Sprintf("workers-%d/cached", workers)
-						}
-						p := newParallelCompact(t, opts...)
-						check(variant, p)
-						if _, err := p.Close(); err != nil {
-							t.Fatal(err)
-						}
-					}
+				state, err := cached.SaveState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(state, wantState) {
+					t.Error("cached: serialized state not byte-identical to cache-less")
 				}
 			})
 		}
+	}
+}
+
+// replicaSite is the multi-core (equally: multi-router) deployment at
+// the facade: a central Detector plus two Recorders built with the same
+// options.
+type replicaSite struct {
+	det  *hifind.Detector
+	recs [2]*hifind.Recorder
+}
+
+func newReplicaSite(t *testing.T, opts ...hifind.Option) replicaSite {
+	t.Helper()
+	s := replicaSite{det: newCompact(t, opts...)}
+	for i := range s.recs {
+		r, err := hifind.NewRecorder(append([]hifind.Option{hifind.WithCompactSketches()}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.recs[i] = r
+	}
+	return s
+}
+
+// endInterval deals pkts round-robin to the three observers, each fed
+// from its own goroutine, then merges the Recorders' snapshots into the
+// Detector's interval.
+func (s replicaSite) endInterval(t *testing.T, pkts []netmodel.Packet) hifind.Result {
+	t.Helper()
+	observers := []func(hifind.Packet){s.det.Observe, s.recs[0].Observe, s.recs[1].Observe}
+	var wg sync.WaitGroup
+	for g, observe := range observers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := g; j < len(pkts); j += len(observers) {
+				observe(toPublic(pkts[j]))
+			}
+		}()
+	}
+	wg.Wait()
+	states := make([][]byte, 0, len(s.recs))
+	for _, r := range s.recs {
+		state, err := r.StateSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, state)
+	}
+	res, err := s.det.EndIntervalMerged(states...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestReplicaIngestIdentity(t *testing.T) {
+	for name, sc := range goldenScenarios() {
+		t.Run(name, func(t *testing.T) {
+			intervals := intervalPackets(t, sc.cfg)
+			seq := newCompact(t, sc.options()...)
+			site := newReplicaSite(t, sc.options()...)
+			var want, got []hifind.Result
+			for _, pkts := range intervals {
+				for _, p := range pkts {
+					seq.Observe(toPublic(p))
+				}
+				res, err := seq.EndInterval()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, res)
+				got = append(got, site.endInterval(t, pkts))
+			}
+			wantAlerts, gotAlerts := formatGolden(want), formatGolden(got)
+			if name != "benign-only" && wantAlerts == "" {
+				t.Fatal("sequential baseline produced no output; the identity would be vacuous")
+			}
+			if gotAlerts != wantAlerts {
+				t.Errorf("replica ingest: alerts diverged from sequential:\n%s", goldenDiff(wantAlerts, gotAlerts))
+			}
+			wantState, err := seq.SaveState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotState, err := site.det.SaveState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotState, wantState) {
+				t.Error("replica ingest: serialized state not byte-identical to sequential")
+			}
+		})
 	}
 }

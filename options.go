@@ -31,11 +31,6 @@ type config struct {
 	burstSlots         int
 	persistScan        bool
 	reflection         bool
-	// Parallel-only knobs (NewParallel); New ignores them.
-	workers    int
-	batchSize  int
-	queueDepth int
-	shed       bool
 	// Observability (nil means uninstrumented — zero hot-path cost).
 	reg  *telemetry.Registry
 	sink telemetry.Sink
@@ -235,8 +230,7 @@ func WithInvertibleInference() Option {
 // byte-identical to the cache-less detector — the differential suite
 // proves it on every golden trace — while skewed (elephant/mice)
 // traffic replaces most per-packet sketch fan-outs with a single cache
-// probe. Entries round up to a power of two; a NewParallel detector
-// gives each worker shard its own cache of this size.
+// probe. Entries round up to a power of two.
 //
 // Serialized snapshots are always flushed first, so the wire format is
 // unchanged and snapshots interchange freely with cache-less
@@ -300,67 +294,12 @@ func WithReflectionDetection() Option {
 	}
 }
 
-// WithWorkers sets the shard count of a NewParallel detector (default
-// runtime.GOMAXPROCS(0)). A sequential Detector ignores it.
-func WithWorkers(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("hifind: workers %d < 1", n)
-		}
-		c.workers = n
-		return nil
-	}
-}
-
-// WithBatchSize sets how many routed counter ops a parallel producer
-// accumulates per worker before shipping the batch (default 256; one
-// packet expands to roughly a dozen ops across the recording
-// structures). Larger batches amortize hand-off cost; smaller ones
-// tighten interval boundaries for un-flushed producers. A sequential
-// Detector ignores it.
-func WithBatchSize(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("hifind: batch size %d < 1", n)
-		}
-		c.batchSize = n
-		return nil
-	}
-}
-
-// WithQueueDepth sets how many batches buffer per worker (default 4).
-// A sequential Detector ignores it.
-func WithQueueDepth(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("hifind: queue depth %d < 1", n)
-		}
-		c.queueDepth = n
-		return nil
-	}
-}
-
-// WithShedOnOverload makes parallel producers drop (and count — see
-// Parallel.Shed) whole events at admission when any worker queue is
-// full, instead of blocking. Dropping before planning means a shed
-// event touches no structure at all — sketch state never tears. Use
-// for live capture, where stalling the reader would make the kernel
-// drop the packets anyway; keep the default blocking policy for
-// offline replay, which should be lossless. A sequential Detector
-// ignores it.
-func WithShedOnOverload() Option {
-	return func(c *config) error {
-		c.shed = true
-		return nil
-	}
-}
-
 // WithTelemetry attaches a metrics registry. The detector registers its
-// hifind_* series (and a Parallel its pipeline_* series) on it and keeps
-// them current: packet/flow counters on the hot path, rotation duration,
-// alert counts by type, sketch occupancy and inference candidate gauges
-// at each interval end. Without this option the hot path carries nil
-// metric handles and pays only a dead branch per call site.
+// hifind_* series on it and keeps them current: packet/flow counters on
+// the hot path, rotation duration, alert counts by type, sketch
+// occupancy and inference candidate gauges at each interval end.
+// Without this option the hot path carries nil metric handles and pays
+// only a dead branch per call site.
 func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(c *config) error {
 		if reg == nil {

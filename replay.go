@@ -17,10 +17,11 @@ import (
 // rare enough that the check never shows up in a profile.
 const ctxCheckStride = 4096
 
-// Replayable is the detector shape the replay functions drive: both the
-// sequential *Detector and the sharded *Parallel satisfy it. The
-// interface is sealed (its observe methods are unexported); it exists
-// so offline replays can switch between the two with one argument.
+// Replayable is the detector shape the replay functions drive;
+// *Detector satisfies it. The interface is sealed (its observe methods
+// are unexported), so the only other implementations are types that
+// embed *Detector and override EndInterval — which is how the benchmark
+// harness times rotations from outside the replay loop.
 type Replayable interface {
 	// Interval returns the configured interval length.
 	Interval() time.Duration
@@ -33,12 +34,12 @@ type Replayable interface {
 }
 
 // ReplayPcap streams a packet capture — classic libpcap or pcapng, the
-// format is sniffed from the magic bytes — through a sequential or
-// parallel detector, closing a measurement interval whenever capture
-// time advances past the detector's interval length, and returns every
-// interval's result. edgeCIDRs describes the monitored network (e.g.
-// "129.105.0.0/16") so packet direction can be recovered from
-// addresses; it must not be empty.
+// format is sniffed from the magic bytes — through a detector, closing
+// a measurement interval whenever capture time advances past the
+// detector's interval length, and returns every interval's result.
+// edgeCIDRs describes the monitored network (e.g. "129.105.0.0/16") so
+// packet direction can be recovered from addresses; it must not be
+// empty.
 func ReplayPcap(r io.Reader, edgeCIDRs []string, d Replayable) ([]Result, error) {
 	return ReplayPcapContext(context.Background(), r, edgeCIDRs, d)
 }
@@ -115,11 +116,11 @@ func flushPartial(results []Result, saw bool, d Replayable, ctx context.Context)
 
 // ReplayNetFlow streams a length-delimited NetFlow v5 export file (as
 // written by cmd/tracegen -format netflow, or any exporter whose UDP
-// datagrams were length-prefixed into a file) through a sequential or
-// parallel detector. The paper's own evaluation consumed exactly this
-// input: "the router exports netflow data continuously which is
-// recorded with sketches of HiFIND on the fly" (§5.1). Interval
-// boundaries follow the flows' end times.
+// datagrams were length-prefixed into a file) through a detector. The
+// paper's own evaluation consumed exactly this input: "the router
+// exports netflow data continuously which is recorded with sketches of
+// HiFIND on the fly" (§5.1). Interval boundaries follow the flows' end
+// times.
 func ReplayNetFlow(r io.Reader, edgeCIDRs []string, d Replayable) ([]Result, error) {
 	return ReplayNetFlowContext(context.Background(), r, edgeCIDRs, d)
 }

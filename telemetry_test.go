@@ -65,40 +65,6 @@ func TestDetectorTelemetry(t *testing.T) {
 	}
 }
 
-func TestParallelTelemetry(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	par, err := NewParallel(WithCompactSketches(), WithWorkers(2), WithBatchSize(8),
-		WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := netip.MustParseAddr("10.9.9.9")
-	dst := netip.MustParseAddr("192.168.1.1")
-	for i := 0; i < 100; i++ {
-		par.Observe(synPacket(src, dst, 443))
-	}
-	if _, err := par.EndInterval(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := par.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if snap["hifind_packets_observed_total"] != int64(100) {
-		t.Fatalf("packet counter: %v", snap["hifind_packets_observed_total"])
-	}
-	if n, ok := snap["pipeline_batches_total"].(int64); !ok || n == 0 {
-		t.Fatalf("pipeline batches counter: %v", snap["pipeline_batches_total"])
-	}
-	hist, ok := snap["pipeline_epoch_barrier_seconds"].(map[string]any)
-	if !ok || hist["count"].(int64) < 1 {
-		t.Fatalf("epoch barrier histogram: %v", snap["pipeline_epoch_barrier_seconds"])
-	}
-	if _, ok := snap[`pipeline_queue_depth_high_water{worker="0"}`]; !ok {
-		t.Fatalf("missing per-worker HWM gauge: %v", snap)
-	}
-}
-
 // TestInstrumentedObserveAllocFree pins the instrumented per-packet
 // path at zero allocations: the counters are pre-registered atomics, so
 // attaching telemetry must not hand the GC any per-packet garbage.
