@@ -7,6 +7,13 @@ package hifind_test
 // behavior — a threshold tweak, a sketch change, a heuristic reorder —
 // shows up as a golden diff instead of slipping through silently.
 //
+// Each scenario also pins hex(sha256(SaveState())) after the replay in
+// <name>.state.sha256 — the absolute anchor for recorded state. Every
+// other state-byte check in the repo is relative (cached vs uncached,
+// replica vs sequential, product path vs test reference), so a change to
+// hashing, plan filling, chunking or rotation that moves both sides
+// together shows up here and nowhere else.
+//
 // Regenerate after an *intentional* behavior change with:
 //
 //	go test -run TestGoldenDetection -update .
@@ -15,6 +22,8 @@ package hifind_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
@@ -161,26 +170,34 @@ func TestGoldenDetection(t *testing.T) {
 					}
 				}
 			}
-			got := formatGolden(results)
-
-			path := filepath.Join("testdata", "golden", name+".golden")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("updated %s", path)
-				return
-			}
-			want, err := os.ReadFile(path)
+			state, err := d.SaveState()
 			if err != nil {
-				t.Fatalf("missing golden (run with -update to create): %v", err)
+				t.Fatal(err)
 			}
-			if got != string(want) {
-				t.Errorf("detection output diverged from %s (rerun with -update only if the change is intentional):\n%s",
-					path, goldenDiff(string(want), got))
+			sum := sha256.Sum256(state)
+			base := filepath.Join("testdata", "golden", name)
+			for _, f := range []struct{ path, got string }{
+				{base + ".golden", formatGolden(results)},
+				{base + ".state.sha256", hex.EncodeToString(sum[:]) + "\n"},
+			} {
+				if *updateGolden {
+					if err := os.MkdirAll(filepath.Dir(f.path), 0o755); err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(f.path, []byte(f.got), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					t.Logf("updated %s", f.path)
+					continue
+				}
+				want, err := os.ReadFile(f.path)
+				if err != nil {
+					t.Fatalf("missing golden (run with -update to create): %v", err)
+				}
+				if f.got != string(want) {
+					t.Errorf("detection output diverged from %s (rerun with -update only if the change is intentional):\n%s",
+						f.path, goldenDiff(string(want), f.got))
+				}
 			}
 		})
 	}
