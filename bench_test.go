@@ -376,59 +376,8 @@ func BenchmarkRecorderObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkHotpath pits the fused update engine against the legacy one
-// on both per-packet Observe and NetFlow-record ObserveFlow. The flow
-// records carry the SYN-count mix of a collector batch during a flood
-// (mean ≈ 82 SYNs/record), where the legacy engine replays SYNs one by
-// one and the fused engine applies a single weighted update.
-// `benchtables -table hotpath` runs the same comparison with a
-// differential state check and records it in BENCH_hotpath.json, which
-// `make bench-gate` enforces.
-func BenchmarkHotpath(b *testing.B) {
-	flowCounts := []int{1, 2, 3, 8, 40, 120, 400}
-	for _, eng := range []struct {
-		name   string
-		engine core.Engine
-	}{{"legacy", core.EngineLegacy}, {"fused", core.EngineFused}} {
-		b.Run("packet/"+eng.name, func(b *testing.B) {
-			rec, err := core.NewRecorder(core.TestRecorderConfig(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			rec.SetEngine(eng.engine)
-			pkt := netmodel.Packet{
-				DstIP: 0x81690101, SrcPort: 40000, DstPort: 80,
-				Flags: netmodel.FlagSYN, Dir: netmodel.Inbound,
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pkt.SrcIP = netmodel.IPv4(i)
-				rec.Observe(pkt)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/sec")
-		})
-		b.Run("flow/"+eng.name, func(b *testing.B) {
-			rec, err := core.NewRecorder(core.TestRecorderConfig(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			rec.SetEngine(eng.engine)
-			recFlow := netmodel.FlowRecord{
-				DstIP: 0x81690101, SrcPort: 40000, DstPort: 80, Dir: netmodel.Inbound,
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				recFlow.SrcIP = netmodel.IPv4(i)
-				recFlow.SYNs = flowCounts[i%len(flowCounts)]
-				rec.ObserveFlow(recFlow)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "recs/sec")
-		})
-	}
-}
-
 // BenchmarkFlowCache measures the flow-aggregation cache against the
-// bare fused engine on Zipf-skewed traffic, where a handful of elephant
+// cache-less recorder on Zipf-skewed traffic, where a handful of elephant
 // connections dominate the packet stream: a cache hit is one probe
 // instead of the full multi-sketch fan-out. Both variants run
 // allocation-reported so the bench doubles as a hot-path alloc pin.

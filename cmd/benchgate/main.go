@@ -1,30 +1,18 @@
-// Command benchgate enforces the performance contracts of the update
-// and inference engines: it compares a freshly measured comparison
+// Command benchgate enforces the performance contracts of the inference
+// engines and the flow cache: it compares a freshly measured comparison
 // against the committed baseline JSON and exits non-zero on regression.
 //
-// The gate judges speedups — engine-vs-engine ratios measured back to
-// back in one process — never absolute rates, so a slower CI machine
-// cannot fail the gate and a faster one cannot mask a regression.
-//
-// Hot-path mode (`-table hotpath`, the BENCH_hotpath.json shape written
-// by `benchtables -table hotpath`):
-//
-//  1. FlowSpeedup ≥ -min-flow-speedup (default 2.0): the weighted-update
-//     collapse of NetFlow replay must survive; this is the floor the
-//     fused engine exists to clear, not a relative check.
-//  2. PacketSpeedup ≥ 1.0: the fused engine must never be slower than
-//     legacy on the per-packet path.
-//  3. Each fresh speedup ≥ (1 - tolerance) × baseline speedup (default
-//     tolerance 10%): the margin recorded in the committed JSON must not
-//     silently erode.
+// The gate judges speedups — path-vs-path ratios measured back to back
+// in one process — never absolute rates, so a slower CI machine cannot
+// fail the gate and a faster one cannot mask a regression.
 //
 // Inference mode (`-table inference`, the BENCH_inference.json shape
 // written by `benchtables -table inference`):
 //
 //  1. SpeedupRatio ≥ -min-inference-speedup (default 5.0): the O(buckets)
 //     decode must beat the reverse-hashing search by this floor.
-//  2. SpeedupRatio ≥ (1 - tolerance) × baseline: decode latency must not
-//     silently regress.
+//  2. SpeedupRatio ≥ (1 - tolerance) × baseline (default tolerance 10%):
+//     the margin recorded in the committed JSON must not silently erode.
 //  3. InvertibleRecall ≥ ReverseRecall (fresh run): the decode may never
 //     recover fewer true offender keys than the witness engine it
 //     replaces.
@@ -33,7 +21,7 @@
 // `benchtables -table cache`):
 //
 //  1. PacketSpeedup ≥ -min-cache-speedup (default 1.5): the flow cache
-//     must keep beating the bare fused engine on Zipf-skewed packets.
+//     must keep beating the cache-less recorder on Zipf-skewed packets.
 //  2. FlowSpeedup ≥ 1.0: cached NetFlow replay must never be slower.
 //  3. Each fresh speedup ≥ (1 - tolerance) × baseline speedup.
 //  4. StateIdentical must be true: the measurement's differential anchor
@@ -42,7 +30,6 @@
 //
 // Usage:
 //
-//	benchgate -baseline BENCH_hotpath.json -fresh /tmp/fresh.json
 //	benchgate -table inference -baseline BENCH_inference.json -fresh /tmp/fresh.json
 //	benchgate -table cache -baseline BENCH_cache.json -fresh /tmp/fresh.json
 package main
@@ -65,15 +52,17 @@ func main() {
 
 func run() error {
 	var (
-		table        = flag.String("table", "hotpath", "which contract to enforce: hotpath, inference or cache")
+		table        = flag.String("table", "", "which contract to enforce: inference or cache (required)")
 		baselinePath = flag.String("baseline", "", "committed baseline JSON (default BENCH_<table>.json)")
 		freshPath    = flag.String("fresh", "", "freshly measured JSON (required)")
 		tolerance    = flag.Float64("tolerance", 0.10, "allowed fractional speedup regression vs baseline")
-		minFlow      = flag.Float64("min-flow-speedup", 2.0, "absolute floor for the NetFlow replay speedup")
 		minInfer     = flag.Float64("min-inference-speedup", 5.0, "absolute floor for the invertible decode speedup")
 		minCache     = flag.Float64("min-cache-speedup", 1.5, "absolute floor for the flow-cache packet speedup on Zipf traffic")
 	)
 	flag.Parse()
+	if *table != "inference" && *table != "cache" {
+		return fmt.Errorf("-table must be inference or cache, got %q", *table)
+	}
 	if *freshPath == "" {
 		return fmt.Errorf("-fresh is required (run `benchtables -table %s -benchout <file>` first)", *table)
 	}
@@ -83,53 +72,7 @@ func run() error {
 	if *table == "inference" {
 		return gateInference(*baselinePath, *freshPath, *tolerance, *minInfer)
 	}
-	if *table == "cache" {
-		return gateCache(*baselinePath, *freshPath, *tolerance, *minCache)
-	}
-	if *table != "hotpath" {
-		return fmt.Errorf("-table must be hotpath, inference or cache, got %q", *table)
-	}
-	baseline, err := load(*baselinePath)
-	if err != nil {
-		return err
-	}
-	fresh, err := load(*freshPath)
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("hot-path gate: baseline %s, fresh %s (tolerance %.0f%%)\n",
-		*baselinePath, *freshPath, 100**tolerance)
-	fmt.Printf("  packet speedup: baseline %.2fx, fresh %.2fx\n", baseline.PacketSpeedup, fresh.PacketSpeedup)
-	fmt.Printf("  flow speedup:   baseline %.2fx, fresh %.2fx\n", baseline.FlowSpeedup, fresh.FlowSpeedup)
-
-	var failures []string
-	if fresh.FlowSpeedup < *minFlow {
-		failures = append(failures, fmt.Sprintf(
-			"NetFlow replay speedup %.2fx below the %.1fx floor — the weighted-update collapse is broken",
-			fresh.FlowSpeedup, *minFlow))
-	}
-	if fresh.PacketSpeedup < 1.0 {
-		failures = append(failures, fmt.Sprintf(
-			"fused per-packet path is slower than legacy (%.2fx)", fresh.PacketSpeedup))
-	}
-	check := func(name string, base, got float64) {
-		if floor := base * (1 - *tolerance); got < floor {
-			failures = append(failures, fmt.Sprintf(
-				"%s speedup regressed: %.2fx vs baseline %.2fx (floor %.2fx)", name, got, base, floor))
-		}
-	}
-	check("packet", baseline.PacketSpeedup, fresh.PacketSpeedup)
-	check("flow", baseline.FlowSpeedup, fresh.FlowSpeedup)
-
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "benchgate: FAIL:", f)
-		}
-		return fmt.Errorf("%d check(s) failed", len(failures))
-	}
-	fmt.Println("  PASS")
-	return nil
+	return gateCache(*baselinePath, *freshPath, *tolerance, *minCache)
 }
 
 // gateInference enforces the inference-engine contract over the
@@ -250,21 +193,6 @@ func loadInference(path string) (experiments.InferenceBench, error) {
 	}
 	if b.ReverseDecodeSec <= 0 || b.InvertibleDecodeSec <= 0 {
 		return experiments.InferenceBench{}, fmt.Errorf("%s: not an inference benchmark (zero latencies)", path)
-	}
-	return b, nil
-}
-
-func load(path string) (experiments.HotpathBench, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return experiments.HotpathBench{}, err
-	}
-	var b experiments.HotpathBench
-	if err := json.Unmarshal(data, &b); err != nil {
-		return experiments.HotpathBench{}, fmt.Errorf("%s: %w", path, err)
-	}
-	if b.LegacyPacketPPS <= 0 || b.LegacyFlowRPS <= 0 {
-		return experiments.HotpathBench{}, fmt.Errorf("%s: not a hotpath benchmark (zero legacy rates)", path)
 	}
 	return b, nil
 }

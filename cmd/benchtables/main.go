@@ -13,6 +13,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"github.com/hifind/hifind/internal/experiments"
 )
@@ -25,14 +27,19 @@ func main() {
 }
 
 func run() error {
+	tables := []string{"1", "4", "5", "6", "7", "9", "f4", "mr", "val", "ma", "perf",
+		"cache", "inference", "mit", "ttd", "ablation", "scenarios", "all"}
 	var (
 		table = flag.String("table", "all",
-			"which artifact to regenerate: 1, 4, 5, 6, 7, 9, f4, mr, val, ma, perf, hotpath, cache, inference, mit, ttd, ablation, scenarios or all")
+			"which artifact to regenerate: "+strings.Join(tables, ", "))
 		full     = flag.Bool("full", false, "run at the larger scale")
 		benchout = flag.String("benchout", "",
-			"write the hotpath/cache/inference benchmark results as JSON to this file (default BENCH_<table>.json; only with that -table named)")
+			"write the cache/inference benchmark results as JSON to this file (default BENCH_<table>.json; only with that -table named)")
 	)
 	flag.Parse()
+	if !slices.Contains(tables, *table) {
+		return fmt.Errorf("-table must be one of %s, got %q", strings.Join(tables, ", "), *table)
+	}
 	scale := experiments.QuickScale()
 	if *full {
 		scale = experiments.FullScale()
@@ -146,39 +153,8 @@ func run() error {
 		fmt.Printf("compressed stress (top-100 anomalies): mean %.3fs, max %.3fs\n",
 			st.MeanSec, st.MaxSec)
 	}
-	if want("hotpath") {
-		section("Hot path — fused vs legacy update engine")
-		packets := 1_000_000
-		flows := 100_000
-		if *full {
-			packets, flows = 4_000_000, 400_000
-		}
-		hb, err := experiments.HotpathThroughput(packets, flows)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatHotpath(hb))
-		// -table all leaves the committed JSON alone; asking for the
-		// hotpath table explicitly records it.
-		out := ""
-		if *table == "hotpath" {
-			if out = *benchout; out == "" {
-				out = "BENCH_hotpath.json"
-			}
-		}
-		if out != "" {
-			data, err := json.MarshalIndent(hb, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", out)
-		}
-	}
 	if want("cache") {
-		section("Flow cache — exact aggregation vs bare fused engine (Zipf traffic)")
+		section("Flow cache — exact aggregation vs cache-less recorder (Zipf traffic)")
 		packets := 1_000_000
 		flows := 500_000
 		if *full {
@@ -189,8 +165,8 @@ func run() error {
 			return err
 		}
 		fmt.Print(experiments.FormatCache(cb))
-		// As with the hotpath table, -table all leaves the committed JSON
-		// alone; asking for the cache table explicitly records it.
+		// -table all leaves the committed JSON alone; asking for the
+		// cache table explicitly records it.
 		out := ""
 		if *table == "cache" {
 			if out = *benchout; out == "" {
@@ -219,7 +195,7 @@ func run() error {
 			return err
 		}
 		fmt.Print(experiments.FormatInference(ib))
-		// As with the hotpath table, -table all leaves the committed JSON
+		// As with the cache table, -table all leaves the committed JSON
 		// alone; asking for the inference table explicitly records it.
 		out := ""
 		if *table == "inference" {

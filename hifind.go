@@ -253,9 +253,6 @@ func New(opts ...Option) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.legacyEngine {
-		det.Recorder().SetEngine(core.EngineLegacy)
-	}
 	return &Detector{
 		det:      det,
 		rcfg:     rcfg,
@@ -450,9 +447,6 @@ func NewRecorder(opts ...Option) (*Recorder, error) {
 	rec, err := core.NewRecorder(rcfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.legacyEngine {
-		rec.SetEngine(core.EngineLegacy)
 	}
 	return &Recorder{rec: rec, ins: newInstruments(cfg.reg)}, nil
 }

@@ -275,7 +275,7 @@ func (p *Program) nodeOf(pkg *Package, decl *ast.FuncDecl) *funcNode {
 }
 
 // chain renders the propagation path root → … → fn using the given
-// parent map accessor, e.g. "Observe → update → updateFused".
+// parent map accessor, e.g. "Observe → record → flushFlow".
 func (p *Program) chain(fn *types.Func, parent func(*funcNode) *types.Func) string {
 	var names []string
 	for fn != nil {

@@ -43,10 +43,11 @@ var telemetryHotFuncs = map[string]bool{
 
 // hotpathFunc reports whether a function name is part of the UPDATE /
 // ESTIMATE / COMBINE hot-path contract (paper Table 2), the recorder's
-// per-packet Observe/ObserveFlow and fused update internals, or the
-// plan API the fused engine fills and applies per packet. EstimateGrid
-// and friends share the Estimate budget, and updateFused/updateLegacy
-// share Observe's, hence the prefix matches. In internal/telemetry the
+// per-packet Observe/ObserveFlow and its update internals, or the plan
+// API the recorder fills and applies per packet. EstimateGrid and
+// friends share the Estimate budget, and the recorder's update (also
+// reached from the flow cache's flush sink, not only from Observe)
+// shares Observe's, hence the prefix matches. In internal/telemetry the
 // contract covers the sanctioned instrumentation methods instead.
 func hotpathFunc(pkgPath, name string) bool {
 	if pathMatchesAny(pkgPath, telemetryPackage) {

@@ -1,5 +1,5 @@
-// Package core is a golden-test stand-in for the recorder's fused
-// update engine: hotpath-alloc extends over internal/core's per-packet
+// Package core is a golden-test stand-in for the recorder's update
+// path: hotpath-alloc extends over internal/core's per-packet
 // surface — Observe/ObserveFlow, the update* internals, and the
 // FillPlan/UpdateAt plan API — so allocation in any of them must be
 // flagged, while constructors and plan pre-allocation stay free.
@@ -32,8 +32,8 @@ func (r *Recorder) ObserveFlow(key uint64, n int) {
 	r.counts[key&7] += int32(n)
 }
 
-func (r *Recorder) updateFused(key uint64, v int32) {
-	lbl := fmt.Sprintf("k%d", key) // want `fmt.Sprintf allocates in hot path updateFused`
+func (r *Recorder) update(key uint64, v int32) {
+	lbl := fmt.Sprintf("k%d", key) // want `fmt.Sprintf allocates in hot path update`
 	_ = lbl
 	r.counts[key&7] += v
 }
@@ -50,7 +50,7 @@ func (r *Recorder) UpdateAt(v int32) {
 	r.counts[r.plan.idx[0]] += v
 }
 
-// Clean shows the sanctioned fused shape: the plan buffer is allocated
+// Clean shows the sanctioned shape: the plan buffer is allocated
 // once at construction and every per-packet call only indexes it.
 type Clean struct {
 	counts [8]int32

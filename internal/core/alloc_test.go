@@ -6,47 +6,43 @@ import (
 	"github.com/hifind/hifind/internal/netmodel"
 )
 
-// The fused engine's zero-allocation pin: plans and key powers are
+// The update path's zero-allocation pin: plans and key powers are
 // preallocated or stack-resident, so Observe and ObserveFlow must not
-// allocate on either engine. The hotpath-alloc lint rule guards the
-// source; this guards escape-analysis regressions the AST rule cannot
-// see.
+// allocate. The hotpath-alloc lint rule guards the source; this guards
+// escape-analysis regressions the AST rule cannot see.
 
-func allocRecorder(t *testing.T, e Engine) *Recorder {
+func allocRecorder(t *testing.T) *Recorder {
 	t.Helper()
 	r, err := NewRecorder(TestRecorderConfig(0xa110c))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetEngine(e)
 	return r
 }
 
 func TestObserveAllocs(t *testing.T) {
-	for _, e := range []Engine{EngineFused, EngineLegacy} {
-		r := allocRecorder(t, e)
-		var i uint32
-		allocs := testing.AllocsPerRun(1000, func() {
-			r.Observe(netmodel.Packet{
-				SrcIP: netmodel.IPv4(0x08080000 | i), DstIP: 0x81690101,
-				SrcPort: 40000, DstPort: uint16(i),
-				Flags: netmodel.FlagSYN, Dir: netmodel.Inbound,
-			})
-			r.Observe(netmodel.Packet{
-				SrcIP: 0x81690101, DstIP: netmodel.IPv4(0x08080000 | i),
-				SrcPort: uint16(i), DstPort: 40000,
-				Flags: netmodel.FlagSYN | netmodel.FlagACK, Dir: netmodel.Outbound,
-			})
-			i++
+	r := allocRecorder(t)
+	var i uint32
+	allocs := testing.AllocsPerRun(1000, func() {
+		r.Observe(netmodel.Packet{
+			SrcIP: netmodel.IPv4(0x08080000 | i), DstIP: 0x81690101,
+			SrcPort: 40000, DstPort: uint16(i),
+			Flags: netmodel.FlagSYN, Dir: netmodel.Inbound,
 		})
-		if allocs != 0 {
-			t.Errorf("%v Observe allocates %v times per call, want 0", e, allocs)
-		}
+		r.Observe(netmodel.Packet{
+			SrcIP: 0x81690101, DstIP: netmodel.IPv4(0x08080000 | i),
+			SrcPort: uint16(i), DstPort: 40000,
+			Flags: netmodel.FlagSYN | netmodel.FlagACK, Dir: netmodel.Outbound,
+		})
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("Observe allocates %v times per call, want 0", allocs)
 	}
 }
 
 // TestCachedObserveAllocs pins the cache-enabled hot path: Add (hits,
-// installs and the evict-flush, which runs updateFused through the
+// installs and the evict-flush, which runs update through the
 // bound flush sink) must stay allocation-free too. The cache is one
 // probe window so the varying keys force evictions every few calls.
 func TestCachedObserveAllocs(t *testing.T) {
@@ -119,24 +115,22 @@ func TestCachedObserveFlowAllocs(t *testing.T) {
 }
 
 func TestObserveFlowAllocs(t *testing.T) {
-	for _, e := range []Engine{EngineFused, EngineLegacy} {
-		r := allocRecorder(t, e)
-		var i uint32
-		allocs := testing.AllocsPerRun(1000, func() {
-			r.ObserveFlow(netmodel.FlowRecord{
-				SrcIP: netmodel.IPv4(0x08080000 | i), DstIP: 0x81690101,
-				SrcPort: 40000, DstPort: uint16(i),
-				Dir: netmodel.Inbound, SYNs: 3,
-			})
-			r.ObserveFlow(netmodel.FlowRecord{
-				SrcIP: 0x81690101, DstIP: netmodel.IPv4(0x08080000 | i),
-				SrcPort: uint16(i), DstPort: 40000,
-				Dir: netmodel.Outbound, SYNACKs: 2,
-			})
-			i++
+	r := allocRecorder(t)
+	var i uint32
+	allocs := testing.AllocsPerRun(1000, func() {
+		r.ObserveFlow(netmodel.FlowRecord{
+			SrcIP: netmodel.IPv4(0x08080000 | i), DstIP: 0x81690101,
+			SrcPort: 40000, DstPort: uint16(i),
+			Dir: netmodel.Inbound, SYNs: 3,
 		})
-		if allocs != 0 {
-			t.Errorf("%v ObserveFlow allocates %v times per call, want 0", e, allocs)
-		}
+		r.ObserveFlow(netmodel.FlowRecord{
+			SrcIP: 0x81690101, DstIP: netmodel.IPv4(0x08080000 | i),
+			SrcPort: uint16(i), DstPort: 40000,
+			Dir: netmodel.Outbound, SYNACKs: 2,
+		})
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("ObserveFlow allocates %v times per call, want 0", allocs)
 	}
 }

@@ -35,7 +35,7 @@ func diffCacheRecorders(t *testing.T, seed uint64, entries int) (cached, plain *
 	return cached, plain
 }
 
-// requireSameState is requireIdentical without the engine framing:
+// requireSameState is requireIdentical for two product recorders:
 // cached and cache-less recorders differ in configuration, so the
 // comparison is serialized bytes plus the unserialized totals.
 func requireSameState(t *testing.T, cached, plain *Recorder, label string) {
@@ -158,46 +158,6 @@ func TestCacheConfigMismatchFailsLoudly(t *testing.T) {
 	if cached.Compatible(other) {
 		t.Fatal("differently sized caches report compatible")
 	}
-}
-
-// TestCacheLegacyEngineBypasses: the legacy engine is the differential
-// witness and must stay the plain per-packet path even when the
-// configuration carries a cache.
-func TestCacheLegacyEngineBypasses(t *testing.T) {
-	ccfg := TestRecorderConfig(0x1e9a)
-	ccfg.FlowCache = 64
-	cached, err := NewRecorder(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached.SetEngine(EngineLegacy)
-	plain, err := NewRecorder(TestRecorderConfig(0x1e9a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain.SetEngine(EngineLegacy)
-	events := diffStream(21, 2000)
-	feed(cached, events)
-	feed(plain, events)
-	if st := cached.CacheStats(); st.Hits+st.Misses != 0 {
-		t.Fatalf("legacy engine routed %d adds through the cache", st.Hits+st.Misses)
-	}
-	requireSameState(t, cached, plain, "legacy-bypass")
-}
-
-// TestCacheSetEngineFlushes: switching engines mid-stream drains the
-// cache first, so no aggregate recorded under the fused engine is lost.
-func TestCacheSetEngineFlushes(t *testing.T) {
-	cached, plain := diffCacheRecorders(t, 0x5e7e, 64)
-	pre := diffStream(31, 2000)
-	feed(cached, pre)
-	feed(plain, pre)
-	cached.SetEngine(EngineLegacy)
-	plain.SetEngine(EngineLegacy)
-	post := diffStream(32, 2000)
-	feed(cached, post)
-	feed(plain, post)
-	requireSameState(t, cached, plain, "engine-switch")
 }
 
 // TestCacheDifferentialDetectorAlerts runs the full detector (all three

@@ -1,13 +1,15 @@
 package core
 
-// Differential harness for the fused update engine: every test drives
-// the fused and legacy paths with identical input and requires the
-// complete serialized recorder state — every sketch counter, every
-// Bloom bit, every total — to match byte for byte. The legacy engine is
-// the independently written reference (per-sketch hashing, per-SYN
-// NetFlow replay), so agreement here proves the fused engine's shared
-// hash powers, bucket plans and weighted updates change nothing but
-// speed.
+// Differential harness for the recorder's update path: every test drives
+// Observe/ObserveFlow and the reference below with identical input and
+// requires the complete serialized recorder state — every sketch
+// counter, every Bloom bit, every total — to match byte for byte. The
+// reference is written independently of the product path: its own
+// packet and flow-record classification, one Update call per structure
+// (each re-hashing its key), one ±1 per synthetic SYN of a flow record,
+// and its own memory-access tally. Agreement proves the product path's
+// shared hash powers, bucket plans and weighted updates change nothing
+// but speed.
 
 import (
 	"bytes"
@@ -19,26 +21,105 @@ import (
 	"github.com/hifind/hifind/internal/trace"
 )
 
-// diffRecorders builds one fused and one legacy recorder on the same
-// configuration.
-func diffRecorders(t *testing.T, seed uint64) (fused, legacy *Recorder) {
-	t.Helper()
-	cfg := TestRecorderConfig(seed)
-	var err error
-	if fused, err = NewRecorder(cfg); err != nil {
-		t.Fatal(err)
+// refObserve is the reference's Observe. The burst and reflection
+// monitors are out of its scope: they apply inline in Observe, outside
+// the update path under test, and no differential configuration
+// enables them.
+func refObserve(r *Recorder, pkt netmodel.Packet) {
+	r.packets++
+	if pkt.Flags&netmodel.FlagSYN == 0 {
+		return
 	}
-	if legacy, err = NewRecorder(cfg); err != nil {
-		t.Fatal(err)
+	toward, away := refSides(r, pkt.Dir)
+	switch ack := pkt.Flags&netmodel.FlagACK != 0; {
+	case toward && !ack:
+		refUpdate(r, pkt.SrcIP, pkt.DstIP, pkt.DstPort, +1)
+	case away && ack:
+		// The connection's client is the packet destination.
+		refUpdate(r, pkt.DstIP, pkt.SrcIP, pkt.SrcPort, -1)
+		r.Services.Add(netmodel.PackDIPDport(pkt.SrcIP, pkt.SrcPort))
+		r.memoryAccesses += 7
 	}
-	legacy.SetEngine(EngineLegacy)
-	if fused.Engine() != EngineFused || legacy.Engine() != EngineLegacy {
-		t.Fatal("engine selection did not stick")
-	}
-	return fused, legacy
 }
 
-// diffEvent is one observation fed identically to both engines.
+// refObserveFlow is the reference's ObserveFlow: a record replays as
+// that many single packets' worth of ±1 updates.
+func refObserveFlow(r *Recorder, rec netmodel.FlowRecord) {
+	toward, away := refSides(r, rec.Dir)
+	if toward {
+		for i := 0; i < rec.SYNs; i++ {
+			refUpdate(r, rec.SrcIP, rec.DstIP, rec.DstPort, +1)
+			r.packets++
+		}
+	}
+	if away && rec.SYNACKs > 0 {
+		for i := 0; i < rec.SYNACKs; i++ {
+			refUpdate(r, rec.DstIP, rec.SrcIP, rec.SrcPort, -1)
+			r.packets++
+		}
+		r.Services.Add(netmodel.PackDIPDport(rec.SrcIP, rec.SrcPort))
+	}
+}
+
+// refSides reports whether dir crosses the edge toward the protected
+// side (where attack SYNs come from) or away from it (where the
+// answering SYN/ACKs go), for the recorder's orientation.
+func refSides(r *Recorder, dir netmodel.Direction) (toward, away bool) {
+	toward, away = dir == netmodel.Inbound, dir == netmodel.Outbound
+	if r.cfg.Orientation == Egress {
+		toward, away = away, toward
+	}
+	return toward, away
+}
+
+// refUpdate applies one SYN (v=+1) or SYN/ACK (v=−1) of connection
+// (sip,dip,dport): each structure mangles and hashes its key
+// independently through its own Update. The tally is the paper's fixed
+// per-packet budget (§5.5.2) — Stages counter writes per reversible,
+// verifier and 2D sketch, Stages×Fields per invertible sketch, and the
+// OS sketch's Stages on SYNs only.
+func refUpdate(r *Recorder, sip, dip netmodel.IPv4, dport uint16, v int32) {
+	kSipDport := netmodel.PackSIPDport(sip, dport)
+	kDipDport := netmodel.PackDIPDport(dip, dport)
+	kSipDip := netmodel.PackSIPDIP(sip, dip)
+
+	r.RSSipDport.Update(kSipDport, v)
+	r.RSDipDport.Update(kDipDport, v)
+	r.RSSipDip.Update(kSipDip, v)
+	r.VerSipDport.Update(kSipDport, v)
+	r.VerDipDport.Update(kDipDport, v)
+	r.VerSipDip.Update(kSipDip, v)
+	r.TwoDSipDportXDip.Update(kSipDport, uint64(dip), v)
+	r.TwoDSipDipXDport.Update(kSipDip, uint64(dport), v)
+	acc := 2*r.cfg.RS48.Stages + r.cfg.RS64.Stages + 3*r.cfg.Verifier.Stages + 2*r.cfg.TwoD.Stages
+	if v > 0 {
+		r.OSDipDport.Update(kDipDport, 1)
+		acc += r.cfg.Original.Stages
+	}
+	if r.cfg.Inference == InferenceInvertible {
+		r.InvSipDport.Update(kSipDport, v)
+		r.InvDipDport.Update(kDipDport, v)
+		r.InvSipDip.Update(kSipDip, v)
+		acc += 2*r.cfg.Inv48.Stages*r.cfg.Inv48.Fields() + r.cfg.Inv64.Stages*r.cfg.Inv64.Fields()
+	}
+	r.memoryAccesses += int64(acc)
+}
+
+// diffRecorders builds two recorders on the same configuration: got is
+// fed through Observe/ObserveFlow, ref through the reference.
+func diffRecorders(t *testing.T, cfg RecorderConfig) (got, ref *Recorder) {
+	t.Helper()
+	var err error
+	if got, err = NewRecorder(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if ref, err = NewRecorder(cfg); err != nil {
+		t.Fatal(err)
+	}
+	return got, ref
+}
+
+// diffEvent is one observation fed identically to both sides.
 type diffEvent struct {
 	pkt    netmodel.Packet
 	flow   netmodel.FlowRecord
@@ -99,40 +180,53 @@ func feed(r *Recorder, events []diffEvent) {
 	}
 }
 
-// requireIdentical compares the full serialized state plus the counters
-// MarshalBinary does not carry.
-func requireIdentical(t *testing.T, fused, legacy *Recorder, label string) {
-	t.Helper()
-	fb, err := fused.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, err := legacy.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fb, lb) {
-		t.Fatalf("%s: fused and legacy serialized state diverged (%d vs %d bytes)",
-			label, len(fb), len(lb))
-	}
-	if fused.Packets() != legacy.Packets() {
-		t.Fatalf("%s: packets %d vs %d", label, fused.Packets(), legacy.Packets())
-	}
-	if fused.MemoryAccesses() != legacy.MemoryAccesses() {
-		t.Fatalf("%s: memory accesses %d vs %d", label, fused.MemoryAccesses(), legacy.MemoryAccesses())
+func feedRef(r *Recorder, events []diffEvent) {
+	for _, e := range events {
+		if e.isFlow {
+			refObserveFlow(r, e.flow)
+		} else {
+			refObserve(r, e.pkt)
+		}
 	}
 }
 
-// TestDifferentialSequential drives both engines with identical mixed
-// packet/flow streams across several seeds and requires byte-identical
-// state.
+// requireIdentical compares the full serialized state plus the counters
+// MarshalBinary does not carry.
+func requireIdentical(t *testing.T, got, ref *Recorder, label string) {
+	t.Helper()
+	gb, err := got.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := ref.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb, rb) {
+		t.Fatalf("%s: recorder and reference serialized state diverged (%d vs %d bytes)",
+			label, len(gb), len(rb))
+	}
+	if got.Packets() != ref.Packets() {
+		t.Fatalf("%s: packets %d vs %d", label, got.Packets(), ref.Packets())
+	}
+	if got.MemoryAccesses() != ref.MemoryAccesses() {
+		t.Fatalf("%s: memory accesses %d vs %d", label, got.MemoryAccesses(), ref.MemoryAccesses())
+	}
+}
+
+// TestDifferentialSequential drives both sides with identical mixed
+// packet/flow streams across several seeds, in both inference modes
+// (the invertible one records into three more sketches), and requires
+// byte-identical state.
 func TestDifferentialSequential(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3, 42} {
-		events := diffStream(seed, 4000)
-		fused, legacy := diffRecorders(t, 0xd1ff)
-		feed(fused, events)
-		feed(legacy, events)
-		requireIdentical(t, fused, legacy, "sequential")
+	for _, inf := range []InferenceEngine{InferenceReverse, InferenceInvertible} {
+		for _, seed := range []int64{1, 2, 3, 42} {
+			events := diffStream(seed, 4000)
+			got, ref := diffRecorders(t, inferenceConfig(0xd1ff, inf))
+			feed(got, events)
+			feedRef(ref, events)
+			requireIdentical(t, got, ref, "sequential/"+inf.String())
+		}
 	}
 }
 
@@ -141,59 +235,45 @@ func TestDifferentialSequential(t *testing.T) {
 func TestDifferentialEgress(t *testing.T) {
 	cfg := TestRecorderConfig(0xe9e9)
 	cfg.Orientation = Egress
-	fused, err := NewRecorder(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := NewRecorder(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy.SetEngine(EngineLegacy)
+	got, ref := diffRecorders(t, cfg)
 	events := diffStream(9, 4000)
-	feed(fused, events)
-	feed(legacy, events)
-	requireIdentical(t, fused, legacy, "egress")
+	feed(got, events)
+	feedRef(ref, events)
+	requireIdentical(t, got, ref, "egress")
 }
 
 // TestDifferentialCombine splits one stream across three "routers" per
-// engine, merges each engine's routers with COMBINE, and requires the
+// side, merges each side's routers with COMBINE, and requires the
 // aggregates to be byte-identical — the multi-router path.
 func TestDifferentialCombine(t *testing.T) {
 	const routers = 3
 	events := diffStream(7, 6000)
-	var fusedR, legacyR []*Recorder
+	var gotR, refR []*Recorder
 	for i := 0; i < routers; i++ {
-		f, l := diffRecorders(t, 0xc0fe)
-		fusedR, legacyR = append(fusedR, f), append(legacyR, l)
+		g, r := diffRecorders(t, TestRecorderConfig(0xc0fe))
+		gotR, refR = append(gotR, g), append(refR, r)
 	}
+	shares := make([][]diffEvent, routers)
 	for i, e := range events {
-		r := i % routers
-		if e.isFlow {
-			fusedR[r].ObserveFlow(e.flow)
-			legacyR[r].ObserveFlow(e.flow)
-		} else {
-			fusedR[r].Observe(e.pkt)
-			legacyR[r].Observe(e.pkt)
-		}
+		shares[i%routers] = append(shares[i%routers], e)
 	}
-	if err := fusedR[0].Merge(fusedR[1:]...); err != nil {
+	for r, share := range shares {
+		feed(gotR[r], share)
+		feedRef(refR[r], share)
+	}
+	if err := gotR[0].Merge(gotR[1:]...); err != nil {
 		t.Fatal(err)
 	}
-	if err := legacyR[0].Merge(legacyR[1:]...); err != nil {
+	if err := refR[0].Merge(refR[1:]...); err != nil {
 		t.Fatal(err)
 	}
-	requireIdentical(t, fusedR[0], legacyR[0], "combine")
-	// Cross-engine merge must also work: the engines are deliberately
-	// not part of compatibility.
-	if !fusedR[0].Compatible(legacyR[0]) {
-		t.Fatal("fused and legacy recorders must stay compatible")
-	}
+	requireIdentical(t, gotR[0], refR[0], "combine")
 }
 
 // TestDifferentialDetectorAlerts runs the full detector (all three
-// phases) over a multi-attack trace on both engines and requires
-// identical alert output in every interval.
+// phases) over a multi-attack trace, once recording through Observe and
+// once through the reference, and requires identical alert output in
+// every interval.
 func TestDifferentialDetectorAlerts(t *testing.T) {
 	cfg := trace.Config{
 		Seed:            1212,
@@ -214,58 +294,50 @@ func TestDifferentialDetectorAlerts(t *testing.T) {
 				StartInterval: 2, EndInterval: 4, Rate: 600, Cause: "hscan"},
 		},
 	}
-	mkDet := func(engine Engine) *Detector {
+	mkDet := func() *Detector {
 		d, err := NewDetector(TestRecorderConfig(0xa1e7), DetectorConfig{Threshold: 60})
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.Recorder().SetEngine(engine)
 		return d
 	}
-	fusedRes := runTrace(t, mkDet(EngineFused), cfg)
-	legacyRes := runTrace(t, mkDet(EngineLegacy), cfg)
-	if len(fusedRes) != len(legacyRes) {
-		t.Fatalf("interval counts differ: %d vs %d", len(fusedRes), len(legacyRes))
+	g, err := trace.New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range fusedRes {
-		f, l := fusedRes[i], legacyRes[i]
-		render := func(alerts []Alert) []string {
-			out := make([]string, len(alerts))
-			for j, a := range alerts {
-				out[j] = a.String()
-			}
-			return out
+	got, ref := mkDet(), mkDet()
+	var gotRes, refRes []IntervalResult
+	for i := 0; i < cfg.Intervals; i++ {
+		pkts, err := g.GenerateInterval(i)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, phase := range []struct {
-			name string
-			f, l []Alert
-		}{
-			{"raw", f.Raw, l.Raw},
-			{"phase2", f.Phase2, l.Phase2},
-			{"final", f.Final, l.Final},
-		} {
-			fa, la := render(phase.f), render(phase.l)
-			if len(fa) != len(la) {
-				t.Fatalf("interval %d %s: %d vs %d alerts", i, phase.name, len(fa), len(la))
-			}
-			for j := range fa {
-				if fa[j] != la[j] {
-					t.Fatalf("interval %d %s alert %d: %q vs %q", i, phase.name, j, fa[j], la[j])
-				}
-			}
+		for _, p := range pkts {
+			got.Observe(p)
+			refObserve(ref.Recorder(), p)
 		}
+		gr, err := got.EndInterval()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, err := ref.EndInterval()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotRes, refRes = append(gotRes, gr), append(refRes, rr)
 	}
+	requireSameAlerts(t, refRes, gotRes, "reference vs Observe")
 }
 
 // TestDifferentialMarshalRoundTripKeepsEngineWorking ensures a recorder
-// that loaded serialized state keeps producing fused updates identical
-// to legacy ones (the plans are re-sized after unmarshal).
+// that loaded serialized state keeps producing updates identical to the
+// reference's (the plans are re-sized after unmarshal).
 func TestDifferentialMarshalRoundTripKeepsEngineWorking(t *testing.T) {
-	fused, legacy := diffRecorders(t, 0xbeef)
+	got, ref := diffRecorders(t, TestRecorderConfig(0xbeef))
 	pre := diffStream(11, 1000)
-	feed(fused, pre)
-	feed(legacy, pre)
-	blob, err := fused.MarshalBinary()
+	feed(got, pre)
+	feedRef(ref, pre)
+	blob, err := got.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,9 +348,9 @@ func TestDifferentialMarshalRoundTripKeepsEngineWorking(t *testing.T) {
 	if err := restored.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
-	restored.memoryAccesses = legacy.MemoryAccesses()
+	restored.memoryAccesses = ref.MemoryAccesses()
 	post := diffStream(12, 1000)
 	feed(restored, post)
-	feed(legacy, post)
-	requireIdentical(t, restored, legacy, "post-restore")
+	feedRef(ref, post)
+	requireIdentical(t, restored, ref, "post-restore")
 }

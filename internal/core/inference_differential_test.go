@@ -78,7 +78,7 @@ func requireSameAlerts(t *testing.T, wantRes, gotRes []IntervalResult, label str
 		} {
 			wa, ga := render(phase.w), render(phase.g)
 			if len(wa) != len(ga) {
-				t.Fatalf("%s: interval %d %s: %d vs %d alerts\nreverse: %v\ninvertible: %v",
+				t.Fatalf("%s: interval %d %s: %d vs %d alerts\nwant: %v\ngot:  %v",
 					label, i, phase.name, len(wa), len(ga), wa, ga)
 			}
 			for j := range wa {

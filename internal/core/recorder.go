@@ -41,10 +41,10 @@ func (o Orientation) String() string {
 }
 
 // InferenceEngine selects how offender keys are recovered from the
-// heavy-change signal at detection time. Unlike the update Engine, the
-// choice is part of RecorderConfig: the invertible engine records into
-// three additional sketches, so recorders on different inference
-// engines hold structurally different state and must not merge.
+// heavy-change signal at detection time. The choice is part of
+// RecorderConfig: the invertible engine records into three additional
+// sketches, so recorders on different inference engines hold
+// structurally different state and must not merge.
 type InferenceEngine int
 
 const (
@@ -120,7 +120,7 @@ type RecorderConfig struct {
 	Reflection bool
 	Reflect    invsketch.Params
 	// FlowCache, when positive, bounds an exact flow-aggregation cache
-	// installed in front of the fused engine: per-connection updates
+	// installed in front of the sketches: per-connection updates
 	// accumulate in the table and flush as weighted updates on eviction
 	// and at rotation, leaving sketch state byte-identical to the
 	// cache-less recorder (internal/flowcache). Zero disables the
@@ -168,38 +168,6 @@ func TestRecorderConfig(seed uint64) RecorderConfig {
 	return cfg
 }
 
-// Engine selects which update implementation a Recorder runs. Both
-// engines build byte-identical state (proven by the differential suite
-// in differential_test.go); the fused engine is the default and the
-// legacy engine survives as the independently-written reference it is
-// compared against.
-type Engine int
-
-const (
-	// EngineFused computes each packed key's polynomial hash powers once
-	// per packet and shares them across every structure consuming that
-	// key, routes counter writes through preallocated bucket plans, and
-	// collapses NetFlow replay into one exact weighted update per record
-	// (sketch linearity: Update(k, v·c) ≡ c× Update(k, v)).
-	EngineFused Engine = iota
-	// EngineLegacy is the original path: every structure re-hashes its
-	// key independently and ObserveFlow replays records one synthetic
-	// SYN at a time.
-	EngineLegacy
-)
-
-// String names the engine.
-func (e Engine) String() string {
-	switch e {
-	case EngineFused:
-		return "fused"
-	case EngineLegacy:
-		return "legacy"
-	default:
-		return fmt.Sprintf("engine(%d)", int(e))
-	}
-}
-
 // Recorder is the streaming data-recording front end of HiFIND: the three
 // reversible sketches, their verifiers, the original sketch, the two 2D
 // sketches and the active-service Bloom filter (paper §5.1). A Recorder
@@ -234,10 +202,9 @@ type Recorder struct {
 	// Burst is the sub-interval burst monitor over {DIP,Dport} — nil
 	// unless cfg.BurstSlots is positive. Reflect is the reflection
 	// monitor over {DIP, service Sport} — nil unless cfg.Reflection.
-	// Both bypass the engine dispatch and the flow cache: their updates
-	// apply inline at observe time (the cache drops timestamps the
-	// burst monitor needs, and identity across engines and cache modes
-	// falls out for free).
+	// Both bypass the flow cache: their updates apply inline at observe
+	// time (the cache drops timestamps the burst monitor needs, and
+	// identity across cache modes falls out for free).
 	Burst   *burst.Array
 	Reflect *invsketch.Sketch
 	// Services remembers {DIP,Dport} pairs that have produced SYN/ACKs —
@@ -247,17 +214,11 @@ type Recorder struct {
 	packets        int64
 	memoryAccesses int64
 
-	// engine picks the update implementation. Deliberately not part of
-	// RecorderConfig: fused and legacy recorders build identical state,
-	// so the choice must not affect Compatible or multi-router merging.
-	engine Engine
-	// plans is the fused engine's preallocated hash-plan scratch — one
-	// bucket plan per structure, filled and applied once per update.
+	// plans is the preallocated hash-plan scratch — one bucket plan per
+	// structure, filled and applied once per update.
 	plans updatePlans
 	// cache is the optional exact flow-aggregation table in front of
-	// the fused engine (nil when cfg.FlowCache is zero). The legacy
-	// engine bypasses it — legacy is the differential witness and must
-	// stay the plain per-packet path.
+	// the sketches (nil when cfg.FlowCache is zero).
 	cache *flowcache.Cache
 }
 
@@ -363,7 +324,7 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 	return r, nil
 }
 
-// newPlans sizes one bucket plan per structure for the fused engine.
+// newPlans sizes one bucket plan per structure.
 func (r *Recorder) newPlans() updatePlans {
 	p := updatePlans{
 		rsSipDport:       r.RSSipDport.NewPlan(),
@@ -393,19 +354,6 @@ func (r *Recorder) newPlans() updatePlans {
 // Config returns the recorder configuration.
 func (r *Recorder) Config() RecorderConfig { return r.cfg }
 
-// SetEngine switches the update implementation. Safe any time between
-// updates; recorders on different engines remain Compatible and
-// mergeable because both build identical state. Pending cache
-// aggregates flush first, so state recorded under the previous engine
-// is fully materialized before the next one takes over.
-func (r *Recorder) SetEngine(e Engine) {
-	r.FlushCache()
-	r.engine = e
-}
-
-// Engine returns the active update implementation.
-func (r *Recorder) Engine() Engine { return r.engine }
-
 // Observe records one packet. Only two packet classes matter to the
 // #SYN−#SYN/ACK signal (paper §3.3): connection-opening SYNs crossing the
 // edge in the protected direction add one under the connection keys, and
@@ -419,13 +367,13 @@ func (r *Recorder) Observe(pkt netmodel.Packet) {
 	}
 	switch {
 	case pkt.Dir == synDir && pkt.Flags.IsSYN():
-		r.update(pkt.SrcIP, pkt.DstIP, pkt.DstPort, +1, true)
+		r.record(pkt.SrcIP, pkt.DstIP, pkt.DstPort, 1, 0)
 		if r.Burst != nil {
 			r.burstUpdate(pkt.Timestamp, netmodel.PackDIPDport(pkt.DstIP, pkt.DstPort), +1, 1)
 		}
 	case pkt.Dir == ackDir && pkt.Flags.IsSYNACK():
 		// Connection client = pkt.DstIP, server = pkt.SrcIP:pkt.SrcPort.
-		r.update(pkt.DstIP, pkt.SrcIP, pkt.SrcPort, -1, false)
+		r.record(pkt.DstIP, pkt.SrcIP, pkt.SrcPort, 0, 1)
 		r.Services.Add(netmodel.PackDIPDport(pkt.SrcIP, pkt.SrcPort))
 		r.memoryAccesses += 7 // k≈7 bit-writes for a 1% Bloom filter
 		if r.Burst != nil {
@@ -451,8 +399,8 @@ func (r *Recorder) Observe(pkt netmodel.Packet) {
 
 // burstUpdate folds one weighted update into the burst monitor's slot
 // for ts, charging the access budget for n collapsed packets. Inline
-// (engine- and cache-independent) by design: the slot index needs the
-// packet timestamp, which the flow cache and op batching do not carry.
+// (cache-independent) by design: the slot index needs the packet
+// timestamp, which the flow cache does not carry.
 func (r *Recorder) burstUpdate(ts time.Time, key uint64, v int32, n int64) {
 	r.Burst.Update(r.Burst.Slot(ts), key, v)
 	r.memoryAccesses += int64(r.Burst.AccessesPerUpdate()) * n
@@ -465,12 +413,10 @@ func (r *Recorder) reflectUpdate(key uint64, v int32, n int64) {
 }
 
 // ObserveFlow records a NetFlow-style flow record (the evaluation traces
-// in the paper are NetFlow exports). The fused engine applies each
-// record as one exact weighted update per direction — sketch linearity
-// makes Update(k, v·c) identical to c repeated Update(k, v), including
-// under int32 wraparound — so replay cost is O(1) per record instead of
-// O(SYNs); the legacy engine keeps the per-SYN replay loop the
-// differential suite compares against.
+// in the paper are NetFlow exports). Each record is one exact weighted
+// update per direction — sketch linearity makes Update(k, v·c) identical
+// to c repeated Update(k, v), including under int32 wraparound — so
+// replay cost is O(1) per record instead of O(SYNs).
 func (r *Recorder) ObserveFlow(rec netmodel.FlowRecord) {
 	if r.cfg.Orientation == Egress {
 		// Flip the record's edge-crossing direction so the shared
@@ -482,46 +428,13 @@ func (r *Recorder) ObserveFlow(rec netmodel.FlowRecord) {
 		}
 	}
 	if rec.Dir == netmodel.Inbound && rec.SYNs > 0 {
-		if r.engine == EngineLegacy {
-			for i := 0; i < rec.SYNs; i++ {
-				r.updateLegacy(rec.SrcIP, rec.DstIP, rec.DstPort, +1, true)
-			}
-		} else if r.cache != nil {
-			r.cache.Add(rec.SrcIP, rec.DstIP, rec.DstPort, int64(rec.SYNs), 0)
-		} else {
-			// Chunk pathologically large counts so the int32 weight stays
-			// faithful (a count ≡ 0 mod 2^32 must not skip the OS sketch);
-			// one iteration for any realistic record.
-			for left := rec.SYNs; left > 0; {
-				c := left
-				if c > flowChunk {
-					c = flowChunk
-				}
-				r.updateFused(rec.SrcIP, rec.DstIP, rec.DstPort, int32(c), int32(c), int64(c))
-				left -= c
-			}
-		}
+		r.record(rec.SrcIP, rec.DstIP, rec.DstPort, int64(rec.SYNs), 0)
 		r.packets += int64(rec.SYNs)
 	}
 	if rec.Dir == netmodel.Outbound && rec.SYNACKs > 0 {
-		if r.engine == EngineLegacy {
-			for i := 0; i < rec.SYNACKs; i++ {
-				r.updateLegacy(rec.DstIP, rec.SrcIP, rec.SrcPort, -1, false)
-			}
-		} else if r.cache != nil {
-			// The active-service insertion below stays at observe time:
-			// only counter updates defer through the cache.
-			r.cache.Add(rec.DstIP, rec.SrcIP, rec.SrcPort, 0, int64(rec.SYNACKs))
-		} else {
-			for left := rec.SYNACKs; left > 0; {
-				c := left
-				if c > flowChunk {
-					c = flowChunk
-				}
-				r.updateFused(rec.DstIP, rec.SrcIP, rec.SrcPort, -int32(c), 0, int64(c))
-				left -= c
-			}
-		}
+		// The active-service insertion stays at observe time: only
+		// counter updates defer through the cache.
+		r.record(rec.DstIP, rec.SrcIP, rec.SrcPort, 0, int64(rec.SYNACKs))
 		r.Services.Add(netmodel.PackDIPDport(rec.SrcIP, rec.SrcPort))
 		r.packets += int64(rec.SYNACKs)
 	}
@@ -580,68 +493,16 @@ func (r *Recorder) reflectFlow(key uint64, count int, sign int32) {
 // inside int32 range.
 const flowChunk = 1 << 30
 
-// update applies one ±1 to every structure under connection (sip,dip,dport).
-// With a flow cache installed the packet only touches its cache entry;
-// the sketch fan-out happens when the aggregate flushes. Observe always
-// calls with (v=+1, countSYN=true) for SYNs and (v=-1, countSYN=false)
-// for SYN/ACKs, which is exactly the split the cache entry stores.
-func (r *Recorder) update(sip, dip netmodel.IPv4, dport uint16, v int32, countSYN bool) {
-	if r.engine == EngineLegacy {
-		r.updateLegacy(sip, dip, dport, v, countSYN)
-		return
-	}
+// record adds syns SYNs and acks SYN/ACKs under connection
+// (sip,dip,dport). With a flow cache installed the counts only touch
+// their cache entry and the sketch fan-out happens when the aggregate
+// flushes; without one they flush straight through.
+func (r *Recorder) record(sip, dip netmodel.IPv4, dport uint16, syns, acks int64) {
 	if r.cache != nil {
-		if countSYN {
-			r.cache.Add(sip, dip, dport, 1, 0)
-		} else {
-			r.cache.Add(sip, dip, dport, 0, 1)
-		}
+		r.cache.Add(sip, dip, dport, syns, acks)
 		return
 	}
-	var syn int32
-	if countSYN {
-		syn = 1
-	}
-	r.updateFused(sip, dip, dport, v, syn, 1)
-}
-
-// updateLegacy is the original per-sketch path: each structure mangles
-// and hashes its key independently. Kept verbatim as the reference
-// implementation the differential suite checks the fused engine against.
-func (r *Recorder) updateLegacy(sip, dip netmodel.IPv4, dport uint16, v int32, countSYN bool) {
-	kSipDport := netmodel.PackSIPDport(sip, dport)
-	kDipDport := netmodel.PackDIPDport(dip, dport)
-	kSipDip := netmodel.PackSIPDIP(sip, dip)
-
-	r.RSSipDport.Update(kSipDport, v)
-	r.RSDipDport.Update(kDipDport, v)
-	r.RSSipDip.Update(kSipDip, v)
-	r.VerSipDport.Update(kSipDport, v)
-	r.VerDipDport.Update(kDipDport, v)
-	r.VerSipDip.Update(kSipDip, v)
-	if countSYN {
-		r.OSDipDport.Update(kDipDport, 1)
-	}
-	r.TwoDSipDportXDip.Update(kSipDport, uint64(dip), v)
-	r.TwoDSipDipXDport.Update(kSipDip, uint64(dport), v)
-	if r.InvSipDport != nil {
-		r.InvSipDport.Update(kSipDport, v)
-		r.InvDipDport.Update(kDipDport, v)
-		r.InvSipDip.Update(kSipDip, v)
-	}
-
-	// Counter writes per packet: 6 per RS ×3, 6 per verifier ×3, 5 per 2D
-	// ×2, plus 6 for the OS on SYNs — the fixed per-packet access budget
-	// of paper §5.5.2 (no per-flow state anywhere). The invertible
-	// engine adds Stages×Fields writes per invertible sketch; each
-	// stage's burst is one contiguous bucket, so the cache-line cost is
-	// closer to Stages than to Stages×Fields, but the budget counts
-	// writes honestly.
-	acc := int64(3*r.cfg.RS48.Stages+3*r.cfg.Verifier.Stages+2*r.cfg.TwoD.Stages) + r.invAccesses()
-	if countSYN {
-		acc += int64(r.cfg.Original.Stages)
-	}
-	r.memoryAccesses += acc
+	r.flushFlow(sip, dip, dport, syns, acks)
 }
 
 // invAccesses is the extra per-packet counter-write budget of the
@@ -653,17 +514,19 @@ func (r *Recorder) invAccesses() int64 {
 	return int64(2*r.cfg.Inv48.Stages*r.cfg.Inv48.Fields() + r.cfg.Inv64.Stages*r.cfg.Inv64.Fields())
 }
 
-// updateFused applies value v to every #SYN−#SYN/ACK structure under
+// update applies value v to every #SYN−#SYN/ACK structure under
 // connection (sip,dip,dport) and syn to the OS sketch, accounting
 // memory accesses for n collapsed packets. Each key's hash work happens
 // exactly once: the five hashed values (three packed connection keys
 // plus the two 2D y-keys) get their polynomial powers computed up front
 // and fanned out to every structure consuming them, and counter writes
 // go through the recorder's preallocated bucket plans. State is
-// bit-identical to the legacy path: power-basis Poly4 evaluation equals
-// Horner on the reduced field, plans cache exactly the indices Update
-// derives, and weighted adds equal repeated adds by linearity.
-func (r *Recorder) updateFused(sip, dip netmodel.IPv4, dport uint16, v, syn int32, n int64) {
+// bit-identical to calling each structure's Update in turn: power-basis
+// Poly4 evaluation equals Horner on the reduced field, plans cache
+// exactly the indices Update derives, and weighted adds equal repeated
+// adds by linearity (the differential suite checks all three against a
+// reference written that way).
+func (r *Recorder) update(sip, dip netmodel.IPv4, dport uint16, v, syn int32, n int64) {
 	kSipDport := netmodel.PackSIPDport(sip, dport)
 	kDipDport := netmodel.PackDIPDport(dip, dport)
 	kSipDip := netmodel.PackSIPDIP(sip, dip)
@@ -705,8 +568,14 @@ func (r *Recorder) updateFused(sip, dip netmodel.IPv4, dport uint16, v, syn int3
 		r.InvSipDip.UpdateAt(p.invSipDip, v)
 	}
 
-	// Same per-packet access budget as the legacy path, scaled by the
-	// number of packets this weighted update collapses.
+	// Counter writes per packet: 6 per RS ×3, 6 per verifier ×3, 5 per 2D
+	// ×2, plus 6 for the OS on SYNs — the fixed per-packet access budget
+	// of paper §5.5.2 (no per-flow state anywhere), scaled by the number
+	// of packets this weighted update collapses. The invertible engine
+	// adds Stages×Fields writes per invertible sketch; each stage's burst
+	// is one contiguous bucket, so the cache-line cost is closer to
+	// Stages than to Stages×Fields, but the budget counts writes
+	// honestly.
 	acc := int64(3*r.cfg.RS48.Stages+3*r.cfg.Verifier.Stages+2*r.cfg.TwoD.Stages) + r.invAccesses()
 	if syn != 0 {
 		acc += int64(r.cfg.Original.Stages)
@@ -714,21 +583,23 @@ func (r *Recorder) updateFused(sip, dip netmodel.IPv4, dport uint16, v, syn int3
 	r.memoryAccesses += acc * n
 }
 
-// flushFlow is the flow cache's flush sink: one aggregated connection
-// becomes two exact weighted updates, (+syns with the OS sketch fed)
-// then (−acks without it) — the same two shapes the uncached paths
-// apply per packet, so both the sketch bytes and the memory-access
-// budget come out identical (acc·n accounting is linear in n and the
-// OS stages are charged exactly on the SYN side). Chunking keeps the
-// int32 weight faithful for pathological counts, and chunked flushes
-// are exact for the same linearity reason the aggregation is.
+// flushFlow turns one connection's counts into exact weighted updates,
+// (+syns with the OS sketch fed) then (−acks without it). It is both the
+// uncached path of record and the flow cache's flush sink, so cached and
+// cache-less recorders build the same sketch bytes and the same
+// memory-access budget (acc·n accounting is linear in n and the OS
+// stages are charged exactly on the SYN side). Chunking keeps the int32
+// weight faithful for pathological counts (a count ≡ 0 mod 2^32 must
+// not skip the OS sketch) — one iteration for any realistic record —
+// and chunked updates are exact for the same linearity reason the
+// aggregation is.
 func (r *Recorder) flushFlow(sip, dip netmodel.IPv4, dport uint16, syns, acks int64) {
 	for left := syns; left > 0; {
 		c := left
 		if c > flowChunk {
 			c = flowChunk
 		}
-		r.updateFused(sip, dip, dport, int32(c), int32(c), c)
+		r.update(sip, dip, dport, int32(c), int32(c), c)
 		left -= c
 	}
 	for left := acks; left > 0; {
@@ -736,15 +607,15 @@ func (r *Recorder) flushFlow(sip, dip netmodel.IPv4, dport uint16, syns, acks in
 		if c > flowChunk {
 			c = flowChunk
 		}
-		r.updateFused(sip, dip, dport, -int32(c), 0, c)
+		r.update(sip, dip, dport, -int32(c), 0, c)
 		left -= c
 	}
 }
 
 // FlushCache materializes every pending flow-cache aggregate into the
 // sketches. A no-op without a cache. Runs automatically before
-// marshaling, merging and engine switches; the detector flushes before
-// reading interval snapshots.
+// marshaling and merging; the detector flushes before reading interval
+// snapshots.
 func (r *Recorder) FlushCache() {
 	if r.cache == nil {
 		return
@@ -1016,9 +887,9 @@ func (r *Recorder) UnmarshalBinary(data []byte) error {
 	if len(data) != 0 {
 		return fmt.Errorf("core: %d trailing bytes after recorder blocks", len(data))
 	}
-	// The blocks rebuild each structure in place; re-size the fused
-	// engine's plans in case the loaded geometry differs from the one the
-	// recorder was constructed with. Any aggregates still cached belong
+	// The blocks rebuild each structure in place; re-size the plans in
+	// case the loaded geometry differs from the one the recorder was
+	// constructed with. Any aggregates still cached belong
 	// to the state just replaced, so they are dropped, not flushed.
 	r.plans = r.newPlans()
 	if r.cache != nil {

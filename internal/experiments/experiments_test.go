@@ -504,27 +504,3 @@ func TestTimeToDetection(t *testing.T) {
 	}
 	_ = sum
 }
-
-func TestHotpathThroughputSmall(t *testing.T) {
-	// Tiny sizes: this checks the harness (paired windows, state anchor,
-	// speedup summary), not the performance numbers the committed
-	// BENCH_hotpath.json records.
-	b, err := HotpathThroughput(4_000, 800)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.LegacyPacketPPS <= 0 || b.FusedPacketPPS <= 0 || b.LegacyFlowRPS <= 0 || b.FusedFlowRPS <= 0 {
-		t.Fatalf("non-positive rates: %+v", b)
-	}
-	if b.PacketSpeedup <= 0 || b.FlowSpeedup <= 0 {
-		t.Fatalf("non-positive speedups: %+v", b)
-	}
-	// The weighted-update collapse is visible even at toy sizes: mean ≈77
-	// SYNs per record means the legacy replay does ~77x the sketch work.
-	if b.FlowSpeedup < 2 {
-		t.Fatalf("flow speedup %.2fx, want ≥ 2x", b.FlowSpeedup)
-	}
-	if b.MeanSYNsPerFlow < 50 || b.MeanSYNsPerFlow > 120 {
-		t.Fatalf("mean SYNs/flow %.1f outside the flood-mix range", b.MeanSYNsPerFlow)
-	}
-}

@@ -87,7 +87,7 @@ func (p Poly4) HashRange(x uint64, n int) uint32 {
 // same key shares: the key's residue and its square and cube in the
 // field. HiFIND hashes each packed key through several independently
 // seeded Poly4 families (verifier, OS, 2D sketches); the powers depend
-// only on the key, so the fused update engine computes them once per
+// only on the key, so the recorder computes them once per
 // packet and fans them out, replacing one Horner chain per structure
 // per stage.
 type KeyPowers struct {

@@ -4,7 +4,7 @@ import "math/bits"
 
 // Plan caches the per-stage bucket indices one key selects in this
 // sketch — the complete hash work of an Update, done once and
-// replayable by UpdateAt. Plans are the fused update engine's currency:
+// replayable by UpdateAt. Plans are the recorder's update currency:
 // the recorder fills one plan per structure per packet from shared
 // KeyPowers, then applies the counter writes through the cached
 // indices. A Plan is sized for the sketch that created it and is only

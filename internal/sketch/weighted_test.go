@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestHashPowMatchesHash pins the fused engine's core identity: the
+// TestHashPowMatchesHash pins the recorder update's core identity: the
 // power-basis polynomial evaluation equals Horner's rule bit-for-bit,
 // for every hash function and every key — including keys at and above
 // the field modulus, where reduction order could plausibly diverge.
