@@ -51,6 +51,7 @@ fuzz-short:
 	$(GO) test -fuzz FuzzInvertibleDecode -fuzztime $(FUZZTIME) ./internal/invsketch
 	$(GO) test -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME) ./internal/aggregate
 	$(GO) test -fuzz FuzzObserve -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -fuzz FuzzRecorderAddBinary -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz FuzzBurstDetect -fuzztime $(FUZZTIME) ./internal/burst
 	$(GO) test -fuzz FuzzPersistence -fuzztime $(FUZZTIME) ./internal/persist
 

@@ -453,6 +453,82 @@ func BenchmarkRecorderMarshal(b *testing.B) {
 	}
 }
 
+// benchRecorderTraffic feeds one interval of handshakes and unanswered
+// SYNs into a paper-geometry Recorder.
+func benchRecorderTraffic(b *testing.B, r *hifind.Recorder, router int) {
+	b.Helper()
+	server := netip.MustParseAddr("129.105.1.1")
+	for i := 0; i < 2000; i++ {
+		client := netip.AddrFrom4([4]byte{20, byte(router), byte(i >> 8), byte(i)})
+		sport := uint16(30000 + i)
+		r.Observe(hifind.Packet{SrcIP: client, DstIP: server, SrcPort: sport, DstPort: 80,
+			SYN: true, Dir: hifind.Inbound})
+		if i%4 != 0 {
+			r.Observe(hifind.Packet{SrcIP: server, DstIP: client, SrcPort: 80, DstPort: sport,
+				SYN: true, ACK: true, Dir: hifind.Outbound})
+		}
+	}
+}
+
+// BenchmarkEndIntervalMerged measures the aggregation site's interval
+// close at paper geometry: "plain" is EndInterval alone, "merged" is
+// EndIntervalMerged with two remote Recorder states. (merged − plain)/2
+// is the per-contributor merge cost, to be compared with one
+// BenchmarkStateSnapshot — the contributor's own serialization.
+func BenchmarkEndIntervalMerged(b *testing.B) {
+	states := make([][]byte, 2)
+	for i := range states {
+		r, err := hifind.NewRecorder()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchRecorderTraffic(b, r, i)
+		if states[i], err = r.StateSnapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, bc := range []struct {
+		name   string
+		states [][]byte
+	}{{"plain", nil}, {"merged", states}} {
+		b.Run(bc.name, func(b *testing.B) {
+			d, err := hifind.New()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if bc.states == nil {
+					_, err = d.EndInterval()
+				} else {
+					_, err = d.EndIntervalMerged(bc.states...)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStateSnapshot measures one contributor's per-interval
+// serialization at paper geometry.
+func BenchmarkStateSnapshot(b *testing.B) {
+	r, err := hifind.NewRecorder()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchRecorderTraffic(b, r, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.StateSnapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMitigation measures the closed detection→enforcement loop on
 // the NU trace (an extension beyond the paper's evaluation; DESIGN.md §7).
 func BenchmarkMitigation(b *testing.B) {

@@ -161,9 +161,7 @@ func TestFlowCacheCheckpointRoundTrip(t *testing.T) {
 // before serializing, so the wire format carries no trace of the cache
 // and snapshots interchange freely across cached and cache-less
 // participants — a cache-less remote merged into a cached central site
-// must alert exactly like an all-cache-less deployment. (Mixing live
-// Recorder objects with differing cache configurations, by contrast,
-// fails loudly at Merge — pinned in internal/core.)
+// must alert exactly like an all-cache-less deployment.
 func TestFlowCacheWireFormatInterop(t *testing.T) {
 	intervals := equivTrace(t)
 	run := func(central *hifind.Detector, remote *hifind.Recorder) []hifind.Result {

@@ -74,7 +74,7 @@ func runCollect(ctx context.Context, af *aggregateFlags, compact bool,
 	threshold float64, interval time.Duration, alpha float64,
 	reg *telemetry.Registry, health *telemetry.Health) error {
 	rcfg := aggregateRecorderConfig(compact)
-	collector, err := aggregate.NewCollector(rcfg, af.routers, af.collect,
+	collector, err := aggregate.NewCollector(af.routers, af.collect,
 		aggregate.WithTelemetry(reg))
 	if err != nil {
 		return err
@@ -112,7 +112,7 @@ func runCollect(ctx context.Context, af *aggregateFlags, compact bool,
 			case <-done:
 			}
 		}()
-		merged, info, err := collector.CollectEpoch(uint64(e), deadline)
+		info, err := collector.CollectEpoch(uint64(e), deadline, det.Recorder())
 		close(done)
 		if err != nil {
 			if errors.Is(err, aggregate.ErrNoFrames) {
@@ -124,7 +124,7 @@ func runCollect(ctx context.Context, af *aggregateFlags, compact bool,
 			}
 			return err
 		}
-		res, err := det.EndIntervalWithPartial(merged, info.Partial)
+		res, err := det.EndIntervalWithPartial(info.Partial)
 		if err != nil {
 			return err
 		}

@@ -166,7 +166,7 @@ func faultDemo() error {
 	// CollectEpoch goroutine, so plain variables are safe.
 	seen := 0
 	partialDeadline := make(chan time.Time)
-	collector, err := aggregate.NewCollector(rcfg, routers, "127.0.0.1:0",
+	collector, err := aggregate.NewCollector(routers, "127.0.0.1:0",
 		aggregate.WithTelemetry(reg),
 		aggregate.WithFrameObserver(func(router uint32, epoch uint64) {
 			if epoch == 3 {
@@ -226,11 +226,11 @@ func faultDemo() error {
 		if interval == 3 {
 			deadline = partialDeadline
 		}
-		merged, info, err := collector.CollectEpoch(uint64(interval), deadline)
+		info, err := collector.CollectEpoch(uint64(interval), deadline, det.Recorder())
 		if err != nil {
 			return err
 		}
-		res, err := det.EndIntervalWithPartial(merged, info.Partial)
+		res, err := det.EndIntervalWithPartial(info.Partial)
 		if err != nil {
 			return err
 		}

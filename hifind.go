@@ -232,7 +232,6 @@ type Result struct {
 // atomic.
 type Detector struct {
 	det      *core.Detector
-	rcfg     core.RecorderConfig
 	interval time.Duration
 	dropped  atomic.Int64
 	ins      instruments
@@ -255,7 +254,6 @@ func New(opts ...Option) (*Detector, error) {
 	}
 	return &Detector{
 		det:      det,
-		rcfg:     rcfg,
 		interval: cfg.interval,
 		ins:      newInstruments(cfg.reg),
 		sink:     cfg.sink,
@@ -370,44 +368,16 @@ func (d *Detector) EndInterval() (Result, error) {
 // recorded state and the serialized states of remote Recorders (the
 // multi-router deployment of paper §3.1/Figure 3). All participants must
 // have been built with the same options, in particular the same seed.
+// The states are added into the detector's own recording structures, so
+// its active-service memory — and therefore SaveState — holds what every
+// Recorder saw, byte for byte what one Detector fed all the traffic
+// would hold. A state that fails validation leaves the detector
+// untouched.
 func (d *Detector) EndIntervalMerged(states ...[]byte) (Result, error) {
-	merged, err := core.NewRecorder(d.rcfg)
-	if err != nil {
-		return Result{}, err
+	if err := d.det.Recorder().AddBinary(states...); err != nil {
+		return Result{}, fmt.Errorf("hifind: %w", err)
 	}
-	if err := merged.Merge(d.det.Recorder()); err != nil {
-		return Result{}, err
-	}
-	for i, state := range states {
-		rec, err := core.NewRecorder(d.rcfg)
-		if err != nil {
-			return Result{}, err
-		}
-		if err := rec.UnmarshalBinary(state); err != nil {
-			return Result{}, fmt.Errorf("hifind: state %d: %w", i, err)
-		}
-		if err := merged.Merge(rec); err != nil {
-			return Result{}, fmt.Errorf("hifind: state %d: %w", i, err)
-		}
-	}
-	res, err := d.det.EndIntervalWith(merged)
-	if err != nil {
-		return Result{}, err
-	}
-	// The active-service memory is cross-interval state and survives the
-	// reset above: keep the summed memory (Reset+Union, so the insertion
-	// count carries over too) so SaveState checkpoints what every
-	// Recorder saw, byte for byte what one Detector fed all the traffic
-	// would save.
-	own := d.det.Recorder().Services
-	own.Reset()
-	if err := own.Union(merged.Services); err != nil {
-		return Result{}, fmt.Errorf("hifind: merged services: %w", err)
-	}
-	d.ins.recordInterval(res)
-	out := convertResult(res)
-	emitResult(d.sink, out)
-	return out, nil
+	return d.EndInterval()
 }
 
 // SaveState serializes the detector's cross-interval state — EWMA

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -215,6 +216,68 @@ func TestMergedRejectsGarbageState(t *testing.T) {
 	det := newCompact(t)
 	if _, err := det.EndIntervalMerged([]byte("junk")); err == nil {
 		t.Error("garbage state accepted")
+	}
+
+	// A rejected merge is atomic: the good state passed beside a bad one
+	// is not added either, so the detector stays byte-identical to a twin
+	// that never saw the call.
+	twin := newCompact(t)
+	snapshot := func(opts ...hifind.Option) []byte {
+		t.Helper()
+		r, err := hifind.NewRecorder(append([]hifind.Option{hifind.WithCompactSketches()}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			r.Observe(synIn(fmt.Sprintf("20.4.0.%d", i+1), "129.105.4.4", 80))
+		}
+		r.Observe(synAckOut("129.105.4.4", "20.4.0.1", 80))
+		state, err := r.StateSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return state
+	}
+	good := snapshot()
+	for _, bad := range []struct {
+		name  string
+		state []byte
+	}{
+		{"truncated", good[:len(good)/2]},
+		{"wrong seed", snapshot(hifind.WithSeed(0xbad5eed))},
+		{"other inference mode", snapshot(hifind.WithInvertibleInference())},
+	} {
+		for _, d := range []*hifind.Detector{det, twin} {
+			for i := 0; i < 100; i++ {
+				d.Observe(synIn(fmt.Sprintf("20.5.%d.%d", i/250, i%250+1), "129.105.5.5", 80))
+			}
+			d.Observe(synAckOut("129.105.5.5", "20.5.0.1", 80))
+		}
+		if _, err := det.EndIntervalMerged(good, bad.state); err == nil {
+			t.Fatalf("%s state accepted", bad.name)
+		}
+		got, err := det.EndInterval()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.EndInterval()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(stripTimes(got), stripTimes(want)) {
+			t.Errorf("after the rejected %s merge: alerts diverged from the twin", bad.name)
+		}
+		gotState, err := det.SaveState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantState, err := twin.SaveState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotState, wantState) {
+			t.Errorf("after the rejected %s merge: SaveState diverged from the twin", bad.name)
+		}
 	}
 }
 

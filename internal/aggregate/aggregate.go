@@ -2,9 +2,10 @@
 // §3.1, Figure 3 and §5.3.2). Each edge router records traffic into its
 // own Recorder; at the end of every interval the routers ship their
 // (compact, fixed-size) serialized sketch state to a central site, which
-// merges them by sketch linearity and runs detection once over the merged
-// state — obtaining exactly the result a single router seeing all traffic
-// would have produced, asymmetric routing and per-packet load balancing
+// adds them into its detector's recorder by sketch linearity
+// (core.Recorder.AddBinary) and runs detection once over the sum —
+// obtaining exactly the result a single router seeing all traffic would
+// have produced, asymmetric routing and per-packet load balancing
 // notwithstanding.
 package aggregate
 
@@ -12,7 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"github.com/hifind/hifind/internal/core"
 	"github.com/hifind/hifind/internal/netmodel"
 )
 
@@ -38,35 +38,3 @@ func (s *Splitter) Route(netmodel.Packet) int { return s.rng.Intn(s.n) }
 
 // Routers returns n.
 func (s *Splitter) Routers() int { return s.n }
-
-// MergeRecorders builds a fresh recorder equal to the sum of the inputs.
-func MergeRecorders(cfg core.RecorderConfig, recs ...*core.Recorder) (*core.Recorder, error) {
-	merged, err := core.NewRecorder(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := merged.Merge(recs...); err != nil {
-		return nil, err
-	}
-	return merged, nil
-}
-
-// MergePayloads merges serialized recorder states (as produced by
-// Recorder.MarshalBinary) received from remote routers.
-func MergePayloads(cfg core.RecorderConfig, payloads [][]byte) (*core.Recorder, error) {
-	if len(payloads) == 0 {
-		return nil, fmt.Errorf("aggregate: no payloads")
-	}
-	recs := make([]*core.Recorder, len(payloads))
-	for i, p := range payloads {
-		rec, err := core.NewRecorder(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := rec.UnmarshalBinary(p); err != nil {
-			return nil, fmt.Errorf("aggregate: payload %d: %w", i, err)
-		}
-		recs[i] = rec
-	}
-	return MergeRecorders(cfg, recs...)
-}

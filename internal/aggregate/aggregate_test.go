@@ -1,6 +1,7 @@
 package aggregate
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -74,7 +75,7 @@ func TestAggregatedDetectionMatchesSingleRouter(t *testing.T) {
 	}
 
 	// Aggregated: three router recorders + reporters + collector + detector.
-	collector, err := NewCollector(rcfg, 3, "127.0.0.1:0")
+	collector, err := NewCollector(3, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +122,10 @@ func TestAggregatedDetectionMatchesSingleRouter(t *testing.T) {
 			}
 			routers[i].Reset()
 		}
-		merged, err := collector.CollectInterval(iv)
-		if err != nil {
+		if _, err := collector.CollectEpoch(uint64(iv), nil, aggDet.Recorder()); err != nil {
 			t.Fatal(err)
 		}
-		ares, err := aggDet.EndIntervalWith(merged)
+		ares, err := aggDet.EndInterval()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,13 +153,43 @@ func TestAggregatedDetectionMatchesSingleRouter(t *testing.T) {
 	}
 }
 
-func TestMergePayloadsValidation(t *testing.T) {
-	rcfg := core.TestRecorderConfig(0x1)
-	if _, err := MergePayloads(rcfg, nil); err == nil {
-		t.Error("no payloads accepted")
+// TestCollectEpochRejectsBadPayload: an epoch whose frames include one
+// payload that fails validation returns an error and leaves the
+// receiving recorder byte-identical — neither the good payload nor the
+// valid blocks in front of the bad payload's truncated tail are added.
+func TestCollectEpochRejectsBadPayload(t *testing.T) {
+	rcfg := stressRecorderConfig(0x1)
+	collector, err := NewCollector(2, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := MergePayloads(rcfg, [][]byte{{1, 2, 3}}); err == nil {
-		t.Error("garbage payload accepted")
+	defer collector.Close()
+	good := recorderPayload(t, rcfg, observePackets(0, 0, 20))
+	bad := recorderPayload(t, rcfg, observePackets(2, 0, 20))
+	for id, p := range [][]byte{good, bad[:len(bad)-1]} {
+		rep := NewReporter(uint32(id), collector.Addr())
+		defer rep.Close()
+		if err := rep.ReportPayload(0, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	into := newRecorder(t, rcfg)
+	if err := into.AddBinary(recorderPayload(t, rcfg, observePackets(1, 0, 20))); err != nil {
+		t.Fatal(err)
+	}
+	before, err := into.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := collector.CollectEpoch(0, nil, into); err == nil {
+		t.Fatal("garbage payload accepted")
+	}
+	after, err := into.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Error("a rejected epoch changed the receiving recorder")
 	}
 }
 
@@ -171,7 +201,7 @@ func TestMergePayloadsValidation(t *testing.T) {
 func TestCollectorFutureAndStaleFrames(t *testing.T) {
 	rcfg := core.TestRecorderConfig(0x2)
 	reg := telemetry.NewRegistry()
-	collector, err := NewCollector(rcfg, 1, "127.0.0.1:0", WithTelemetry(reg))
+	collector, err := NewCollector(1, "127.0.0.1:0", WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +226,12 @@ func TestCollectorFutureAndStaleFrames(t *testing.T) {
 	}
 	timer := time.NewTimer(300 * time.Millisecond)
 	defer timer.Stop()
-	if _, _, err := collector.CollectEpoch(0, timer.C); err == nil {
+	merged := newRecorder(t, rcfg)
+	if _, err := collector.CollectEpoch(0, timer.C, merged); err == nil {
 		t.Error("epoch 0 with no frames should report ErrNoFrames")
 	}
 	// The buffered epoch-5 frame merges once its epoch opens.
-	merged, info, err := collector.CollectEpoch(5, nil)
+	info, err := collector.CollectEpoch(5, nil, merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +249,7 @@ func TestCollectorFutureAndStaleFrames(t *testing.T) {
 	if err := rep.ReportPayload(6, payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := collector.CollectEpoch(6, nil); err != nil {
+	if _, err := collector.CollectEpoch(6, nil, merged); err != nil {
 		t.Fatal(err)
 	}
 	stale := reg.Counter("aggregate_stale_frames_total", "").Value()
@@ -229,13 +260,14 @@ func TestCollectorFutureAndStaleFrames(t *testing.T) {
 
 func TestCollectorCloseUnblocks(t *testing.T) {
 	rcfg := core.TestRecorderConfig(0x3)
-	collector, err := NewCollector(rcfg, 2, "127.0.0.1:0")
+	collector, err := NewCollector(2, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	into := newRecorder(t, rcfg)
 	done := make(chan error, 1)
 	go func() {
-		_, err := collector.CollectInterval(0)
+		_, err := collector.CollectEpoch(0, nil, into)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -245,16 +277,20 @@ func TestCollectorCloseUnblocks(t *testing.T) {
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Error("CollectInterval returned nil after Close")
+			t.Error("CollectEpoch returned nil after Close")
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("CollectInterval did not unblock on Close")
+		t.Fatal("CollectEpoch did not unblock on Close")
 	}
 }
 
-func TestCollectIntervalWithinToleratesDeadRouter(t *testing.T) {
+// TestCollectEpochToleratesDeadRouter: when a router dies mid-interval,
+// the deadline closes the epoch with whatever arrived in time — detection
+// over most of the edge beats no detection, and sketch linearity makes
+// the partial merge exactly the traffic the surviving routers saw.
+func TestCollectEpochToleratesDeadRouter(t *testing.T) {
 	rcfg := core.TestRecorderConfig(0x9)
-	collector, err := NewCollector(rcfg, 3, "127.0.0.1:0")
+	collector, err := NewCollector(3, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,11 +309,14 @@ func TestCollectIntervalWithinToleratesDeadRouter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	merged, contributed, err := collector.CollectIntervalWithin(0, 2*time.Second)
+	merged := newRecorder(t, rcfg)
+	timer := time.NewTimer(2 * time.Second)
+	defer timer.Stop()
+	info, err := collector.CollectEpoch(0, timer.C, merged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if contributed != 2 {
+	if contributed := len(info.Contributors); contributed != 2 {
 		t.Errorf("contributed = %d, want 2", contributed)
 	}
 	if merged.Packets() != 2 {
@@ -285,14 +324,16 @@ func TestCollectIntervalWithinToleratesDeadRouter(t *testing.T) {
 	}
 }
 
-func TestCollectIntervalWithinAllDead(t *testing.T) {
+func TestCollectEpochAllDead(t *testing.T) {
 	rcfg := core.TestRecorderConfig(0xA)
-	collector, err := NewCollector(rcfg, 2, "127.0.0.1:0")
+	collector, err := NewCollector(2, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer collector.Close()
-	if _, _, err := collector.CollectIntervalWithin(0, 50*time.Millisecond); err == nil {
+	timer := time.NewTimer(50 * time.Millisecond)
+	defer timer.Stop()
+	if _, err := collector.CollectEpoch(0, timer.C, newRecorder(t, rcfg)); err == nil {
 		t.Error("zero contributions accepted")
 	}
 }

@@ -13,7 +13,31 @@ import (
 	"github.com/hifind/hifind/internal/trace"
 )
 
-// mustMarshal serializes a recorder that observed the given packets.
+// newRecorder builds an empty recorder for payloads to be added into.
+func newRecorder(t *testing.T, cfg core.RecorderConfig) *core.Recorder {
+	t.Helper()
+	rec, err := core.NewRecorder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// sumPayloads is the reference merge: the serialized sum of payloads.
+func sumPayloads(t *testing.T, cfg core.RecorderConfig, payloads ...[]byte) []byte {
+	t.Helper()
+	rec := newRecorder(t, cfg)
+	if err := rec.AddBinary(payloads...); err != nil {
+		t.Fatal(err)
+	}
+	b, err := rec.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// recorderPayload serializes a recorder that observed the given packets.
 func recorderPayload(t *testing.T, cfg core.RecorderConfig, observe ...func(*core.Recorder)) []byte {
 	t.Helper()
 	rec, err := core.NewRecorder(cfg)
@@ -72,22 +96,14 @@ func TestCrashReconnectPartialInterval(t *testing.T) {
 		for _, r := range routers {
 			ps = append(ps, payload[[2]int{r, iv}])
 		}
-		rec, err := MergePayloads(rcfg, ps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := rec.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+		return sumPayloads(t, rcfg, ps...)
 	}
 
 	// The epoch-1 deadline fires when the collector has merged router A's
 	// epoch-1 frame — the observer closes it from inside CollectEpoch.
 	deadline := make(chan time.Time)
 	reg := telemetry.NewRegistry()
-	collector, err := NewCollector(rcfg, 2, "127.0.0.1:0",
+	collector, err := NewCollector(2, "127.0.0.1:0",
 		WithTelemetry(reg),
 		WithFrameObserver(func(router uint32, epoch uint64) {
 			if router == 0 && epoch == 1 {
@@ -131,7 +147,8 @@ func TestCrashReconnectPartialInterval(t *testing.T) {
 	if err := repB.ReportPayload(0, payload[[2]int{1, 0}]); err != nil {
 		t.Fatal(err)
 	}
-	merged0, info0, err := collector.CollectEpoch(0, nil)
+	merged0 := newRecorder(t, rcfg)
+	info0, err := collector.CollectEpoch(0, nil, merged0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +171,8 @@ func TestCrashReconnectPartialInterval(t *testing.T) {
 	if err := repB.ReportPayload(1, payload[[2]int{1, 1}]); err != nil {
 		t.Fatal(err)
 	}
-	merged1, info1, err := collector.CollectEpoch(1, deadline)
+	merged1 := newRecorder(t, rcfg)
+	info1, err := collector.CollectEpoch(1, deadline, merged1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +195,10 @@ func TestCrashReconnectPartialInterval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := det.EndIntervalWithPartial(merged1, info1.Partial)
+	if err := det.Recorder().AddBinary(got1); err != nil {
+		t.Fatal(err)
+	}
+	res, err := det.EndIntervalWithPartial(info1.Partial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +220,8 @@ func TestCrashReconnectPartialInterval(t *testing.T) {
 	if err := repB.ReportPayload(2, payload[[2]int{1, 2}]); err != nil {
 		t.Fatal(err)
 	}
-	merged2, info2, err := collector.CollectEpoch(2, nil)
+	merged2 := newRecorder(t, rcfg)
+	info2, err := collector.CollectEpoch(2, nil, merged2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +292,7 @@ func TestFaultMatrix(t *testing.T) {
 	}
 
 	reg := telemetry.NewRegistry()
-	collector, err := NewCollector(rcfg, routers, "127.0.0.1:0", WithTelemetry(reg))
+	collector, err := NewCollector(routers, "127.0.0.1:0", WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +323,8 @@ func TestFaultMatrix(t *testing.T) {
 			}
 		}
 		timer := time.NewTimer(2 * time.Second)
-		merged, info, err := collector.CollectEpoch(uint64(iv), timer.C)
+		merged := newRecorder(t, rcfg)
+		info, err := collector.CollectEpoch(uint64(iv), timer.C, merged)
 		timer.Stop()
 		if err != nil {
 			// A deadline with zero contributions is legal degradation under
@@ -313,18 +336,11 @@ func TestFaultMatrix(t *testing.T) {
 		for _, r := range info.Contributors {
 			refPayloads = append(refPayloads, payload[[2]int{int(r), iv}])
 		}
-		ref, err := MergePayloads(rcfg, refPayloads)
-		if err != nil {
-			t.Fatal(err)
-		}
 		gotB, err := merged.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		refB, err := ref.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+		refB := sumPayloads(t, rcfg, refPayloads...)
 		if !bytes.Equal(gotB, refB) {
 			t.Fatalf("seed %d epoch %d: merge of contributors %v diverged from reference",
 				seed, iv, info.Contributors)
@@ -401,11 +417,10 @@ func TestDetectionUnderFrameLoss(t *testing.T) {
 	}
 	refKeys := map[core.AlertKey]bool{}
 	for iv := 0; iv < intervals; iv++ {
-		merged, err := MergePayloads(rcfg, payloads[iv])
-		if err != nil {
+		if err := refDet.Recorder().AddBinary(payloads[iv]...); err != nil {
 			t.Fatal(err)
 		}
-		res, err := refDet.EndIntervalWith(merged)
+		res, err := refDet.EndInterval()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,7 +449,7 @@ func TestDetectionUnderFrameLoss(t *testing.T) {
 	deadline := make(chan time.Time)
 	lossSeen := 0
 	reg := telemetry.NewRegistry()
-	collector, err := NewCollector(rcfg, routers, "127.0.0.1:0",
+	collector, err := NewCollector(routers, "127.0.0.1:0",
 		WithTelemetry(reg),
 		WithFrameObserver(func(_ uint32, epoch uint64) {
 			if epoch == lossEpoch {
@@ -473,14 +488,14 @@ func TestDetectionUnderFrameLoss(t *testing.T) {
 		if iv == lossEpoch {
 			dl = deadline
 		}
-		merged, info, err := collector.CollectEpoch(uint64(iv), dl)
+		info, err := collector.CollectEpoch(uint64(iv), dl, faultDet.Recorder())
 		if err != nil {
 			t.Fatalf("epoch %d: %v", iv, err)
 		}
 		if (iv == lossEpoch) != info.Partial {
 			t.Fatalf("epoch %d: partial=%v, want %v", iv, info.Partial, iv == lossEpoch)
 		}
-		res, err := faultDet.EndIntervalWithPartial(merged, info.Partial)
+		res, err := faultDet.EndIntervalWithPartial(info.Partial)
 		if err != nil {
 			t.Fatal(err)
 		}

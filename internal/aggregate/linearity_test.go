@@ -96,8 +96,8 @@ func TestCombineLinearityProperty(t *testing.T) {
 				rng.Shuffle(len(shuffled), func(i, j int) {
 					shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 				})
-				merged, err := MergePayloads(rcfg, shuffled)
-				if err != nil {
+				merged := newRecorder(t, rcfg)
+				if err := merged.AddBinary(shuffled...); err != nil {
 					t.Fatal(err)
 				}
 				got, err := merged.MarshalBinary()
@@ -113,7 +113,7 @@ func TestCombineLinearityProperty(t *testing.T) {
 			// cross-router interleaving, epoch skew (routers run ahead; late
 			// frames land in still-open epochs), and duplicated frames.
 			reg := telemetry.NewRegistry()
-			collector, err := NewCollector(rcfg, k, "127.0.0.1:0", WithTelemetry(reg))
+			collector, err := NewCollector(k, "127.0.0.1:0", WithTelemetry(reg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,7 +193,8 @@ func TestCombineLinearityProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			for e := 0; e < epochs; e++ {
-				merged, info, err := collector.CollectEpoch(uint64(e), nil)
+				merged := newRecorder(t, rcfg)
+				info, err := collector.CollectEpoch(uint64(e), nil, merged)
 				if err != nil {
 					t.Fatalf("epoch %d: %v", e, err)
 				}
@@ -207,18 +208,17 @@ func TestCombineLinearityProperty(t *testing.T) {
 				if !bytes.Equal(got, refBytes[e]) {
 					t.Fatalf("epoch %d: wire merge diverged from single-site reference", e)
 				}
-				refRec, err := core.NewRecorder(rcfg)
+				if err := aggDet.Recorder().AddBinary(got); err != nil {
+					t.Fatal(err)
+				}
+				if err := refDet.Recorder().AddBinary(refBytes[e]); err != nil {
+					t.Fatal(err)
+				}
+				aggRes, err := aggDet.EndInterval()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := refRec.UnmarshalBinary(refBytes[e]); err != nil {
-					t.Fatal(err)
-				}
-				aggRes, err := aggDet.EndIntervalWith(merged)
-				if err != nil {
-					t.Fatal(err)
-				}
-				refRes, err := refDet.EndIntervalWith(refRec)
+				refRes, err := refDet.EndInterval()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -227,7 +227,7 @@ func TestCombineLinearityProperty(t *testing.T) {
 						e, aggRes.Final, refRes.Final)
 				}
 			}
-			if _, _, err := collector.CollectEpoch(epochs, nil); err != nil {
+			if _, err := collector.CollectEpoch(epochs, nil, newRecorder(t, rcfg)); err != nil {
 				t.Fatalf("flush epoch: %v", err)
 			}
 			if err := <-writeErr; err != nil {

@@ -69,7 +69,7 @@ func TestCollectorConcurrentRouters(t *testing.T) {
 		pktsPerRound = 40
 	)
 	rcfg := stressRecorderConfig(0x57e55)
-	collector, err := NewCollector(rcfg, routers, "127.0.0.1:0")
+	collector, err := NewCollector(routers, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +113,8 @@ func TestCollectorConcurrentRouters(t *testing.T) {
 	}
 
 	for iv := 0; iv < intervals; iv++ {
-		merged, err := collector.CollectInterval(iv)
-		if err != nil {
+		merged := newRecorder(t, rcfg)
+		if _, err := collector.CollectEpoch(uint64(iv), nil, merged); err != nil {
 			t.Fatalf("interval %d: %v", iv, err)
 		}
 		// One recorder observing every router's traffic for this interval:
@@ -157,7 +157,7 @@ func TestCollectorConcurrentRouters(t *testing.T) {
 func TestCollectorCloseDuringTraffic(t *testing.T) {
 	const routers = 4
 	rcfg := stressRecorderConfig(0xc105e)
-	collector, err := NewCollector(rcfg, routers, "127.0.0.1:0")
+	collector, err := NewCollector(routers, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,8 +216,7 @@ func TestCollectorCloseDuringTraffic(t *testing.T) {
 // in the decoder) and return; the seed's Close only closed the listener
 // and hung on its WaitGroup.
 func TestCollectorCloseWithIdleConnection(t *testing.T) {
-	rcfg := stressRecorderConfig(0x1d1e)
-	collector, err := NewCollector(rcfg, 3, "127.0.0.1:0")
+	collector, err := NewCollector(3, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

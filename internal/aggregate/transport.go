@@ -45,7 +45,6 @@ const helloWriteTimeout = 5 * time.Second
 // explicit: NewCollector starts listening, Close stops the accept loop,
 // tears down every router connection, and waits for all goroutines.
 type Collector struct {
-	cfg        core.RecorderConfig
 	routers    int
 	ln         net.Listener
 	frames     chan Frame
@@ -156,7 +155,7 @@ func WithFrameObserver(fn func(router uint32, epoch uint64)) CollectorOption {
 
 // NewCollector listens on addr ("127.0.0.1:0" for tests) and expects
 // frames from `routers` distinct routers per epoch.
-func NewCollector(cfg core.RecorderConfig, routers int, addr string, opts ...CollectorOption) (*Collector, error) {
+func NewCollector(routers int, addr string, opts ...CollectorOption) (*Collector, error) {
 	if routers < 1 {
 		return nil, fmt.Errorf("aggregate: collector for %d routers", routers)
 	}
@@ -165,7 +164,6 @@ func NewCollector(cfg core.RecorderConfig, routers int, addr string, opts ...Col
 		return nil, fmt.Errorf("aggregate: listen: %w", err)
 	}
 	c := &Collector{
-		cfg:        cfg,
 		routers:    routers,
 		ln:         ln,
 		frames:     make(chan Frame, routers),
@@ -288,12 +286,15 @@ func (c *Collector) readLoop(conn net.Conn) {
 }
 
 // CollectEpoch blocks until every expected router has reported the given
-// epoch, the deadline channel fires, or the collector closes. On a
-// deadline with at least one frame gathered it merges what arrived and
-// flags the result Partial; with none it returns ErrNoFrames. A nil
-// deadline waits indefinitely. Must be called from one goroutine, with
-// epochs non-decreasing.
-func (c *Collector) CollectEpoch(epoch uint64, deadline <-chan time.Time) (*core.Recorder, EpochInfo, error) {
+// epoch, the deadline channel fires, or the collector closes, then adds
+// the gathered payloads into `into` — typically the detector's own
+// recorder, which EndInterval resets. On a deadline with at least one
+// frame gathered it adds what arrived and flags the epoch Partial; with
+// none it returns ErrNoFrames. Payloads are buffered as they arrive and
+// added in one call when the epoch closes, so a payload that fails
+// validation leaves `into` unchanged. A nil deadline waits indefinitely.
+// Must be called from one goroutine, with epochs non-decreasing.
+func (c *Collector) CollectEpoch(epoch uint64, deadline <-chan time.Time, into *core.Recorder) (EpochInfo, error) {
 	c.epoch.Store(epoch)
 	info := EpochInfo{Epoch: epoch}
 	// Frames buffered for closed epochs can no longer merge; drop them.
@@ -317,23 +318,21 @@ func (c *Collector) CollectEpoch(epoch uint64, deadline <-chan time.Time) (*core
 			c.mMissed.Inc()
 			c.epoch.Store(epoch + 1)
 			if len(buf.payloads) == 0 {
-				return nil, info, fmt.Errorf("%w (epoch %d)", ErrNoFrames, epoch)
+				return info, fmt.Errorf("%w (epoch %d)", ErrNoFrames, epoch)
 			}
 			c.mPartial.Inc()
 			info.Partial = true
 			info.Contributors = buf.routers
-			rec, err := c.merge(buf.payloads)
-			return rec, info, err
+			return info, c.merge(buf.payloads, into)
 		case err := <-c.errs:
-			return nil, info, err
+			return info, err
 		case <-c.done:
-			return nil, info, fmt.Errorf("aggregate: collector closed")
+			return info, fmt.Errorf("aggregate: collector closed")
 		}
 	}
 	c.epoch.Store(epoch + 1)
 	info.Contributors = buf.routers
-	rec, err := c.merge(buf.payloads)
-	return rec, info, err
+	return info, c.merge(buf.payloads, into)
 }
 
 // sortFrame routes one frame relative to the epoch being collected.
@@ -367,35 +366,16 @@ func (c *Collector) sortFrame(f Frame, epoch uint64, buf *epochBuf) {
 	}
 }
 
-// CollectInterval blocks until one frame per router arrives for the
-// given interval, then returns the merged recorder.
-func (c *Collector) CollectInterval(interval int) (*core.Recorder, error) {
-	rec, _, err := c.CollectEpoch(uint64(interval), nil)
-	return rec, err
-}
-
-// CollectIntervalWithin is CollectInterval with a deadline: when a
-// router dies mid-interval, aggregation proceeds with whatever arrived
-// in time — detection over most of the edge beats no detection, and
-// sketch linearity makes the partial merge exactly the traffic the
-// surviving routers saw. It reports how many routers contributed.
-func (c *Collector) CollectIntervalWithin(interval int, timeout time.Duration) (*core.Recorder, int, error) {
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	rec, info, err := c.CollectEpoch(uint64(interval), timer.C)
-	return rec, len(info.Contributors), err
-}
-
-// merge combines the gathered payloads, recording combine latency and
-// the contributing-router gauge.
-func (c *Collector) merge(payloads [][]byte) (*core.Recorder, error) {
+// merge adds the gathered payloads into the caller's recorder, recording
+// combine latency and the contributing-router gauge.
+func (c *Collector) merge(payloads [][]byte, into *core.Recorder) error {
 	start := time.Now()
-	rec, err := MergePayloads(c.cfg, payloads)
-	if err == nil {
-		c.mCombine.Observe(time.Since(start).Seconds())
-		c.mReporting.Set(float64(len(payloads)))
+	if err := into.AddBinary(payloads...); err != nil {
+		return fmt.Errorf("aggregate: %w", err)
 	}
-	return rec, err
+	c.mCombine.Observe(time.Since(start).Seconds())
+	c.mReporting.Set(float64(len(payloads)))
+	return nil
 }
 
 // Close shuts the listener and every router connection down and waits

@@ -216,11 +216,12 @@ func (p *Program) propagateHot() {
 
 // determinismRootName reports whether a function name marks a
 // determinism root on its own: the serialization surface (checkpoints
-// and frames must be byte-stable across runs and routers) and the
+// and frames must be byte-stable across runs and routers, and AddBinary
+// must sum them identically at every aggregation site) and the
 // key-recovery inference (a nondeterministic traversal silently changes
 // which keys are recovered).
 func determinismRootName(name string) bool {
-	for _, prefix := range []string{"Marshal", "Unmarshal", "marshal", "unmarshal", "AppendBinary"} {
+	for _, prefix := range []string{"Marshal", "Unmarshal", "marshal", "unmarshal", "AppendBinary", "AddBinary"} {
 		if strings.HasPrefix(name, prefix) {
 			return true
 		}

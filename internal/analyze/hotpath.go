@@ -15,6 +15,7 @@ var hotpathPackages = []string{
 	"internal/sketch",
 	"internal/revsketch",
 	"internal/invsketch",
+	"internal/burst",
 	"internal/sketch2d",
 	"internal/bloom",
 	"internal/core",
@@ -42,7 +43,8 @@ var telemetryHotFuncs = map[string]bool{
 }
 
 // hotpathFunc reports whether a function name is part of the UPDATE /
-// ESTIMATE / COMBINE hot-path contract (paper Table 2), the recorder's
+// ESTIMATE / COMBINE hot-path contract (paper Table 2; COMBINE is
+// AddBinary, which sums serialized state in place), the recorder's
 // per-packet Observe/ObserveFlow and its update internals, or the plan
 // API the recorder fills and applies per packet. EstimateGrid and
 // friends share the Estimate budget, and the recorder's update (also
@@ -54,7 +56,7 @@ func hotpathFunc(pkgPath, name string) bool {
 		return telemetryHotFuncs[name]
 	}
 	return name == "Update" || name == "UpdateAt" || name == "FillPlan" ||
-		name == "Combine" ||
+		name == "AddBinary" ||
 		strings.HasPrefix(name, "Estimate") ||
 		strings.HasPrefix(name, "Observe") ||
 		strings.HasPrefix(name, "update")
@@ -62,7 +64,7 @@ func hotpathFunc(pkgPath, name string) bool {
 
 var hotpathAllocAnalyzer = &Analyzer{
 	Name: "hotpath-alloc",
-	Doc:  "forbids heap allocation (make/append/map or slice literals/fmt.Sprint*/string concat) and non-hot telemetry calls in the transitive hot set rooted at Update/Estimate/Combine/Observe and //hifind:hot functions",
+	Doc:  "forbids heap allocation (make/append/map or slice literals/fmt.Sprint*/string concat) and non-hot telemetry calls in the transitive hot set rooted at Update/Estimate/AddBinary/Observe and //hifind:hot functions",
 	Run:  runHotpathAlloc,
 }
 

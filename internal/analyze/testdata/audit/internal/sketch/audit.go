@@ -14,10 +14,10 @@ func (a *Acc) Estimate(key uint64) float64 {
 	return a.buf[key&3]
 }
 
-// Combine carries a typo'd rule ID: it would never suppress anything.
-func (a *Acc) Combine(o *Acc) {
+// AddBinary carries a typo'd rule ID: it would never suppress anything.
+func (a *Acc) AddBinary(data []byte) {
 	//lint:ignore hotpath-malloc commutative accumulation // want `unknown rule "hotpath-malloc"`
 	for i := range a.buf {
-		a.buf[i] += o.buf[i]
+		a.buf[i] += float64(data[i])
 	}
 }

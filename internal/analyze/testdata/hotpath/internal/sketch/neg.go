@@ -17,10 +17,10 @@ func (c *Clean) Estimate(key uint64) float64 {
 	return c.scratch[0]
 }
 
-func (c *Clean) Combine(o *Clean) {
-	const tag = "com" + "bine" // folded at compile time: no allocation
+func (c *Clean) AddBinary(data []byte) {
+	const tag = "add" + "binary" // folded at compile time: no allocation
 	for i := range c.counts {
-		c.counts[i] += o.counts[i]
+		c.counts[i] += int32(data[i])
 	}
 	_ = tag
 }

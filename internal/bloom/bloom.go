@@ -114,27 +114,12 @@ func popcount(x uint64) int {
 	return n
 }
 
-// Union ORs another filter built with identical parameters and seed into
-// this one. Bloom filters are union-able exactly like sketches are
-// linear, which is what lets the multi-router aggregation merge each
-// router's active-service memory.
-func (f *Filter) Union(o *Filter) error {
-	if len(f.bits) != len(o.bits) || len(f.hashes) != len(o.hashes) || f.hashes[0] != o.hashes[0] {
-		return errors.New("bloom: union of incompatible filters")
-	}
-	for i := range f.bits {
-		f.bits[i] |= o.bits[i]
-	}
-	f.n += o.n
-	return nil
-}
-
 const filterMagic = uint32(0x4869424c) // "HiBL"
 
 // MarshalBinary serializes the bit array and hash count. The seed is not
-// recoverable from the encoding, so UnmarshalBinary must be called on a
-// filter constructed with the same parameters; it verifies shape and
-// replaces only the bits.
+// recoverable from the encoding, so UnmarshalBinary and AddBinary must be
+// called on a filter constructed with the same parameters; they verify
+// shape and touch only the bits and the insertion count.
 func (f *Filter) MarshalBinary() ([]byte, error) {
 	buf := make([]byte, 0, 16+len(f.bits)*8)
 	buf = binary.LittleEndian.AppendUint32(buf, filterMagic)
@@ -150,6 +135,20 @@ func (f *Filter) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary loads bits serialized from a filter with the same
 // construction parameters into f.
 func (f *Filter) UnmarshalBinary(data []byte) error {
+	if err := f.AddBinary(data, false); err != nil {
+		return err
+	}
+	f.Reset()
+	return f.AddBinary(data, true)
+}
+
+// AddBinary ORs the bits of a MarshalBinary encoding into f and adds its
+// insertion count: Bloom filters are union-able exactly like sketches
+// are linear, which is what lets the multi-router aggregation merge each
+// router's active-service memory. The encoding must match f's hash
+// count and word count; otherwise AddBinary returns an error and f is
+// unchanged. With apply false it only validates.
+func (f *Filter) AddBinary(data []byte, apply bool) error {
 	if len(data) < 16 {
 		return errors.New("bloom: truncated header")
 	}
@@ -158,7 +157,6 @@ func (f *Filter) UnmarshalBinary(data []byte) error {
 	}
 	k := int(binary.LittleEndian.Uint32(data[4:]))
 	words := int(binary.LittleEndian.Uint32(data[8:]))
-	n := int(binary.LittleEndian.Uint32(data[12:]))
 	if k != len(f.hashes) || words != len(f.bits) {
 		return fmt.Errorf("bloom: shape mismatch (k=%d words=%d, have k=%d words=%d)",
 			k, words, len(f.hashes), len(f.bits))
@@ -166,9 +164,12 @@ func (f *Filter) UnmarshalBinary(data []byte) error {
 	if len(data) != 16+words*8 {
 		return fmt.Errorf("bloom: body length %d, want %d", len(data), 16+words*8)
 	}
-	for i := 0; i < words; i++ {
-		f.bits[i] = binary.LittleEndian.Uint64(data[16+i*8:])
+	if !apply {
+		return nil
 	}
-	f.n = n
+	for i := range f.bits {
+		f.bits[i] |= binary.LittleEndian.Uint64(data[16+i*8:])
+	}
+	f.n += int(binary.LittleEndian.Uint32(data[12:]))
 	return nil
 }

@@ -127,42 +127,6 @@ func (a *Array) Reset() {
 	}
 }
 
-// Compatible reports whether two monitors can be combined.
-func (a *Array) Compatible(o *Array) bool {
-	return a.cfg == o.cfg && a.seed == o.seed
-}
-
-// Combine computes Σ cᵢ·Aᵢ slot-wise over compatible monitors.
-func Combine(coeffs []int32, arrays []*Array) (*Array, error) {
-	if len(arrays) == 0 {
-		return nil, fmt.Errorf("burst: combine of zero monitors")
-	}
-	if len(coeffs) != len(arrays) {
-		return nil, fmt.Errorf("burst: %d coefficients for %d monitors", len(coeffs), len(arrays))
-	}
-	for n, in := range arrays {
-		if !arrays[0].Compatible(in) {
-			return nil, fmt.Errorf("burst: operand %d incompatible", n)
-		}
-	}
-	out, err := New(arrays[0].cfg, arrays[0].seed)
-	if err != nil {
-		return nil, err
-	}
-	for i := range out.slots {
-		operands := make([]*invsketch.Sketch, len(arrays))
-		for n, in := range arrays {
-			operands[n] = in.slots[i]
-		}
-		merged, err := invsketch.Combine(coeffs, operands)
-		if err != nil {
-			return nil, err
-		}
-		out.slots[i] = merged
-	}
-	return out, nil
-}
-
 // MemoryBytes returns the counter footprint across all slots.
 func (a *Array) MemoryBytes() int {
 	total := 0
@@ -191,44 +155,48 @@ func (a *Array) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary reverses MarshalBinary.
-func (a *Array) UnmarshalBinary(data []byte) error {
+// AddBinary adds a MarshalBinary encoding into a, slot by slot. The
+// encoding must carry a's slot count and window, and every slot block
+// must pass invsketch's checks against its slot; otherwise AddBinary
+// returns an error and a is unchanged, because every slot validates
+// before any is added. With apply false it only validates.
+func (a *Array) AddBinary(data []byte, apply bool) error {
+	if err := a.addSlots(data, false); err != nil || !apply {
+		return err
+	}
+	return a.addSlots(data, true)
+}
+
+// addSlots walks the encoding's slot blocks, handing each to its slot.
+func (a *Array) addSlots(data []byte, apply bool) error {
 	if len(data) < 16 {
 		return fmt.Errorf("burst: truncated header (%d bytes)", len(data))
 	}
-	if binary.LittleEndian.Uint32(data) != arrayMagic {
-		return fmt.Errorf("burst: bad magic %#x", binary.LittleEndian.Uint32(data))
+	if m := binary.LittleEndian.Uint32(data); m != arrayMagic {
+		return fmt.Errorf("burst: bad magic %#x", m)
 	}
 	slots := int(binary.LittleEndian.Uint32(data[4:]))
 	window := time.Duration(binary.LittleEndian.Uint64(data[8:]))
-	if slots < 1 || slots > MaxSlots {
-		return fmt.Errorf("burst: unmarshal slots %d out of range [1,%d]", slots, MaxSlots)
+	if slots != a.cfg.Slots || window != a.cfg.Window {
+		return fmt.Errorf("burst: %d slots of %v, want %d of %v", slots, window, a.cfg.Slots, a.cfg.Window)
 	}
 	off := 16
-	decoded := make([]*invsketch.Sketch, slots)
-	for i := range decoded {
+	for i, s := range a.slots {
 		if len(data) < off+4 {
 			return fmt.Errorf("burst: truncated slot %d length", i)
 		}
 		n := int(binary.LittleEndian.Uint32(data[off:]))
 		off += 4
-		if len(data) < off+n {
+		if len(data)-off < n {
 			return fmt.Errorf("burst: truncated slot %d body", i)
 		}
-		s := new(invsketch.Sketch)
-		if err := s.UnmarshalBinary(data[off : off+n]); err != nil {
+		if err := s.AddBinary(data[off:off+n], apply); err != nil {
 			return fmt.Errorf("burst: slot %d: %w", i, err)
 		}
 		off += n
-		decoded[i] = s
 	}
 	if off != len(data) {
 		return fmt.Errorf("burst: %d trailing bytes", len(data)-off)
-	}
-	*a = Array{
-		cfg:   Config{Slots: slots, Window: window, Params: decoded[0].Params()},
-		seed:  decoded[0].Seed(),
-		slots: decoded,
 	}
 	return nil
 }

@@ -147,9 +147,15 @@ func TestCombineMarshalRoundTrip(t *testing.T) {
 	a.Update(2, 0xAAAA, 20)
 	b.Update(2, 0xAAAA, 15)
 	b.Update(5, 0xBBBB, 31)
-	merged, err := Combine([]int32{1, 1}, []*Array{a, b})
-	if err != nil {
-		t.Fatal(err)
+	merged, _ := New(cfg, 5)
+	for _, src := range []*Array{a, b} {
+		blob, err := src.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := merged.AddBinary(blob, true); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if est := merged.SlotSketch(2).Estimate(0xAAAA); est < 30 || est > 40 {
 		t.Errorf("combined estimate %.1f, want ≈35", est)
@@ -158,8 +164,8 @@ func TestCombineMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Array
-	if err := back.UnmarshalBinary(blob); err != nil {
+	back, _ := New(cfg, 5)
+	if err := back.AddBinary(blob, true); err != nil {
 		t.Fatal(err)
 	}
 	blob2, err := back.MarshalBinary()
@@ -169,12 +175,9 @@ func TestCombineMarshalRoundTrip(t *testing.T) {
 	if !bytes.Equal(blob, blob2) {
 		t.Fatal("marshal round trip not byte-identical")
 	}
-	if !back.Compatible(merged) {
-		t.Fatal("unmarshaled monitor incompatible with original")
-	}
 	other, _ := New(cfg, 6)
-	if _, err := Combine([]int32{1, 1}, []*Array{a, other}); err == nil {
-		t.Fatal("Combine accepted mismatched seeds")
+	if err := other.AddBinary(blob, true); err == nil {
+		t.Fatal("AddBinary accepted mismatched seeds")
 	}
 }
 

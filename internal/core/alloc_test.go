@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"github.com/hifind/hifind/internal/netmodel"
 )
@@ -132,5 +133,44 @@ func TestObserveFlowAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("ObserveFlow allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestAddBinaryAllocs pins the merge path: adding serialized states
+// validates and sums in place, so two contributors allocate nothing — at
+// paper geometry, and with every optional structure (invertible
+// sketches, burst and reflection monitors) on.
+func TestAddBinaryAllocs(t *testing.T) {
+	full := TestRecorderConfig(0xa110c)
+	full.Inference = InferenceInvertible
+	full.BurstSlots, full.BurstWindow = 4, 15*time.Second
+	full.Reflection = true
+	for name, cfg := range map[string]RecorderConfig{
+		"paper": PaperRecorderConfig(0xa110c),
+		"full":  full,
+	} {
+		t.Run(name, func(t *testing.T) {
+			r, err := NewRecorder(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var payloads [2][]byte
+			for i := range payloads {
+				src, err := NewRecorder(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				feed(src, diffStream(int64(i), 500))
+				payloads[i] = mustMarshal(t, src)
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				if err := r.AddBinary(payloads[0], payloads[1]); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("AddBinary of two payloads allocates %v times per call, want 0", allocs)
+			}
+		})
 	}
 }

@@ -420,9 +420,7 @@ func TestRecorderMergeMatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := merged.Merge(routers...); err != nil {
-		t.Fatal(err)
-	}
+	addStates(t, merged, routers...)
 	if merged.Packets() != single.Packets() {
 		t.Errorf("merged packets %d, single %d", merged.Packets(), single.Packets())
 	}
@@ -447,8 +445,31 @@ func TestRecorderMergeRejectsIncompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Merge(b); err == nil {
+	if err := a.AddBinary(mustMarshal(t, b)); err == nil {
 		t.Error("merge of different seeds accepted")
+	}
+}
+
+// mustMarshal serializes a recorder's state.
+func mustMarshal(t testing.TB, r *Recorder) []byte {
+	t.Helper()
+	data, err := r.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// addStates adds each source recorder's serialized state into dst: the
+// one merge path, driven in process.
+func addStates(t testing.TB, dst *Recorder, srcs ...*Recorder) {
+	t.Helper()
+	payloads := make([][]byte, len(srcs))
+	for i, src := range srcs {
+		payloads[i] = mustMarshal(t, src)
+	}
+	if err := dst.AddBinary(payloads...); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -478,7 +499,7 @@ func TestRecorderMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := back.UnmarshalBinary(data); err != nil {
+	if err := back.AddBinary(data); err != nil {
 		t.Fatal(err)
 	}
 	if back.Packets() != rec.Packets() {
@@ -493,10 +514,10 @@ func TestRecorderMarshalRoundTrip(t *testing.T) {
 			t.Fatal("estimates differ after round trip")
 		}
 	}
-	if err := back.UnmarshalBinary(data[:20]); err == nil {
+	if err := back.AddBinary(data[:20]); err == nil {
 		t.Error("truncated recorder data accepted")
 	}
-	if err := back.UnmarshalBinary(append(data, 0)); err == nil {
+	if err := back.AddBinary(append(data, 0)); err == nil {
 		t.Error("trailing garbage accepted")
 	}
 }

@@ -167,7 +167,8 @@ func (c DetectorConfig) Validate() error {
 //	res, err := d.EndInterval()
 //
 // For aggregated multi-router detection, record into per-router Recorders,
-// Merge them, and call EndIntervalWith(merged).
+// add their MarshalBinary states into Recorder() with AddBinary, and call
+// EndInterval (or EndIntervalWithPartial when routers are missing).
 type Detector struct {
 	cfg DetectorConfig
 	rec *Recorder
@@ -293,26 +294,16 @@ func (d *Detector) ObserveFlow(rec netmodel.FlowRecord) { d.rec.ObserveFlow(rec)
 // EndInterval closes the current interval: runs detection over the
 // detector's own recorder and resets it for the next interval.
 func (d *Detector) EndInterval() (IntervalResult, error) {
-	return d.EndIntervalWith(d.rec)
+	return d.EndIntervalWithPartial(false)
 }
 
-// EndIntervalWith runs detection over the supplied recorder — typically
-// the merge of several routers' recorders — then resets both it and the
-// detector's own recorder. The supplied recorder must share the
-// configuration of the detector's.
-func (d *Detector) EndIntervalWith(rec *Recorder) (IntervalResult, error) {
-	return d.EndIntervalWithPartial(rec, false)
-}
-
-// EndIntervalWithPartial is EndIntervalWith for merges that closed at
-// the collection deadline with routers missing: the result and each of
-// its alerts are flagged Partial, so downstream consumers (mitigation,
-// dashboards) can weigh them as lower bounds over the surviving routers'
-// traffic rather than the whole edge.
-func (d *Detector) EndIntervalWithPartial(rec *Recorder, partial bool) (IntervalResult, error) {
-	if !d.rec.Compatible(rec) {
-		return IntervalResult{}, fmt.Errorf("core: recorder incompatible with detector")
-	}
+// EndIntervalWithPartial is EndInterval for merges that closed at the
+// collection deadline with routers missing: with partial set, the
+// result and each of its alerts are flagged Partial, so downstream
+// consumers (mitigation, dashboards) can weigh them as lower bounds over
+// the surviving routers' traffic rather than the whole edge.
+func (d *Detector) EndIntervalWithPartial(partial bool) (IntervalResult, error) {
+	rec := d.rec
 	started := time.Now()
 	res := IntervalResult{Interval: d.interval}
 
@@ -399,9 +390,6 @@ func (d *Detector) EndIntervalWithPartial(rec *Recorder, partial bool) (Interval
 	res.Diag.CacheOccupancy = cacheOcc
 	res.Diag.CacheFlushSeconds = cacheFlushSec
 	rec.Reset()
-	if rec != d.rec {
-		d.rec.Reset()
-	}
 	d.interval++
 	res.DetectionSeconds = time.Since(started).Seconds()
 	if partial {

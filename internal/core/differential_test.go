@@ -261,12 +261,8 @@ func TestDifferentialCombine(t *testing.T) {
 		feed(gotR[r], share)
 		feedRef(refR[r], share)
 	}
-	if err := gotR[0].Merge(gotR[1:]...); err != nil {
-		t.Fatal(err)
-	}
-	if err := refR[0].Merge(refR[1:]...); err != nil {
-		t.Fatal(err)
-	}
+	addStates(t, gotR[0], gotR[1:]...)
+	addStates(t, refR[0], refR[1:]...)
 	requireIdentical(t, gotR[0], refR[0], "combine")
 }
 
@@ -330,8 +326,8 @@ func TestDifferentialDetectorAlerts(t *testing.T) {
 }
 
 // TestDifferentialMarshalRoundTripKeepsEngineWorking ensures a recorder
-// that loaded serialized state keeps producing updates identical to the
-// reference's (the plans are re-sized after unmarshal).
+// that added serialized state keeps producing updates identical to the
+// reference's.
 func TestDifferentialMarshalRoundTripKeepsEngineWorking(t *testing.T) {
 	got, ref := diffRecorders(t, TestRecorderConfig(0xbeef))
 	pre := diffStream(11, 1000)
@@ -345,7 +341,7 @@ func TestDifferentialMarshalRoundTripKeepsEngineWorking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.UnmarshalBinary(blob); err != nil {
+	if err := restored.AddBinary(blob); err != nil {
 		t.Fatal(err)
 	}
 	restored.memoryAccesses = ref.MemoryAccesses()

@@ -68,22 +68,6 @@ func TestEgressDetectsInternalScanner(t *testing.T) {
 	}
 }
 
-func TestEgressOrientationIncompatibleWithIngress(t *testing.T) {
-	in, err := NewRecorder(TestRecorderConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ecfg := TestRecorderConfig(1)
-	ecfg.Orientation = Egress
-	eg, err := NewRecorder(ecfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Merge(eg); err == nil {
-		t.Error("merging ingress and egress recorders must fail")
-	}
-}
-
 func TestOrientationValidation(t *testing.T) {
 	cfg := TestRecorderConfig(1)
 	cfg.Orientation = Orientation(99)

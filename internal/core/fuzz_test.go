@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+	"time"
 
+	"github.com/hifind/hifind/internal/invsketch"
 	"github.com/hifind/hifind/internal/netmodel"
 	"github.com/hifind/hifind/internal/revsketch"
 	"github.com/hifind/hifind/internal/sketch"
@@ -69,5 +71,68 @@ func FuzzObserve(f *testing.F) {
 			}
 		}
 		requireIdentical(t, got, ref, "fuzz")
+	})
+}
+
+// FuzzRecorderAddBinary feeds arbitrary bytes to the merge path — the
+// parser the aggregation collector runs over payloads read off TCP — in
+// both inference modes with the burst and reflection monitors on. Seeds
+// are valid snapshots of each mode plus truncations of them. Every table
+// is at its smallest valid size: the parser does not depend on
+// geometry, and 8–11 KB seeds instead of the compact configuration's
+// 5 MB keep the mutator on the headers and block lengths. AddBinary must
+// never panic, and a rejected payload must leave the receiver's
+// serialized state exactly as it was.
+func FuzzRecorderAddBinary(f *testing.F) {
+	var recs []*Recorder
+	for _, inf := range []InferenceEngine{InferenceReverse, InferenceInvertible} {
+		tiny := invsketch.Params{KeyBits: 48, Stages: 1, Buckets: 4}
+		cfg := RecorderConfig{
+			Seed:            0xadd,
+			RS48:            revsketch.Params{KeyBits: 48, Words: 4, Stages: 6, Buckets: 1 << 4},
+			RS64:            revsketch.Params{KeyBits: 64, Words: 4, Stages: 6, Buckets: 1 << 4},
+			Verifier:        sketch.Params{Stages: 6, Buckets: 1 << 4},
+			Original:        sketch.Params{Stages: 6, Buckets: 1 << 4},
+			TwoD:            sketch2d.Params{Stages: 5, XBuckets: 4, YBuckets: 4},
+			ServiceCapacity: 1 << 6,
+			Inference:       inf,
+			Inv48:           tiny,
+			Inv64:           invsketch.Params{KeyBits: 64, Stages: 1, Buckets: 4},
+			BurstSlots:      4,
+			BurstWindow:     15 * time.Second,
+			Burst:           tiny,
+			Reflection:      true,
+			Reflect:         tiny,
+		}
+		src, err := NewRecorder(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		feed(src, diffStream(int64(inf)+1, 300))
+		payload := mustMarshal(f, src)
+		for _, n := range []int{len(payload), len(payload) - 1, len(payload) / 2, 12, 8} {
+			f.Add(payload[:n])
+		}
+		dst, err := NewRecorder(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		recs = append(recs, dst)
+	}
+	f.Add([]byte{})
+	before := make([][]byte, len(recs))
+	for i, r := range recs {
+		before[i] = mustMarshal(f, r)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for i, r := range recs {
+			if err := r.AddBinary(data); err == nil {
+				before[i] = mustMarshal(t, r)
+				continue
+			}
+			if !bytes.Equal(mustMarshal(t, r), before[i]) {
+				t.Fatalf("%s receiver: rejected payload changed its state", r.Config().Inference)
+			}
+		}
 	})
 }

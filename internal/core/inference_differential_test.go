@@ -144,10 +144,8 @@ func TestInferenceDifferentialCombine(t *testing.T) {
 			for j, p := range pkts {
 				recs[j%routers].Observe(p)
 			}
-			if err := recs[0].Merge(recs[1:]...); err != nil {
-				t.Fatal(err)
-			}
-			res, err := det.EndIntervalWith(recs[0])
+			addStates(t, det.Recorder(), recs...)
+			res, err := det.EndInterval()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,8 +157,8 @@ func TestInferenceDifferentialCombine(t *testing.T) {
 }
 
 // TestInferenceModeIncompatible: recorders on different inference
-// engines carry different structure sets, so Merge and UnmarshalBinary
-// across modes must fail instead of silently dropping sketches.
+// engines carry different structure sets, so AddBinary across modes, in
+// either direction, must fail instead of silently dropping sketches.
 func TestInferenceModeIncompatible(t *testing.T) {
 	rev, err := NewRecorder(inferenceConfig(0xabcd, InferenceReverse))
 	if err != nil {
@@ -170,18 +168,11 @@ func TestInferenceModeIncompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inv.Compatible(rev) || rev.Compatible(inv) {
-		t.Fatal("recorders on different inference engines must not be compatible")
+	if err := rev.AddBinary(mustMarshal(t, inv)); err == nil {
+		t.Fatal("adding invertible-mode state into a reverse recorder must fail")
 	}
-	if err := inv.Merge(rev); err == nil {
-		t.Fatal("merging a reverse-mode recorder into an invertible one must fail")
-	}
-	blob, err := rev.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inv.UnmarshalBinary(blob); err == nil {
-		t.Fatal("unmarshaling reverse-mode state into an invertible recorder must fail")
+	if err := inv.AddBinary(mustMarshal(t, rev)); err == nil {
+		t.Fatal("adding reverse-mode state into an invertible recorder must fail")
 	}
 }
 

@@ -97,8 +97,7 @@ type RecorderConfig struct {
 	Inference InferenceEngine
 	// Inv48 is the geometry of the two 48-bit invertible sketches
 	// ({SIP,Dport} and {DIP,Dport}); Inv64 of the {SIP,DIP} sketch.
-	// Only consulted when Inference is InferenceInvertible, but always
-	// populated so configurations compare field-wise.
+	// Only consulted when Inference is InferenceInvertible.
 	Inv48, Inv64 invsketch.Params
 	// BurstSlots, when positive, enables the ALBUS-style sub-interval
 	// burst monitor: BurstSlots invertible sketches (geometry Burst,
@@ -109,8 +108,8 @@ type RecorderConfig struct {
 	BurstSlots  int
 	BurstWindow time.Duration
 	// Burst is the per-slot burst-monitor geometry; Reflect the
-	// reflection monitor's. Like Inv48/Inv64 they are always populated
-	// so configurations compare field-wise even when disabled.
+	// reflection monitor's. Like Inv48/Inv64 they are only consulted
+	// when their monitor is enabled.
 	Burst invsketch.Params
 	// Reflection enables the reflection/amplification monitor: one
 	// invertible sketch over {DIP, service Sport} recording inbound
@@ -124,10 +123,9 @@ type RecorderConfig struct {
 	// accumulate in the table and flush as weighted updates on eviction
 	// and at rotation, leaving sketch state byte-identical to the
 	// cache-less recorder (internal/flowcache). Zero disables the
-	// cache. The field participates in Compatible's configuration
-	// equality, so cached and cache-less participants of an aggregated
-	// deployment fail loudly at Merge time instead of silently skewing
-	// per-router telemetry.
+	// cache. The wire format never carries the cache, so cached and
+	// cache-less participants of an aggregated deployment interchange
+	// state freely.
 	FlowCache int
 }
 
@@ -173,7 +171,8 @@ func TestRecorderConfig(seed uint64) RecorderConfig {
 // sketches and the active-service Bloom filter (paper §5.1). A Recorder
 // holds one interval's traffic; detection snapshots it and Reset starts
 // the next interval. Recorders are the unit of multi-router aggregation:
-// Merge sums compatible recorders by sketch linearity.
+// AddBinary sums serialized recorder states into a live one by sketch
+// linearity.
 //
 // Recorder methods are not safe for concurrent use.
 type Recorder struct {
@@ -217,6 +216,9 @@ type Recorder struct {
 	// plans is the preallocated hash-plan scratch — one bucket plan per
 	// structure, filled and applied once per update.
 	plans updatePlans
+	// blocks lists the structures in wire order (MarshalBinary,
+	// AddBinary).
+	blocks []wireBlock
 	// cache is the optional exact flow-aggregation table in front of
 	// the sketches (nil when cfg.FlowCache is zero).
 	cache *flowcache.Cache
@@ -312,6 +314,7 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 		}
 	}
 	r.plans = r.newPlans()
+	r.blocks = r.newBlocks()
 	if cfg.FlowCache > 0 {
 		// The flush sink is a bound method value: one allocation here,
 		// none per flush.
@@ -614,8 +617,7 @@ func (r *Recorder) flushFlow(sip, dip netmodel.IPv4, dport uint16, syns, acks in
 
 // FlushCache materializes every pending flow-cache aggregate into the
 // sketches. A no-op without a cache. Runs automatically before
-// marshaling and merging; the detector flushes before reading interval
-// snapshots.
+// marshaling; the detector flushes before reading interval snapshots.
 func (r *Recorder) FlushCache() {
 	if r.cache == nil {
 		return
@@ -700,177 +702,93 @@ func (r *Recorder) Reset() {
 	r.packets = 0
 }
 
-// Compatible reports whether two recorders share seed and geometry and can
-// therefore be merged.
-func (r *Recorder) Compatible(o *Recorder) bool {
-	return r.cfg == o.cfg
+// wireBlock is one structure's block of the recorder wire format.
+type wireBlock interface {
+	MarshalBinary() ([]byte, error)
+	AddBinary(data []byte, apply bool) error
 }
 
-// Merge sums other recorders into r (coefficient 1 each): the multi-router
-// aggregation of paper §3.1. All operands must be compatible. Every
-// operand's flow cache (and the receiver's) flushes first, so the sums
-// cover all recorded traffic; operand cache stats fold into the
-// receiver so aggregated telemetry still counts every router's cache
-// traffic.
-func (r *Recorder) Merge(others ...*Recorder) error {
-	r.FlushCache()
-	for n, o := range others {
-		if !r.Compatible(o) {
-			return fmt.Errorf("core: merge operand %d incompatible", n)
-		}
-		o.FlushCache()
-		if r.cache != nil && o.cache != nil {
-			r.cache.AddStats(o.cache.Stats())
-		}
-		var err error
-		merge := func(dst, src *revsketch.Sketch) *revsketch.Sketch {
-			if err != nil {
-				return dst
-			}
-			var out *revsketch.Sketch
-			out, err = revsketch.Combine([]int32{1, 1}, []*revsketch.Sketch{dst, src})
-			return out
-		}
-		mergeK := func(dst, src *sketch.Sketch) *sketch.Sketch {
-			if err != nil {
-				return dst
-			}
-			var out *sketch.Sketch
-			out, err = sketch.Combine([]int32{1, 1}, []*sketch.Sketch{dst, src})
-			return out
-		}
-		merge2D := func(dst, src *sketch2d.Sketch) *sketch2d.Sketch {
-			if err != nil {
-				return dst
-			}
-			var out *sketch2d.Sketch
-			out, err = sketch2d.Combine([]int32{1, 1}, []*sketch2d.Sketch{dst, src})
-			return out
-		}
-		r.RSSipDport = merge(r.RSSipDport, o.RSSipDport)
-		r.RSDipDport = merge(r.RSDipDport, o.RSDipDport)
-		r.RSSipDip = merge(r.RSSipDip, o.RSSipDip)
-		r.VerSipDport = mergeK(r.VerSipDport, o.VerSipDport)
-		r.VerDipDport = mergeK(r.VerDipDport, o.VerDipDport)
-		r.VerSipDip = mergeK(r.VerSipDip, o.VerSipDip)
-		r.OSDipDport = mergeK(r.OSDipDport, o.OSDipDport)
-		r.TwoDSipDportXDip = merge2D(r.TwoDSipDportXDip, o.TwoDSipDportXDip)
-		r.TwoDSipDipXDport = merge2D(r.TwoDSipDipXDport, o.TwoDSipDipXDport)
-		if r.InvSipDport != nil {
-			mergeInv := func(dst, src *invsketch.Sketch) *invsketch.Sketch {
-				if err != nil {
-					return dst
-				}
-				var out *invsketch.Sketch
-				out, err = invsketch.Combine([]int32{1, 1}, []*invsketch.Sketch{dst, src})
-				return out
-			}
-			r.InvSipDport = mergeInv(r.InvSipDport, o.InvSipDport)
-			r.InvDipDport = mergeInv(r.InvDipDport, o.InvDipDport)
-			r.InvSipDip = mergeInv(r.InvSipDip, o.InvSipDip)
-		}
-		if r.Burst != nil && err == nil {
-			var mb *burst.Array
-			if mb, err = burst.Combine([]int32{1, 1}, []*burst.Array{r.Burst, o.Burst}); err == nil {
-				r.Burst = mb
-			}
-		}
-		if r.Reflect != nil && err == nil {
-			var mr *invsketch.Sketch
-			if mr, err = invsketch.Combine([]int32{1, 1}, []*invsketch.Sketch{r.Reflect, o.Reflect}); err == nil {
-				r.Reflect = mr
-			}
-		}
-		if err != nil {
-			return fmt.Errorf("core: merge: %w", err)
-		}
-		if err := r.Services.Union(o.Services); err != nil {
-			return fmt.Errorf("core: merge: %w", err)
-		}
-		r.packets += o.packets
+// newBlocks lists the structures in wire order. Invertible-mode blocks
+// follow the common set, so the reverse-mode layout is unchanged and a
+// mode mismatch fails the block count check rather than silently
+// misparsing.
+func (r *Recorder) newBlocks() []wireBlock {
+	blocks := []wireBlock{
+		r.RSSipDport, r.RSDipDport, r.RSSipDip,
+		r.VerSipDport, r.VerDipDport, r.VerSipDip,
+		r.OSDipDport,
+		r.TwoDSipDportXDip, r.TwoDSipDipXDport,
+		r.Services,
 	}
-	return nil
+	if r.InvSipDport != nil {
+		blocks = append(blocks, r.InvSipDport, r.InvDipDport, r.InvSipDip)
+	}
+	if r.Burst != nil {
+		blocks = append(blocks, r.Burst)
+	}
+	if r.Reflect != nil {
+		blocks = append(blocks, r.Reflect)
+	}
+	return blocks
 }
 
 // MarshalBinary serializes every structure for transport to an
-// aggregation site. The encoding is a sequence of length-prefixed blocks.
-// Pending flow-cache aggregates flush first: the wire format carries
-// fully materialized sketch state, byte-identical to a cache-less
-// recorder's, so cache configuration never leaks into the encoding.
+// aggregation site. The encoding is the packet count followed by one
+// length-prefixed block per structure. Pending flow-cache aggregates
+// flush first: the wire format carries fully materialized sketch state,
+// byte-identical to a cache-less recorder's, so cache configuration
+// never leaks into the encoding.
 func (r *Recorder) MarshalBinary() ([]byte, error) {
 	r.FlushCache()
-	blocks := make([][]byte, 0, 10)
-	appendBlock := func(data []byte, err error) error {
+	encoded := make([][]byte, len(r.blocks))
+	size := 8
+	for i, b := range r.blocks {
+		data, err := b.MarshalBinary()
 		if err != nil {
-			return err
-		}
-		blocks = append(blocks, data)
-		return nil
-	}
-	marshals := []func() ([]byte, error){
-		r.RSSipDport.MarshalBinary, r.RSDipDport.MarshalBinary, r.RSSipDip.MarshalBinary,
-		r.VerSipDport.MarshalBinary, r.VerDipDport.MarshalBinary, r.VerSipDip.MarshalBinary,
-		r.OSDipDport.MarshalBinary,
-		r.TwoDSipDportXDip.MarshalBinary, r.TwoDSipDipXDport.MarshalBinary,
-		r.Services.MarshalBinary,
-	}
-	if r.InvSipDport != nil {
-		// Invertible-mode blocks append after the common set, so the
-		// reverse-mode layout is unchanged and a mode mismatch fails the
-		// block count check rather than silently misparsing.
-		marshals = append(marshals,
-			r.InvSipDport.MarshalBinary, r.InvDipDport.MarshalBinary, r.InvSipDip.MarshalBinary)
-	}
-	if r.Burst != nil {
-		marshals = append(marshals, r.Burst.MarshalBinary)
-	}
-	if r.Reflect != nil {
-		marshals = append(marshals, r.Reflect.MarshalBinary)
-	}
-	for _, m := range marshals {
-		if err := appendBlock(m()); err != nil {
 			return nil, fmt.Errorf("core: marshal recorder: %w", err)
 		}
-	}
-	size := 8
-	for _, b := range blocks {
-		size += 4 + len(b)
+		encoded[i] = data
+		size += 4 + len(data)
 	}
 	out := make([]byte, 0, size)
 	out = binary.LittleEndian.AppendUint64(out, uint64(r.packets))
-	for _, b := range blocks {
+	for _, b := range encoded {
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(b)))
 		out = append(out, b...)
 	}
 	return out, nil
 }
 
-// UnmarshalBinary loads serialized state into a recorder constructed with
-// the same configuration.
-func (r *Recorder) UnmarshalBinary(data []byte) error {
+// AddBinary adds serialized recorder states — MarshalBinary output of
+// recorders built with the same configuration — into r: the
+// multi-router aggregation of paper §3.1 (Table 2's COMBINE with unit
+// coefficients), exact by sketch linearity. Counters and totals add,
+// the active-service filter takes the union, and the packet counts
+// sum. Every payload is validated (block count for r's inference mode,
+// then each block's length, magic, geometry and seed against r's
+// structure) before any is added, so an error leaves r exactly as it
+// was. It allocates nothing; pending flow-cache aggregates stay in the
+// cache and flush into the summed sketches as usual.
+func (r *Recorder) AddBinary(payloads ...[]byte) error {
+	for _, apply := range [2]bool{false, true} {
+		for i, p := range payloads {
+			if err := r.addPayload(p, apply); err != nil {
+				return fmt.Errorf("core: payload %d: %w", i, err)
+			}
+		}
+	}
+	return nil
+}
+
+// addPayload walks one payload's blocks in wire order, handing each to
+// its structure; with apply false it only validates.
+func (r *Recorder) addPayload(data []byte, apply bool) error {
 	if len(data) < 8 {
 		return fmt.Errorf("core: recorder data truncated")
 	}
-	r.packets = int64(binary.LittleEndian.Uint64(data))
+	packets := int64(binary.LittleEndian.Uint64(data))
 	data = data[8:]
-	unmarshals := []func([]byte) error{
-		r.RSSipDport.UnmarshalBinary, r.RSDipDport.UnmarshalBinary, r.RSSipDip.UnmarshalBinary,
-		r.VerSipDport.UnmarshalBinary, r.VerDipDport.UnmarshalBinary, r.VerSipDip.UnmarshalBinary,
-		r.OSDipDport.UnmarshalBinary,
-		r.TwoDSipDportXDip.UnmarshalBinary, r.TwoDSipDipXDport.UnmarshalBinary,
-		r.Services.UnmarshalBinary,
-	}
-	if r.InvSipDport != nil {
-		unmarshals = append(unmarshals,
-			r.InvSipDport.UnmarshalBinary, r.InvDipDport.UnmarshalBinary, r.InvSipDip.UnmarshalBinary)
-	}
-	if r.Burst != nil {
-		unmarshals = append(unmarshals, r.Burst.UnmarshalBinary)
-	}
-	if r.Reflect != nil {
-		unmarshals = append(unmarshals, r.Reflect.UnmarshalBinary)
-	}
-	for i, u := range unmarshals {
+	for i, b := range r.blocks {
 		if len(data) < 4 {
 			return fmt.Errorf("core: recorder block %d missing", i)
 		}
@@ -879,7 +797,7 @@ func (r *Recorder) UnmarshalBinary(data []byte) error {
 		if len(data) < n {
 			return fmt.Errorf("core: recorder block %d truncated", i)
 		}
-		if err := u(data[:n]); err != nil {
+		if err := b.AddBinary(data[:n], apply); err != nil {
 			return fmt.Errorf("core: recorder block %d: %w", i, err)
 		}
 		data = data[n:]
@@ -887,13 +805,8 @@ func (r *Recorder) UnmarshalBinary(data []byte) error {
 	if len(data) != 0 {
 		return fmt.Errorf("core: %d trailing bytes after recorder blocks", len(data))
 	}
-	// The blocks rebuild each structure in place; re-size the plans in
-	// case the loaded geometry differs from the one the recorder was
-	// constructed with. Any aggregates still cached belong
-	// to the state just replaced, so they are dropped, not flushed.
-	r.plans = r.newPlans()
-	if r.cache != nil {
-		r.cache.Clear()
+	if apply {
+		r.packets += packets
 	}
 	return nil
 }

@@ -223,14 +223,19 @@ func MultiRouter(s Scale) (MultiRouterResult, error) {
 			return MultiRouterResult{}, err
 		}
 		singleRes = append(singleRes, sres)
-		merged, err := aggregate.MergeRecorders(rcfg, routers...)
-		if err != nil {
-			return MultiRouterResult{}, err
-		}
+		// Each router ships its serialized state; the aggregating
+		// detector adds them into its own recorder.
 		for _, r := range routers {
+			state, err := r.MarshalBinary()
+			if err != nil {
+				return MultiRouterResult{}, err
+			}
+			if err := agg.Recorder().AddBinary(state); err != nil {
+				return MultiRouterResult{}, err
+			}
 			r.Reset()
 		}
-		ares, err := agg.EndIntervalWith(merged)
+		ares, err := agg.EndInterval()
 		if err != nil {
 			return MultiRouterResult{}, err
 		}

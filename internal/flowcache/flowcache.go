@@ -113,16 +113,6 @@ func (c *Cache) Occupancy() float64 { return float64(c.occupied) / float64(len(c
 // Stats returns the traffic counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// AddStats folds another cache's counters into this one's — Merge
-// absorbs operand recorders' cache traffic so aggregated telemetry
-// covers every contributing router.
-func (c *Cache) AddStats(s Stats) {
-	c.stats.Hits += s.Hits
-	c.stats.Misses += s.Misses
-	c.stats.Evictions += s.Evictions
-	c.stats.Flushes += s.Flushes
-}
-
 // mix is a splitmix64-style finalizer over the packed connection key.
 // The hash only decides which slot aggregates a connection — never any
 // sketch index — so its quality affects hit ratio, not accuracy.

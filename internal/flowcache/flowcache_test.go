@@ -210,17 +210,3 @@ func TestAddAllocationFree(t *testing.T) {
 		t.Fatalf("Add allocates %.1f times per round, want 0", allocs)
 	}
 }
-
-func TestAddStats(t *testing.T) {
-	c, err := New(8, func(netmodel.IPv4, netmodel.IPv4, uint16, int64, int64) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Add(1, 2, 3, 1, 0)
-	c.Add(1, 2, 3, 1, 0)
-	c.AddStats(Stats{Hits: 10, Misses: 20, Evictions: 30, Flushes: 40})
-	want := Stats{Hits: 11, Misses: 21, Evictions: 30, Flushes: 40}
-	if c.Stats() != want {
-		t.Fatalf("merged stats %+v, want %+v", c.Stats(), want)
-	}
-}

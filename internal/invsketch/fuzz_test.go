@@ -82,9 +82,12 @@ func FuzzInvertibleDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("MarshalBinary: %v", err)
 		}
-		var loaded Sketch
-		if err := loaded.UnmarshalBinary(blob); err != nil {
-			t.Fatalf("UnmarshalBinary: %v", err)
+		loaded, err := New(params, 0x5eed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loaded.AddBinary(blob, true); err != nil {
+			t.Fatalf("AddBinary: %v", err)
 		}
 		blob2, err := loaded.MarshalBinary()
 		if err != nil {

@@ -252,41 +252,6 @@ func (s *Sketch) Reset() {
 	s.total = 0
 }
 
-// Compatible reports whether two sketches can be combined.
-func (s *Sketch) Compatible(o *Sketch) bool {
-	return s.params == o.params && s.seed == o.seed
-}
-
-// Combine computes Σ cᵢ·Sᵢ over compatible invertible sketches
-// (COMBINE). Every bucket field is a plain sum, so merging is exact
-// bucket-wise addition — the multi-router aggregation requirement.
-func Combine(coeffs []int32, sketches []*Sketch) (*Sketch, error) {
-	if len(sketches) == 0 {
-		return nil, fmt.Errorf("invsketch: combine of zero sketches")
-	}
-	if len(coeffs) != len(sketches) {
-		return nil, fmt.Errorf("invsketch: %d coefficients for %d sketches", len(coeffs), len(sketches))
-	}
-	out, err := New(sketches[0].params, sketches[0].seed)
-	if err != nil {
-		return nil, err
-	}
-	for n, in := range sketches {
-		if !out.Compatible(in) {
-			return nil, fmt.Errorf("invsketch: operand %d incompatible", n)
-		}
-		c := coeffs[n]
-		for j := range out.rows {
-			dst, src := out.rows[j], in.rows[j]
-			for i := range dst {
-				dst[i] += c * src[i]
-			}
-		}
-		out.total += int64(c) * in.total
-	}
-	return out, nil
-}
-
 // MemoryBytes returns the counter footprint.
 func (s *Sketch) MemoryBytes() int {
 	return s.params.Stages * s.params.Buckets * s.params.Fields() * 4
@@ -314,42 +279,45 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary reverses MarshalBinary.
-func (s *Sketch) UnmarshalBinary(data []byte) error {
+// AddBinary adds a MarshalBinary encoding into s (COMBINE with unit
+// coefficients, read straight from the wire). Every bucket field is a
+// plain sum, so merging is exact bucket-wise addition — the
+// multi-router aggregation requirement. The encoding must carry s's
+// magic, geometry and seed at exactly its length; otherwise AddBinary
+// returns an error and s is unchanged. With apply false it only
+// validates.
+func (s *Sketch) AddBinary(data []byte, apply bool) error {
 	if len(data) < 32 {
 		return fmt.Errorf("invsketch: truncated header (%d bytes)", len(data))
 	}
-	if binary.LittleEndian.Uint32(data) != sketchMagic {
-		return fmt.Errorf("invsketch: bad magic %#x", binary.LittleEndian.Uint32(data))
+	if m := binary.LittleEndian.Uint32(data); m != sketchMagic {
+		return fmt.Errorf("invsketch: bad magic %#x", m)
 	}
 	params := Params{
 		KeyBits: int(binary.LittleEndian.Uint32(data[4:])),
 		Stages:  int(binary.LittleEndian.Uint32(data[8:])),
 		Buckets: int(binary.LittleEndian.Uint32(data[12:])),
 	}
-	if err := params.Validate(); err != nil {
-		return fmt.Errorf("invsketch: unmarshal: %w", err)
+	if params != s.params {
+		return fmt.Errorf("invsketch: geometry %+v, want %+v", params, s.params)
 	}
-	seed := binary.LittleEndian.Uint64(data[16:])
-	total := int64(binary.LittleEndian.Uint64(data[24:]))
-	rowLen := params.Buckets * params.Fields()
-	want := 32 + 4*params.Stages*rowLen
-	if len(data) != want {
+	if seed := binary.LittleEndian.Uint64(data[16:]); seed != s.seed {
+		return fmt.Errorf("invsketch: seed %d, want %d", seed, s.seed)
+	}
+	if want := 32 + 4*s.params.Stages*s.params.Buckets*s.params.Fields(); len(data) != want {
 		return fmt.Errorf("invsketch: body length %d, want %d", len(data), want)
 	}
-	fresh, err := New(params, seed)
-	if err != nil {
-		return fmt.Errorf("invsketch: unmarshal: %w", err)
+	if !apply {
+		return nil
 	}
+	s.total += int64(binary.LittleEndian.Uint64(data[24:]))
 	off := 32
-	for j := range fresh.rows {
-		row := fresh.rows[j]
+	for j := range s.rows {
+		row := s.rows[j]
 		for i := range row {
-			row[i] = int32(binary.LittleEndian.Uint32(data[off:]))
+			row[i] += int32(binary.LittleEndian.Uint32(data[off:]))
 			off += 4
 		}
 	}
-	fresh.total = total
-	*s = *fresh
 	return nil
 }

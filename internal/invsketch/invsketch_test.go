@@ -209,10 +209,8 @@ func TestCombineLinearity(t *testing.T) {
 		union.Update(heavyKey, 200)
 		shards[i].Update(heavyKey, 200)
 	}
-	combined, err := Combine([]int32{1, 1, 1}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	combined := newTestSketch(t, p, 0x77)
+	addAll(t, combined, shards...)
 	ub, _ := union.MarshalBinary()
 	cb, _ := combined.MarshalBinary()
 	if !bytes.Equal(ub, cb) {
@@ -234,15 +232,35 @@ func TestCombineLinearity(t *testing.T) {
 func TestCombineRejectsIncompatible(t *testing.T) {
 	a := newTestSketch(t, testParams(), 1)
 	b := newTestSketch(t, testParams(), 2)
-	if _, err := Combine([]int32{1, 1}, []*Sketch{a, b}); err == nil {
+	if err := a.AddBinary(mustMarshal(t, b), true); err == nil {
 		t.Fatal("combine across seeds succeeded")
 	}
 	p2 := testParams()
 	p2.Buckets <<= 1
 	c := newTestSketch(t, p2, 1)
-	if _, err := Combine([]int32{1, 1}, []*Sketch{a, c}); err == nil {
+	if err := a.AddBinary(mustMarshal(t, c), true); err == nil {
 		t.Fatal("combine across geometries succeeded")
 	}
+}
+
+// addAll adds each source's MarshalBinary encoding into dst.
+func addAll(t *testing.T, dst *Sketch, srcs ...*Sketch) {
+	t.Helper()
+	for _, src := range srcs {
+		if err := dst.AddBinary(mustMarshal(t, src), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// mustMarshal serializes a sketch.
+func mustMarshal(t *testing.T, s *Sketch) []byte {
+	t.Helper()
+	data, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestMarshalRoundTrip: serialize → deserialize → identical bytes and
@@ -258,8 +276,8 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var loaded Sketch
-	if err := loaded.UnmarshalBinary(data); err != nil {
+	loaded := newTestSketch(t, s.Params(), s.Seed())
+	if err := loaded.AddBinary(data, true); err != nil {
 		t.Fatal(err)
 	}
 	data2, err := loaded.MarshalBinary()
@@ -283,16 +301,16 @@ func TestMarshalRoundTrip(t *testing.T) {
 
 // TestUnmarshalRejectsGarbage covers the validation paths.
 func TestUnmarshalRejectsGarbage(t *testing.T) {
-	var s Sketch
-	if err := s.UnmarshalBinary(nil); err == nil {
+	s := newTestSketch(t, testParams(), 9)
+	if err := s.AddBinary(nil, true); err == nil {
 		t.Error("nil input accepted")
 	}
-	if err := s.UnmarshalBinary(make([]byte, 40)); err == nil {
+	if err := s.AddBinary(make([]byte, 40), true); err == nil {
 		t.Error("zero magic accepted")
 	}
 	good := newTestSketch(t, testParams(), 9)
 	data, _ := good.MarshalBinary()
-	if err := s.UnmarshalBinary(data[:len(data)-1]); err == nil {
+	if err := s.AddBinary(data[:len(data)-1], true); err == nil {
 		t.Error("truncated body accepted")
 	}
 }

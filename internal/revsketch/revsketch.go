@@ -89,9 +89,8 @@ type Sketch struct {
 
 // New builds an empty reversible sketch. Equal params and seed ⇒ identical
 // hashing ⇒ combinable (the multi-router aggregation requirement).
-// Construction allocates by design and runs at setup or interval
-// boundaries — even when reached from COMBINE, it is off the per-packet
-// path.
+// Construction allocates by design and runs at setup, off the
+// per-packet path.
 //
 //hifind:cold
 func New(params Params, seed uint64) (*Sketch, error) {
@@ -302,39 +301,6 @@ func (s *Sketch) Reset() {
 	s.total = 0
 }
 
-// Compatible reports whether two sketches can be combined.
-func (s *Sketch) Compatible(o *Sketch) bool {
-	return s.params == o.params && s.seed == o.seed
-}
-
-// Combine computes Σ cᵢ·Sᵢ over compatible reversible sketches (COMBINE).
-func Combine(coeffs []int32, sketches []*Sketch) (*Sketch, error) {
-	if len(sketches) == 0 {
-		return nil, fmt.Errorf("revsketch: combine of zero sketches")
-	}
-	if len(coeffs) != len(sketches) {
-		return nil, fmt.Errorf("revsketch: %d coefficients for %d sketches", len(coeffs), len(sketches))
-	}
-	out, err := New(sketches[0].params, sketches[0].seed)
-	if err != nil {
-		return nil, err
-	}
-	for n, in := range sketches {
-		if !out.Compatible(in) {
-			return nil, fmt.Errorf("revsketch: operand %d incompatible", n)
-		}
-		c := coeffs[n]
-		for j := range out.counts {
-			dst, src := out.counts[j], in.counts[j]
-			for i := range dst {
-				dst[i] += c * src[i]
-			}
-		}
-		out.total += int64(c) * in.total
-	}
-	return out, nil
-}
-
 // MemoryBytes returns the counter footprint (word tables are shared
 // read-only hash state, counted separately by callers that care).
 func (s *Sketch) MemoryBytes() int {
@@ -361,13 +327,18 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary reverses MarshalBinary.
-func (s *Sketch) UnmarshalBinary(data []byte) error {
+// AddBinary adds a MarshalBinary encoding into s (COMBINE with unit
+// coefficients, read straight from the wire). The encoding must carry
+// s's magic, geometry and seed at exactly its length; otherwise
+// AddBinary returns an error and s is unchanged. With apply false it
+// only validates. The word tables are never rebuilt: equal params and
+// seed already mean identical hashing.
+func (s *Sketch) AddBinary(data []byte, apply bool) error {
 	if len(data) < 36 {
 		return fmt.Errorf("revsketch: truncated header (%d bytes)", len(data))
 	}
-	if binary.LittleEndian.Uint32(data) != sketchMagic {
-		return fmt.Errorf("revsketch: bad magic %#x", binary.LittleEndian.Uint32(data))
+	if m := binary.LittleEndian.Uint32(data); m != sketchMagic {
+		return fmt.Errorf("revsketch: bad magic %#x", m)
 	}
 	params := Params{
 		KeyBits: int(binary.LittleEndian.Uint32(data[4:])),
@@ -375,28 +346,26 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		Stages:  int(binary.LittleEndian.Uint32(data[12:])),
 		Buckets: int(binary.LittleEndian.Uint32(data[16:])),
 	}
-	if err := params.Validate(); err != nil {
-		return fmt.Errorf("revsketch: unmarshal: %w", err)
+	if params != s.params {
+		return fmt.Errorf("revsketch: geometry %+v, want %+v", params, s.params)
 	}
-	seed := binary.LittleEndian.Uint64(data[20:])
-	total := int64(binary.LittleEndian.Uint64(data[28:]))
-	want := 36 + 4*params.Stages*params.Buckets
-	if len(data) != want {
+	if seed := binary.LittleEndian.Uint64(data[20:]); seed != s.seed {
+		return fmt.Errorf("revsketch: seed %d, want %d", seed, s.seed)
+	}
+	if want := 36 + 4*s.params.Stages*s.params.Buckets; len(data) != want {
 		return fmt.Errorf("revsketch: body length %d, want %d", len(data), want)
 	}
-	fresh, err := New(params, seed)
-	if err != nil {
-		return fmt.Errorf("revsketch: unmarshal: %w", err)
+	if !apply {
+		return nil
 	}
+	s.total += int64(binary.LittleEndian.Uint64(data[28:]))
 	off := 36
-	for j := range fresh.counts {
-		row := fresh.counts[j]
+	for j := range s.counts {
+		row := s.counts[j]
 		for i := range row {
-			row[i] = int32(binary.LittleEndian.Uint32(data[off:]))
+			row[i] += int32(binary.LittleEndian.Uint32(data[off:]))
 			off += 4
 		}
 	}
-	fresh.total = total
-	*s = *fresh
 	return nil
 }

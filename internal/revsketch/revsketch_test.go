@@ -341,10 +341,8 @@ func TestCombineThenInference(t *testing.T) {
 			}
 		}
 	}
-	agg, err := Combine([]int32{1, 1, 1}, routers)
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg := mustNew(t, p, seed)
+	addAll(t, agg, routers...)
 	got, err := agg.InferenceCounts(450, InferenceOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -357,15 +355,29 @@ func TestCombineThenInference(t *testing.T) {
 func TestCombineRejectsIncompatible(t *testing.T) {
 	a := mustNew(t, smallParams(), 1)
 	b := mustNew(t, smallParams(), 2)
-	if _, err := Combine([]int32{1, 1}, []*Sketch{a, b}); err == nil {
+	if err := a.AddBinary(mustMarshal(t, b), true); err == nil {
 		t.Error("different seeds accepted")
 	}
-	if _, err := Combine([]int32{1}, []*Sketch{a, a}); err == nil {
-		t.Error("coefficient mismatch accepted")
+}
+
+// addAll adds each source's MarshalBinary encoding into dst.
+func addAll(t *testing.T, dst *Sketch, srcs ...*Sketch) {
+	t.Helper()
+	for _, src := range srcs {
+		if err := dst.AddBinary(mustMarshal(t, src), true); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := Combine(nil, nil); err == nil {
-		t.Error("empty combine accepted")
+}
+
+// mustMarshal serializes a sketch.
+func mustMarshal(t *testing.T, s *Sketch) []byte {
+	t.Helper()
+	data, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
+	return data
 }
 
 func TestResetKeepsHashing(t *testing.T) {
@@ -395,11 +407,11 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Sketch
-	if err := back.UnmarshalBinary(data); err != nil {
+	back := mustNew(t, s.Params(), s.Seed())
+	if err := back.AddBinary(data, true); err != nil {
 		t.Fatal(err)
 	}
-	if !back.Compatible(s) || back.Total() != s.Total() {
+	if back.Total() != s.Total() {
 		t.Fatal("metadata differs after round trip")
 	}
 	// Inference over the deserialized sketch must still reverse keys.
@@ -418,16 +430,16 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Sketch
-	if err := back.UnmarshalBinary(data[:8]); err == nil {
+	back := mustNew(t, s.Params(), s.Seed())
+	if err := back.AddBinary(data[:8], true); err == nil {
 		t.Error("truncated header accepted")
 	}
-	if err := back.UnmarshalBinary(data[:len(data)-1]); err == nil {
+	if err := back.AddBinary(data[:len(data)-1], true); err == nil {
 		t.Error("short body accepted")
 	}
 	bad := append([]byte(nil), data...)
 	bad[3] ^= 0x80
-	if err := back.UnmarshalBinary(bad); err == nil {
+	if err := back.AddBinary(bad, true); err == nil {
 		t.Error("bad magic accepted")
 	}
 }

@@ -45,8 +45,7 @@ type Sketch struct {
 
 // New builds an empty sketch. Sketches built with equal params and seed
 // share hash functions and may be combined. Construction allocates by
-// design and runs at setup or interval boundaries — even when reached
-// from COMBINE, it is off the per-packet path.
+// design and runs at setup, off the per-packet path.
 //
 //hifind:cold
 func New(params Params, seed uint64) (*Sketch, error) {
@@ -172,43 +171,6 @@ func (s *Sketch) Reset() {
 	s.total = 0
 }
 
-// Compatible reports whether two sketches share geometry and hashing and
-// can therefore be combined.
-func (s *Sketch) Compatible(o *Sketch) bool {
-	return s.params == o.params && s.seed == o.seed
-}
-
-// Combine computes the linear combination Σ cᵢ·Sᵢ of compatible sketches
-// (paper Table 2 COMBINE) into a fresh sketch. This is what lets HiFIND
-// aggregate per-router sketches at a central site: by linearity the result
-// is the sketch that a single router seeing all traffic would have built.
-func Combine(coeffs []int32, sketches []*Sketch) (*Sketch, error) {
-	if len(sketches) == 0 {
-		return nil, fmt.Errorf("sketch: combine of zero sketches")
-	}
-	if len(coeffs) != len(sketches) {
-		return nil, fmt.Errorf("sketch: %d coefficients for %d sketches", len(coeffs), len(sketches))
-	}
-	out, err := New(sketches[0].params, sketches[0].seed)
-	if err != nil {
-		return nil, err
-	}
-	for n, in := range sketches {
-		if !out.Compatible(in) {
-			return nil, fmt.Errorf("sketch: operand %d incompatible (params %+v seed %d)", n, in.params, in.seed)
-		}
-		c := coeffs[n]
-		for i := range out.counts {
-			dst, src := out.counts[i], in.counts[i]
-			for j := range dst {
-				dst[j] += c * src[j]
-			}
-		}
-		out.total += int64(c) * in.total
-	}
-	return out, nil
-}
-
 // MemoryBytes returns the counter memory footprint, the number the paper's
 // Table 9 compares against per-flow tables.
 func (s *Sketch) MemoryBytes() int {
@@ -236,41 +198,45 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary reverses MarshalBinary, rebuilding hash functions from
-// the serialized seed.
-func (s *Sketch) UnmarshalBinary(data []byte) error {
+// AddBinary adds a MarshalBinary encoding into s: COMBINE (paper Table
+// 2) with unit coefficients, read straight from the wire. This is what
+// lets HiFIND aggregate per-router sketches at a central site: by
+// linearity the sum is the sketch a single router seeing all traffic
+// would have built. The encoding must carry s's magic, geometry and
+// seed at exactly its length; otherwise AddBinary returns an error and
+// s is unchanged. With apply false it only validates, so a caller
+// adding several encodings can check them all before changing anything.
+func (s *Sketch) AddBinary(data []byte, apply bool) error {
 	if len(data) < 28 {
 		return fmt.Errorf("sketch: truncated header (%d bytes)", len(data))
 	}
-	if binary.LittleEndian.Uint32(data) != sketchMagic {
-		return fmt.Errorf("sketch: bad magic %#x", binary.LittleEndian.Uint32(data))
+	if m := binary.LittleEndian.Uint32(data); m != sketchMagic {
+		return fmt.Errorf("sketch: bad magic %#x", m)
 	}
 	params := Params{
 		Stages:  int(binary.LittleEndian.Uint32(data[4:])),
 		Buckets: int(binary.LittleEndian.Uint32(data[8:])),
 	}
-	seed := binary.LittleEndian.Uint64(data[12:])
-	total := int64(binary.LittleEndian.Uint64(data[20:]))
-	want := 28 + 4*params.Stages*params.Buckets
-	if err := params.Validate(); err != nil {
-		return fmt.Errorf("sketch: unmarshal: %w", err)
+	if params != s.params {
+		return fmt.Errorf("sketch: geometry %+v, want %+v", params, s.params)
 	}
-	if len(data) != want {
+	if seed := binary.LittleEndian.Uint64(data[12:]); seed != s.seed {
+		return fmt.Errorf("sketch: seed %d, want %d", seed, s.seed)
+	}
+	if want := 28 + 4*s.params.Stages*s.params.Buckets; len(data) != want {
 		return fmt.Errorf("sketch: body length %d, want %d", len(data), want)
 	}
-	fresh, err := New(params, seed)
-	if err != nil {
-		return fmt.Errorf("sketch: unmarshal: %w", err)
+	if !apply {
+		return nil
 	}
+	s.total += int64(binary.LittleEndian.Uint64(data[20:]))
 	off := 28
-	for i := range fresh.counts {
-		row := fresh.counts[i]
+	for i := range s.counts {
+		row := s.counts[i]
 		for j := range row {
-			row[j] = int32(binary.LittleEndian.Uint32(data[off:]))
+			row[j] += int32(binary.LittleEndian.Uint32(data[off:]))
 			off += 4
 		}
 	}
-	fresh.total = total
-	*s = *fresh
 	return nil
 }

@@ -101,16 +101,14 @@ func TestCombineIsLinear(t *testing.T) {
 		k, v := rng.Uint64(), int32(rng.Intn(10)+1)
 		if i%2 == 0 {
 			a.Update(k, v)
-			ref.Update(k, 2*v) // coefficient 2 below
+			ref.Update(k, 2*v) // a is added twice below
 		} else {
 			b.Update(k, v)
-			ref.Update(k, 3*v) // coefficient 3 below
+			ref.Update(k, 3*v) // b is added three times below
 		}
 	}
-	got, err := Combine([]int32{2, 3}, []*Sketch{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mustNew(t, p, seed)
+	addAll(t, got, a, a, b, b, b)
 	for i := range got.counts {
 		for j := range got.counts[i] {
 			if got.counts[i][j] != ref.counts[i][j] {
@@ -136,10 +134,8 @@ func TestCombineAggregationEquivalence(t *testing.T) {
 		routers[rng.Intn(3)].Update(k, v)
 		single.Update(k, v)
 	}
-	agg, err := Combine([]int32{1, 1, 1}, routers)
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg := mustNew(t, p, seed)
+	addAll(t, agg, routers...)
 	for i := range agg.counts {
 		for j := range agg.counts[i] {
 			if agg.counts[i][j] != single.counts[i][j] {
@@ -152,19 +148,33 @@ func TestCombineAggregationEquivalence(t *testing.T) {
 func TestCombineRejectsIncompatible(t *testing.T) {
 	a := mustNew(t, Params{Stages: 4, Buckets: 64}, 1)
 	b := mustNew(t, Params{Stages: 4, Buckets: 128}, 1)
-	if _, err := Combine([]int32{1, 1}, []*Sketch{a, b}); err == nil {
+	if err := a.AddBinary(mustMarshal(t, b), true); err == nil {
 		t.Error("combine of different geometries accepted")
 	}
 	c := mustNew(t, Params{Stages: 4, Buckets: 64}, 2)
-	if _, err := Combine([]int32{1, 1}, []*Sketch{a, c}); err == nil {
+	if err := a.AddBinary(mustMarshal(t, c), true); err == nil {
 		t.Error("combine of different seeds accepted")
 	}
-	if _, err := Combine([]int32{1}, []*Sketch{a, a}); err == nil {
-		t.Error("coefficient count mismatch accepted")
+}
+
+// addAll adds each source's MarshalBinary encoding into dst.
+func addAll(t *testing.T, dst *Sketch, srcs ...*Sketch) {
+	t.Helper()
+	for _, src := range srcs {
+		if err := dst.AddBinary(mustMarshal(t, src), true); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := Combine(nil, nil); err == nil {
-		t.Error("empty combine accepted")
+}
+
+// mustMarshal serializes a sketch.
+func mustMarshal(t *testing.T, s *Sketch) []byte {
+	t.Helper()
+	data, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
+	return data
 }
 
 func TestResetClears(t *testing.T) {
@@ -196,11 +206,11 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Sketch
-	if err := back.UnmarshalBinary(data); err != nil {
+	back := mustNew(t, s.Params(), s.Seed())
+	if err := back.AddBinary(data, true); err != nil {
 		t.Fatal(err)
 	}
-	if !back.Compatible(s) || back.Total() != s.Total() {
+	if back.Total() != s.Total() {
 		t.Fatal("round-tripped sketch metadata differs")
 	}
 	for i := range s.counts {
@@ -210,10 +220,6 @@ func TestMarshalRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// The deserialized sketch must remain combinable with the original.
-	if _, err := Combine([]int32{1, -1}, []*Sketch{s, &back}); err != nil {
-		t.Errorf("combine with deserialized sketch: %v", err)
-	}
 }
 
 func TestUnmarshalRejectsCorrupt(t *testing.T) {
@@ -222,16 +228,16 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Sketch
-	if err := back.UnmarshalBinary(data[:10]); err == nil {
+	back := mustNew(t, s.Params(), s.Seed())
+	if err := back.AddBinary(data[:10], true); err == nil {
 		t.Error("truncated data accepted")
 	}
 	bad := append([]byte(nil), data...)
 	bad[0] ^= 0xff
-	if err := back.UnmarshalBinary(bad); err == nil {
+	if err := back.AddBinary(bad, true); err == nil {
 		t.Error("bad magic accepted")
 	}
-	if err := back.UnmarshalBinary(data[:len(data)-4]); err == nil {
+	if err := back.AddBinary(data[:len(data)-4], true); err == nil {
 		t.Error("short body accepted")
 	}
 }

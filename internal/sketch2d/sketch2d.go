@@ -53,9 +53,8 @@ type Sketch struct {
 }
 
 // New builds an empty 2D sketch; equal params and seed ⇒ combinable.
-// Construction allocates by design and runs at setup or interval
-// boundaries — even when reached from COMBINE, it is off the per-packet
-// path.
+// Construction allocates by design and runs at setup, off the
+// per-packet path.
 //
 //hifind:cold
 func New(params Params, seed uint64) (*Sketch, error) {
@@ -257,41 +256,6 @@ func (s *Sketch) Reset() {
 // Total returns the sum of all update values.
 func (s *Sketch) Total() int64 { return s.total }
 
-// Compatible reports whether two sketches can be combined.
-func (s *Sketch) Compatible(o *Sketch) bool {
-	return s.params == o.params && s.seed == o.seed
-}
-
-// Combine computes Σ cᵢ·Sᵢ over compatible 2D sketches, the aggregation
-// path for multi-router deployments (paper §3.1 applies it to 2D sketches
-// "in the same way").
-func Combine(coeffs []int32, sketches []*Sketch) (*Sketch, error) {
-	if len(sketches) == 0 {
-		return nil, fmt.Errorf("sketch2d: combine of zero sketches")
-	}
-	if len(coeffs) != len(sketches) {
-		return nil, fmt.Errorf("sketch2d: %d coefficients for %d sketches", len(coeffs), len(sketches))
-	}
-	out, err := New(sketches[0].params, sketches[0].seed)
-	if err != nil {
-		return nil, err
-	}
-	for n, in := range sketches {
-		if !out.Compatible(in) {
-			return nil, fmt.Errorf("sketch2d: operand %d incompatible", n)
-		}
-		c := coeffs[n]
-		for j := range out.counts {
-			dst, src := out.counts[j], in.counts[j]
-			for i := range dst {
-				dst[i] += c * src[i]
-			}
-		}
-		out.total += int64(c) * in.total
-	}
-	return out, nil
-}
-
 // MemoryBytes returns the counter footprint.
 func (s *Sketch) MemoryBytes() int {
 	return s.params.Stages * s.params.XBuckets * s.params.YBuckets * 4
@@ -317,41 +281,43 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary reverses MarshalBinary.
-func (s *Sketch) UnmarshalBinary(data []byte) error {
+// AddBinary adds a MarshalBinary encoding into s, the aggregation path
+// for multi-router deployments (paper §3.1 applies COMBINE to 2D
+// sketches "in the same way"). The encoding must carry s's magic,
+// geometry and seed at exactly its length; otherwise AddBinary returns
+// an error and s is unchanged. With apply false it only validates.
+func (s *Sketch) AddBinary(data []byte, apply bool) error {
 	if len(data) < 32 {
 		return fmt.Errorf("sketch2d: truncated header (%d bytes)", len(data))
 	}
-	if binary.LittleEndian.Uint32(data) != sketchMagic {
-		return fmt.Errorf("sketch2d: bad magic %#x", binary.LittleEndian.Uint32(data))
+	if m := binary.LittleEndian.Uint32(data); m != sketchMagic {
+		return fmt.Errorf("sketch2d: bad magic %#x", m)
 	}
 	params := Params{
 		Stages:   int(binary.LittleEndian.Uint32(data[4:])),
 		XBuckets: int(binary.LittleEndian.Uint32(data[8:])),
 		YBuckets: int(binary.LittleEndian.Uint32(data[12:])),
 	}
-	if err := params.Validate(); err != nil {
-		return fmt.Errorf("sketch2d: unmarshal: %w", err)
+	if params != s.params {
+		return fmt.Errorf("sketch2d: geometry %+v, want %+v", params, s.params)
 	}
-	seed := binary.LittleEndian.Uint64(data[16:])
-	total := int64(binary.LittleEndian.Uint64(data[24:]))
-	want := 32 + 4*params.Stages*params.XBuckets*params.YBuckets
-	if len(data) != want {
+	if seed := binary.LittleEndian.Uint64(data[16:]); seed != s.seed {
+		return fmt.Errorf("sketch2d: seed %d, want %d", seed, s.seed)
+	}
+	if want := 32 + 4*s.params.Stages*s.params.XBuckets*s.params.YBuckets; len(data) != want {
 		return fmt.Errorf("sketch2d: body length %d, want %d", len(data), want)
 	}
-	fresh, err := New(params, seed)
-	if err != nil {
-		return fmt.Errorf("sketch2d: unmarshal: %w", err)
+	if !apply {
+		return nil
 	}
+	s.total += int64(binary.LittleEndian.Uint64(data[24:]))
 	off := 32
-	for j := range fresh.counts {
-		row := fresh.counts[j]
+	for j := range s.counts {
+		row := s.counts[j]
 		for i := range row {
-			row[i] = int32(binary.LittleEndian.Uint32(data[off:]))
+			row[i] += int32(binary.LittleEndian.Uint32(data[off:]))
 			off += 4
 		}
 	}
-	fresh.total = total
-	*s = *fresh
 	return nil
 }

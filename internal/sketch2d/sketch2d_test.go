@@ -191,10 +191,8 @@ func TestCombineMatchesSingleSketch(t *testing.T) {
 		}
 		single.Update(x, y, v)
 	}
-	agg, err := Combine([]int32{1, 1}, []*Sketch{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg := mustNew(t, p, seed)
+	addAll(t, agg, a, b)
 	for j := range agg.counts {
 		for i := range agg.counts[j] {
 			if agg.counts[j][i] != single.counts[j][i] {
@@ -210,15 +208,29 @@ func TestCombineMatchesSingleSketch(t *testing.T) {
 func TestCombineRejectsIncompatible(t *testing.T) {
 	a := mustNew(t, testParams(), 1)
 	b := mustNew(t, testParams(), 2)
-	if _, err := Combine([]int32{1, 1}, []*Sketch{a, b}); err == nil {
+	if err := a.AddBinary(mustMarshal(t, b), true); err == nil {
 		t.Error("different seeds accepted")
 	}
-	if _, err := Combine([]int32{1}, []*Sketch{a, a}); err == nil {
-		t.Error("coefficient mismatch accepted")
+}
+
+// addAll adds each source's MarshalBinary encoding into dst.
+func addAll(t *testing.T, dst *Sketch, srcs ...*Sketch) {
+	t.Helper()
+	for _, src := range srcs {
+		if err := dst.AddBinary(mustMarshal(t, src), true); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := Combine(nil, nil); err == nil {
-		t.Error("empty combine accepted")
+}
+
+// mustMarshal serializes a sketch.
+func mustMarshal(t *testing.T, s *Sketch) []byte {
+	t.Helper()
+	data, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
+	return data
 }
 
 func TestResetClears(t *testing.T) {
@@ -245,11 +257,11 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Sketch
-	if err := back.UnmarshalBinary(data); err != nil {
+	back := mustNew(t, s.Params(), s.Seed())
+	if err := back.AddBinary(data, true); err != nil {
 		t.Fatal(err)
 	}
-	if !back.Compatible(s) || back.Total() != s.Total() {
+	if back.Total() != s.Total() {
 		t.Fatal("metadata differs")
 	}
 	for j := range s.counts {
@@ -259,13 +271,13 @@ func TestMarshalRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	var corrupt Sketch
-	if err := corrupt.UnmarshalBinary(data[:16]); err == nil {
+	corrupt := mustNew(t, s.Params(), s.Seed())
+	if err := corrupt.AddBinary(data[:16], true); err == nil {
 		t.Error("truncated accepted")
 	}
 	bad := append([]byte(nil), data...)
 	bad[0] ^= 1
-	if err := corrupt.UnmarshalBinary(bad); err == nil {
+	if err := corrupt.AddBinary(bad, true); err == nil {
 		t.Error("bad magic accepted")
 	}
 }

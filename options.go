@@ -199,7 +199,8 @@ func WithMinSynRatio(r float64) Option {
 //
 // The option changes the recorder's structure set, so every participant
 // of an aggregated deployment (remote Recorders, checkpoint files) must
-// agree on it; mixing modes fails loudly at Merge/Unmarshal time.
+// agree on it; mixing modes fails loudly when a state is merged or a
+// checkpoint restored.
 func WithInvertibleInference() Option {
 	return func(c *config) error {
 		c.invertible = true
@@ -219,8 +220,7 @@ func WithInvertibleInference() Option {
 //
 // Serialized snapshots are always flushed first, so the wire format is
 // unchanged and snapshots interchange freely with cache-less
-// participants; merging live Recorder objects with differing cache
-// configurations, by contrast, fails loudly.
+// participants.
 func WithFlowCache(entries int) Option {
 	return func(c *config) error {
 		if entries < 1 {
