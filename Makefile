@@ -23,7 +23,7 @@ vet:
 # hifindlint is this repository's own analyzer (internal/analyze): a
 # cross-package dataflow engine enforcing the sketch-path invariants —
 # allocation-free UPDATE/ESTIMATE/COMBINE (propagated transitively over
-# the call graph), consistent sync/atomic field access, joined library
+# the call graph), lock discipline on mutex-guarded fields, joined library
 # goroutines, determinism of estimation and marshal paths, and
 # config-derived channel capacities on ingestion paths. Suppress a
 # finding with `//lint:ignore <rule> <reason>` on or above the line.

@@ -152,59 +152,69 @@ fi
 echo "smoke: flow cache wired (nonzero hit counter, clean exit)"
 
 # ---------------------------------------------------------------------
-# The -workers flag went with the key-sharded pipeline: a stale runbook
-# must fail at flag parsing (exit status 2), not run sequentially in
-# silence.
-echo "smoke: -workers must be rejected"
+# Flags that went with earlier simplifications must fail at flag parsing
+# (exit status 2), so a stale runbook cannot run in silence: -workers
+# went with the key-sharded pipeline, the burst slot count into
+# -detectors, the live flow queue into a constant and -of into -routers.
+for gone in "-workers 2" "-burst-slots 8" "-flow-queue 8" "-of 3"; do
+    name=${gone%% *}
+    echo "smoke: $name must be rejected"
+    rc=0
+    # shellcheck disable=SC2086 # $gone is a flag and its value
+    "$workdir/hifind" -pcap "$workdir/smoke.pcap" -edge 129.105.0.0/16 $gone \
+        >"$workdir/stdout-gone.log" 2>"$workdir/stderr-gone.log" || rc=$?
+    if [ "$rc" -ne 2 ] || ! grep -q "flag provided but not defined: $name" "$workdir/stderr-gone.log"; then
+        echo "smoke: hifind $gone exited $rc, want 2 with 'flag provided but not defined'" >&2
+        cat "$workdir/stderr-gone.log" >&2
+        exit 1
+    fi
+done
+
+echo "smoke: -detectors bogus must be rejected"
 rc=0
-"$workdir/hifind" -pcap "$workdir/smoke.pcap" -edge 129.105.0.0/16 -workers 2 \
-    >"$workdir/stdout-workers.log" 2>"$workdir/stderr-workers.log" || rc=$?
-if [ "$rc" -ne 2 ] || ! grep -q 'flag provided but not defined: -workers' "$workdir/stderr-workers.log"; then
-    echo "smoke: hifind -workers 2 exited $rc, want 2 with 'flag provided but not defined'" >&2
-    cat "$workdir/stderr-workers.log" >&2
+"$workdir/hifind" -pcap "$workdir/smoke.pcap" -edge 129.105.0.0/16 -detectors bogus \
+    >"$workdir/stdout-bogus.log" 2>"$workdir/stderr-bogus.log" || rc=$?
+if [ "$rc" -ne 1 ] || ! grep -q 'valid: burst, persist, reflection' "$workdir/stderr-bogus.log"; then
+    echo "smoke: hifind -detectors bogus exited $rc, want 1 naming the valid detectors" >&2
+    cat "$workdir/stderr-bogus.log" >&2
     exit 1
 fi
 
 # ---------------------------------------------------------------------
-# Burst detection: replay the burst-pulse scenario trace with the
-# sub-interval burst detector on and require at least one burst-flood
-# alert in the NDJSON output — the pulses stay under the interval
-# threshold, so any alert here proves the whole new-detector path
-# (tracegen preset -> -burst-slots -> alert rendering) is wired.
-echo "smoke: burst-pulse scenario with -burst-slots 8"
-"$workdir/tracegen" -preset burst -intervals 6 -out "$workdir/burst.pcap" >/dev/null
-
-"$workdir/hifind" -pcap "$workdir/burst.pcap" -edge 129.105.0.0/16 \
-    -burst-slots 8 -json -http 127.0.0.1:0 -linger \
-    >"$workdir/stdout-burst.log" 2>"$workdir/stderr-burst.log" &
-pid=$!
-
-for _ in $(seq 1 100); do
-    grep -q "intervals analyzed" "$workdir/stdout-burst.log" && break
-    if ! kill -0 "$pid" 2>/dev/null; then
-        echo "smoke: burst replay exited before finishing" >&2
-        cat "$workdir/stderr-burst.log" >&2
+# Auxiliary detectors: replay each evasion scenario's tracegen preset
+# with its detector enabled and require the startup event to name the
+# detector and the NDJSON stream to carry its alert type. The attacks
+# stay under the interval threshold, so any such alert proves the path
+# (tracegen preset -> -detectors -> alert rendering) is wired. The
+# stealth preset needs 9 intervals for the 3-interval persistence streak.
+for spec in burst:burst:burst-flood stealth:persist:persist-scan reflection:reflection:reflection; do
+    preset=${spec%%:*}
+    rest=${spec#*:}
+    detector=${rest%%:*}
+    alert=${rest#*:}
+    echo "smoke: $preset scenario with -detectors $detector"
+    "$workdir/tracegen" -preset "$preset" -intervals 9 -out "$workdir/$preset.pcap" >/dev/null
+    rc=0
+    "$workdir/hifind" -pcap "$workdir/$preset.pcap" -edge 129.105.0.0/16 \
+        -detectors "$detector" -json \
+        >"$workdir/stdout-$preset.log" 2>"$workdir/stderr-$preset.log" || rc=$?
+    if [ "$rc" -ne 0 ]; then
+        echo "smoke: $preset replay exited $rc, want 0" >&2
+        cat "$workdir/stderr-$preset.log" >&2
         exit 1
     fi
-    sleep 0.1
+    grep '"kind":"startup"' "$workdir/stdout-$preset.log" | grep -qF "\"detectors\":[\"$detector\"]" || {
+        echo "smoke: $preset startup event does not name detector $detector" >&2
+        head -1 "$workdir/stdout-$preset.log" >&2
+        exit 1
+    }
+    grep -qF "\"type\":\"$alert\"" "$workdir/stdout-$preset.log" || {
+        echo "smoke: $preset replay produced no $alert alert" >&2
+        head -20 "$workdir/stdout-$preset.log" >&2
+        exit 1
+    }
+    echo "smoke: $alert alert observed"
 done
-
-grep -q '"type":"burst-flood"' "$workdir/stdout-burst.log" || {
-    echo "smoke: burst replay produced no burst-flood alert" >&2
-    head -20 "$workdir/stdout-burst.log" >&2
-    exit 1
-}
-
-kill -INT "$pid"
-rc=0
-wait "$pid" || rc=$?
-pid=""
-if [ "$rc" -ne 0 ]; then
-    echo "smoke: burst replay exited $rc after SIGINT, want 0" >&2
-    cat "$workdir/stderr-burst.log" >&2
-    exit 1
-fi
-echo "smoke: burst-flood alert observed, clean exit"
 
 # ---------------------------------------------------------------------
 # Multi-router aggregation under a router crash: run a 3-router split of
@@ -237,7 +247,7 @@ fi
 echo "smoke: collector on $agg_addr"
 
 start_router() {
-    "$workdir/hifind" -report "$agg_addr" -router "$1" -of 3 \
+    "$workdir/hifind" -report "$agg_addr" -router "$1" -routers 3 \
         -pcap "$workdir/smoke.pcap" -edge 129.105.0.0/16 \
         -epochs 6 -start-epoch "$2" -pace 1s -compact \
         >"$workdir/router$1.log" 2>&1 &

@@ -6,7 +6,7 @@
 // deployment on one machine:
 //
 //	hifind -collect 127.0.0.1:7400 -routers 3 -epochs 6 -compact
-//	hifind -report 127.0.0.1:7400 -router 0 -of 3 -pcap t.pcap -edge 129.105.0.0/16 -epochs 6 -compact
+//	hifind -report 127.0.0.1:7400 -router 0 -routers 3 -pcap t.pcap -edge 129.105.0.0/16 -epochs 6 -compact
 package main
 
 import (
@@ -38,7 +38,6 @@ type aggregateFlags struct {
 	report     string
 	routers    int
 	routerID   int
-	routerOf   int
 	epochs     int
 	startEpoch int
 	pace       time.Duration
@@ -49,9 +48,8 @@ func registerAggregateFlags() *aggregateFlags {
 	af := &aggregateFlags{}
 	flag.StringVar(&af.collect, "collect", "", "run the aggregation collector, listening for router reports on this address")
 	flag.StringVar(&af.report, "report", "", "run as an edge-router reporter, shipping interval state to this collector address")
-	flag.IntVar(&af.routers, "routers", 3, "(-collect) number of routers expected per interval")
+	flag.IntVar(&af.routers, "routers", 3, "number of routers: (-collect) expected per interval, (-report) in the capture split, selecting this router's share")
 	flag.IntVar(&af.routerID, "router", 0, "(-report) this router's id")
-	flag.IntVar(&af.routerOf, "of", 3, "(-report) total routers in the split — selects this router's share of the capture")
 	flag.IntVar(&af.epochs, "epochs", 6, "how many interval epochs to run")
 	flag.IntVar(&af.startEpoch, "start-epoch", 0, "(-report) first epoch to report (a restarted router skips what it missed)")
 	flag.DurationVar(&af.pace, "pace", 0, "(-report) real-time delay between epoch reports (0 = as fast as possible)")
@@ -163,8 +161,8 @@ func runReport(ctx context.Context, af *aggregateFlags, pcapPath string,
 	if pcapPath == "" {
 		return fmt.Errorf("-report requires -pcap")
 	}
-	if af.routerID < 0 || af.routerID >= af.routerOf {
-		return fmt.Errorf("-router %d out of range for -of %d", af.routerID, af.routerOf)
+	if af.routerID < 0 || af.routerID >= af.routers {
+		return fmt.Errorf("-router %d out of range for -routers %d", af.routerID, af.routers)
 	}
 	rcfg := aggregateRecorderConfig(compact)
 	edge, err := netmodel.NewEdgeNetwork(edgeCIDRs...)
@@ -182,7 +180,7 @@ func runReport(ctx context.Context, af *aggregateFlags, pcapPath string,
 	}
 	// Same splitter seed in every reporter process: packet k goes to the
 	// same router everywhere, so the shares partition the capture.
-	split, err := aggregate.NewSplitter(af.routerOf, sketchSeed)
+	split, err := aggregate.NewSplitter(af.routers, sketchSeed)
 	if err != nil {
 		return err
 	}

@@ -29,6 +29,7 @@ import (
 	"net/netip"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -48,28 +49,29 @@ func main() {
 
 func run() error {
 	var (
-		pcapPath   = flag.String("pcap", "", "libpcap capture to analyze")
-		nfPath     = flag.String("netflow", "", "length-delimited NetFlow v5 export file to analyze")
-		listen     = flag.String("listen", "", "UDP address to receive live NetFlow v5 exports on (runs until interrupted)")
-		edge       = flag.String("edge", "", "comma-separated CIDRs of the monitored network (required)")
-		interval   = flag.Duration("interval", time.Minute, "measurement interval")
-		threshold  = flag.Float64("threshold", 1, "detection threshold in unresponded SYNs per second")
-		alpha      = flag.Float64("alpha", 0.5, "EWMA smoothing constant")
-		compact    = flag.Bool("compact", false, "use compact (≈1.5MB) sketches instead of the paper's 13.2MB set")
-		inference  = flag.String("inference", "reverse", "offender-key recovery engine: reverse (reverse-hashing search) or invertible (O(buckets) sketch decode)")
-		phases     = flag.Bool("phases", false, "print raw and after-classification alerts too")
-		statePath  = flag.String("state", "", "checkpoint file: loaded at start if present, saved after every interval (live mode)")
-		httpAddr   = flag.String("http", "", "serve /metrics, /healthz, /debug/vars and /debug/pprof on this address (e.g. :9090)")
-		jsonOut    = flag.Bool("json", false, "emit alerts and interval summaries as NDJSON on stdout")
-		linger     = flag.Bool("linger", false, "after an offline replay, keep the -http endpoints up until interrupted")
-		flowQueue  = flag.Int("flow-queue", 1024, "live mode: capacity of the collector→detector flow queue (flows are dropped, not blocked on, when it is full)")
-		flowCache  = flag.Int("flowcache", 0, "entries of the exact flow-aggregation cache in front of the sketches (0 = disabled); state and alerts stay byte-identical, skewed traffic records faster")
-		burstSlots = flag.Int("burst-slots", 0, "cut each interval into N sub-interval windows and alert on single-window SYN pulses that stay under the interval threshold (0 = off)")
-		persist    = flag.Bool("persist", false, "detect persistent-and-sparse flows: sources probing below the per-interval threshold interval after interval")
-		reflection = flag.Bool("reflection", false, "detect reflection floods: unsolicited inbound SYN/ACK backscatter with no matching outbound SYNs")
+		pcapPath  = flag.String("pcap", "", "libpcap capture to analyze")
+		nfPath    = flag.String("netflow", "", "length-delimited NetFlow v5 export file to analyze")
+		listen    = flag.String("listen", "", "UDP address to receive live NetFlow v5 exports on (runs until interrupted)")
+		edge      = flag.String("edge", "", "comma-separated CIDRs of the monitored network (required)")
+		interval  = flag.Duration("interval", time.Minute, "measurement interval")
+		threshold = flag.Float64("threshold", 1, "detection threshold in unresponded SYNs per second")
+		alpha     = flag.Float64("alpha", 0.5, "EWMA smoothing constant")
+		compact   = flag.Bool("compact", false, "use compact (≈1.5MB) sketches instead of the paper's 13.2MB set")
+		inference = flag.String("inference", "reverse", "offender-key recovery engine: reverse (reverse-hashing search) or invertible (O(buckets) sketch decode)")
+		phases    = flag.Bool("phases", false, "print raw and after-classification alerts too")
+		statePath = flag.String("state", "", "checkpoint file: loaded at start if present, saved after every interval (live mode)")
+		httpAddr  = flag.String("http", "", "serve /metrics, /healthz, /debug/vars and /debug/pprof on this address (e.g. :9090)")
+		jsonOut   = flag.Bool("json", false, "emit alerts and interval summaries as NDJSON on stdout")
+		linger    = flag.Bool("linger", false, "after an offline replay, keep the -http endpoints up until interrupted")
+		flowCache = flag.Int("flowcache", 0, "entries of the exact flow-aggregation cache in front of the sketches (0 = disabled); state and alerts stay byte-identical, skewed traffic records faster")
+		detectors = flag.String("detectors", "", "comma-separated auxiliary detectors: burst (single-window SYN pulses under the interval threshold), persist (sources probing below the threshold interval after interval), reflection (unsolicited inbound SYN/ACK backscatter)")
 	)
 	af := registerAggregateFlags()
 	flag.Parse()
+	auxOpts, auxNames, err := parseDetectors(*detectors)
+	if err != nil {
+		return err
+	}
 
 	// Multi-router aggregation modes run their own loop: -collect is the
 	// central merge-and-detect site, -report an edge router shipping its
@@ -77,6 +79,9 @@ func run() error {
 	if af.collect != "" || af.report != "" {
 		if af.report != "" && (*pcapPath == "" || *edge == "") {
 			return fmt.Errorf("-report requires -pcap and -edge")
+		}
+		if len(auxNames) > 0 {
+			return fmt.Errorf("-detectors is not supported with -collect or -report")
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
@@ -126,15 +131,7 @@ func run() error {
 	if *flowCache > 0 {
 		opts = append(opts, hifind.WithFlowCache(*flowCache))
 	}
-	if *burstSlots > 0 {
-		opts = append(opts, hifind.WithBurstDetection(*burstSlots))
-	}
-	if *persist {
-		opts = append(opts, hifind.WithPersistentFlowDetection())
-	}
-	if *reflection {
-		opts = append(opts, hifind.WithReflectionDetection())
-	}
+	opts = append(opts, auxOpts...)
 	reg := telemetry.NewRegistry()
 	health := telemetry.NewHealth()
 	opts = append(opts, hifind.WithTelemetry(reg))
@@ -157,7 +154,7 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "telemetry on http://%s/metrics\n", srv.Addr())
 	}
 	if *listen != "" {
-		return runLive(ctx, det, *listen, strings.Split(*edge, ","), *interval, *statePath, *flowQueue, reg, health)
+		return runLive(ctx, det, *listen, strings.Split(*edge, ","), *interval, *statePath, reg, health)
 	}
 	path := *pcapPath
 	if path == "" {
@@ -176,14 +173,19 @@ func run() error {
 	if *flowCache > 0 {
 		cacheNote = fmt.Sprintf(", %d-entry flow cache", *flowCache)
 	}
-	fmt.Printf("HiFIND: %0.1f MB of sketches, %v intervals, threshold %.1f SYN/s, %s inference%s\n",
-		float64(det.MemoryBytes())/(1<<20), *interval, *threshold, det.InferenceEngine(), cacheNote)
+	auxNote := "none"
+	if len(auxNames) > 0 {
+		auxNote = strings.Join(auxNames, ",")
+	}
+	fmt.Printf("HiFIND: %0.1f MB of sketches, %v intervals, threshold %.1f SYN/s, %s inference%s, detectors %s\n",
+		float64(det.MemoryBytes())/(1<<20), *interval, *threshold, det.InferenceEngine(), cacheNote, auxNote)
 	if sink != nil {
 		sink.Emit(telemetry.Event{Time: time.Now(), Kind: "startup", Fields: map[string]any{
 			"inference_engine":   det.InferenceEngine(),
 			"memory_bytes":       det.MemoryBytes(),
 			"interval_seconds":   interval.Seconds(),
 			"flow_cache_entries": *flowCache,
+			"detectors":          auxNames,
 		}})
 	}
 	in := bufio.NewReaderSize(f, 1<<20)
@@ -225,13 +227,48 @@ func run() error {
 	return nil
 }
 
+// auxDetectors maps each -detectors name to the facade option that
+// enables it.
+var auxDetectors = map[string]func() hifind.Option{
+	"burst":      hifind.WithBurstDetection,
+	"persist":    hifind.WithPersistentFlowDetection,
+	"reflection": hifind.WithReflectionDetection,
+}
+
+// parseDetectors resolves a -detectors list to facade options and the
+// names it enabled, in the order given, each once.
+func parseDetectors(list string) ([]hifind.Option, []string, error) {
+	var opts []hifind.Option
+	names := []string{}
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" || slices.Contains(names, name) {
+			continue
+		}
+		enable, ok := auxDetectors[name]
+		if !ok {
+			return nil, nil, fmt.Errorf("-detectors: unknown detector %q (valid: burst, persist, reflection)", name)
+		}
+		opts = append(opts, enable())
+		names = append(names, name)
+	}
+	return opts, names, nil
+}
+
+// flowQueueLen is the capacity of the live mode's collector→detector
+// flow queue. It holds the records of about 34 full NetFlow v5
+// datagrams (30 records each) that arrive while the detector is busy
+// rotating an interval; flows are dropped, not blocked on, when it is
+// full.
+const flowQueueLen = 1024
+
 // runLive receives NetFlow v5 over UDP and detects on wall-clock
 // intervals until the process is interrupted. The collector goroutine
 // forwards decoded flows over a channel so the detector stays
 // single-threaded. On SIGINT/SIGTERM the final partial interval is
 // flushed through detection before the source closes.
 func runLive(ctx context.Context, det *hifind.Detector, addr string, edgeCIDRs []string,
-	interval time.Duration, statePath string, flowQueue int, reg *telemetry.Registry, health *telemetry.Health) error {
+	interval time.Duration, statePath string, reg *telemetry.Registry, health *telemetry.Health) error {
 	edge, err := netmodel.NewEdgeNetwork(edgeCIDRs...)
 	if err != nil {
 		return err
@@ -246,10 +283,7 @@ func runLive(ctx context.Context, det *hifind.Detector, addr string, edgeCIDRs [
 			return err
 		}
 	}
-	if flowQueue < 1 {
-		return fmt.Errorf("-flow-queue must be at least 1, got %d", flowQueue)
-	}
-	flows := make(chan netmodel.FlowRecord, flowQueue)
+	flows := make(chan netmodel.FlowRecord, flowQueueLen)
 	collector, err := netflow.Listen(addr, func(r netflow.Record, hdr netflow.Header) {
 		if fr, ok := netflow.ToFlowRecord(r, hdr, edge); ok {
 			select {

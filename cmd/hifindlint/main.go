@@ -84,8 +84,9 @@ func main() {
 	}
 
 	// The program is always the whole module — cross-package facts
-	// (transitive hotness, atomic sites) need every package — and the
-	// package selection only filters what gets reported.
+	// (transitive hotness, determinism reachability) need every
+	// package — and the package selection only filters what gets
+	// reported.
 	pkgs := make([]*analyze.Package, 0, len(mod.Packages()))
 	for _, path := range mod.Packages() {
 		pkg, err := mod.Load(path)

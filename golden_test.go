@@ -103,7 +103,7 @@ func goldenScenarios() map[string]goldenScenario {
 	}
 
 	allAux := []hifind.Option{
-		hifind.WithBurstDetection(trace.BurstSlotCount),
+		hifind.WithBurstDetection(),
 		hifind.WithPersistentFlowDetection(),
 		hifind.WithReflectionDetection(),
 	}
@@ -113,7 +113,7 @@ func goldenScenarios() map[string]goldenScenario {
 		"mixed-attacks": {cfg: mixed},
 		"benign-only":   {cfg: benign, opts: allAux},
 		"burst-pulse": {cfg: trace.BurstPulseConfig(505, 8),
-			opts: []hifind.Option{hifind.WithBurstDetection(trace.BurstSlotCount)}},
+			opts: []hifind.Option{hifind.WithBurstDetection()}},
 		"stealth-scan": {cfg: trace.StealthScanConfig(606, 9),
 			opts: []hifind.Option{hifind.WithPersistentFlowDetection()}},
 		"reflection": {cfg: trace.ReflectionConfig(707, 8),

@@ -87,10 +87,6 @@ func TestPublicOptionsValidation(t *testing.T) {
 		{hifind.WithThresholdPerSecond(-1)},
 		{hifind.WithAlpha(0)},
 		{hifind.WithAlpha(1.5)},
-		{hifind.WithQuorum(0)},
-		{hifind.WithMaxKeysPerStep(0)},
-		{hifind.WithFloodPersistence(0)},
-		{hifind.WithMinSynRatio(0.1)},
 	}
 	for i, opts := range bad {
 		if _, err := hifind.New(opts...); err == nil {

@@ -36,9 +36,8 @@ type Analyzer struct {
 
 // Pass is the per-(analyzer, package) context handed to Analyzer.Run.
 type Pass struct {
-	// Prog is the whole program under analysis: the call graph, the
-	// transitive hot set and the atomic access sites span every package
-	// in it.
+	// Prog is the whole program under analysis: the call graph and the
+	// transitive hot set span every package in it.
 	Prog *Program
 	// Pkg is the package this pass visits; findings belong to it.
 	Pkg      *Package
@@ -64,7 +63,6 @@ func Analyzers() []*Analyzer {
 		floatEqAnalyzer,
 		mutexGuardAnalyzer,
 		uncheckedCloseAnalyzer,
-		atomicConsistencyAnalyzer,
 		goroutineLifecycleAnalyzer,
 		determinismAnalyzer,
 		boundedQueueAnalyzer,

@@ -61,14 +61,12 @@ type CallGraph struct {
 
 // Program is a set of packages analyzed together: the unit over which
 // cross-package facts (the call graph, transitive hot-path
-// classification, atomic access sites) are computed. Analyzers receive
-// the program through their Pass and the package they are visiting.
+// classification, determinism reachability) are computed. Analyzers
+// receive the program through their Pass and the package they are
+// visiting.
 type Program struct {
 	Pkgs  []*Package
 	Graph *CallGraph
-
-	atomicSites map[*types.Var]atomicSite // fields/globals accessed via sync/atomic
-	sanctioned  map[ast.Node]bool         // the &x operands of those atomic calls
 }
 
 // NewProgram builds the call graph and propagated facts for pkgs.
@@ -87,7 +85,6 @@ func NewProgram(pkgs []*Package) *Program {
 	}
 	prog.propagateHot()
 	prog.propagateDeterminism()
-	prog.collectAtomicSites()
 	return prog
 }
 

@@ -305,7 +305,7 @@ func (m *Module) LoadDirAs(dir, path string) (*Package, error) {
 // basePath/<dir-relative-to-root> (basePath itself for root), and the
 // packages may import each other under those synthetic paths. The
 // golden-file harness uses it to load multi-package testdata scenarios,
-// so cross-package analyses (hot-path propagation, atomic-consistency)
+// so cross-package analyses (hot-path and determinism propagation)
 // see the same shape they see on the real module.
 func (m *Module) LoadTreeAs(root, basePath string) ([]*Package, error) {
 	var dirs []string

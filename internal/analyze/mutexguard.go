@@ -6,26 +6,16 @@ import (
 )
 
 // mutexGuardAnalyzer keeps the multi-router aggregation and collector
-// paths data-race free with two checks:
-//
-//  1. copy: a value whose type (transitively, through struct fields and
-//     arrays) contains a sync.Mutex or sync.RWMutex must never be copied
-//     — not by assignment, not as a by-value parameter or receiver, not
-//     by ranging. A copied mutex is an independent lock; code holding it
-//     protects nothing.
-//  2. guard: within a struct, a mutex field guards the fields declared
-//     after it (the standard Go layout convention, used by
-//     netflow.Collector). An exported method that touches a guarded
-//     field without locking the mutex is a race with every other caller.
+// paths data-race free: within a struct, a mutex field guards the fields
+// declared after it (the standard Go layout convention, used by
+// netflow.Collector). An exported method that touches a guarded field
+// without locking the mutex is a race with every other caller. Copies of
+// mutex-bearing values are go vet's copylocks check, which `make vet`
+// runs.
 var mutexGuardAnalyzer = &Analyzer{
-	Name: "mutex-copy-and-guard",
-	Doc:  "flags copies of mutex-containing values and exported methods touching mutex-guarded fields without locking",
-	Run:  runMutexGuard,
-}
-
-func runMutexGuard(pass *Pass) {
-	checkMutexCopies(pass)
-	checkMutexGuards(pass)
+	Name: "mutex-guard",
+	Doc:  "flags exported methods touching mutex-guarded fields without locking",
+	Run:  checkMutexGuards,
 }
 
 // isMutex reports whether t is exactly sync.Mutex or sync.RWMutex.
@@ -39,106 +29,6 @@ func isMutex(t types.Type) bool {
 		return false
 	}
 	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
-}
-
-// containsMutex reports whether copying a value of type t copies a mutex.
-// Pointers, slices, maps and channels stop the recursion: copying those
-// shares the underlying lock rather than duplicating it.
-func containsMutex(t types.Type) bool {
-	return containsMutexRec(t, make(map[types.Type]bool))
-}
-
-func containsMutexRec(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if isMutex(t) {
-		return true
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsMutexRec(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsMutexRec(u.Elem(), seen)
-	}
-	return false
-}
-
-// copiesValue reports whether the expression reads an existing value
-// (identifier, field, dereference, element), so that assigning or
-// passing it performs a copy. Fresh values — composite literals,
-// function results — are initializations, not lock duplications.
-func copiesValue(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-		return true
-	case *ast.ParenExpr:
-		return copiesValue(e.X)
-	}
-	return false
-}
-
-func checkMutexCopies(pass *Pass) {
-	info := pass.Pkg.Info
-	reportCopy := func(e ast.Expr, what string) {
-		tv, ok := info.Types[e]
-		if !ok || !containsMutex(tv.Type) {
-			return
-		}
-		pass.Reportf(e.Pos(), "%s copies a value containing a sync mutex; use a pointer", what)
-	}
-	checkFieldList := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			tv, ok := info.Types[field.Type]
-			if ok && containsMutex(tv.Type) {
-				pass.Reportf(field.Pos(), "%s copies a value containing a sync mutex; use a pointer", what)
-			}
-		}
-	}
-	for _, file := range pass.Pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				checkFieldList(n.Recv, "value receiver")
-				checkFieldList(n.Type.Params, "by-value parameter")
-			case *ast.FuncLit:
-				checkFieldList(n.Type.Params, "by-value parameter")
-			case *ast.AssignStmt:
-				for _, rhs := range n.Rhs {
-					if copiesValue(rhs) {
-						reportCopy(rhs, "assignment")
-					}
-				}
-			case *ast.ValueSpec:
-				for _, v := range n.Values {
-					if copiesValue(v) {
-						reportCopy(v, "variable initialization")
-					}
-				}
-			case *ast.RangeStmt:
-				if n.Value != nil {
-					if tv, ok := info.Types[n.Value]; ok && containsMutex(tv.Type) {
-						pass.Reportf(n.Value.Pos(), "range copies a value containing a sync mutex; range over indices or use pointers")
-					}
-				}
-			case *ast.CallExpr:
-				for _, arg := range n.Args {
-					if copiesValue(arg) {
-						reportCopy(arg, "call argument")
-					}
-				}
-			}
-			return true
-		})
-	}
 }
 
 // guardedStruct describes one struct with a mutex field: the mutex field

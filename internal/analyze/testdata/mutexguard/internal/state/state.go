@@ -1,5 +1,5 @@
-// Package state exercises mutex-copy-and-guard: copies of lock-bearing
-// values and unlocked access to mutex-guarded fields.
+// Package state exercises mutex-guard: unlocked access to mutex-guarded
+// fields.
 package state
 
 import "sync"
@@ -33,16 +33,3 @@ func (s *Stats) Drops() int64 {
 
 // bump is unexported: by convention the exported caller holds the lock.
 func (s *Stats) bump() { s.packets++ }
-
-// Leak copies the whole struct — and with it the mutex.
-func Leak(s Stats) int64 { // want `by-value parameter copies a value containing a sync mutex`
-	t := s // want `assignment copies a value containing a sync mutex`
-	return t.packets
-}
-
-// Share passes a pointer: no copy, no finding.
-func Share(s *Stats) *Stats {
-	fresh := &Stats{name: "fresh"} // composite literal: initialization, not a lock copy
-	_ = fresh
-	return s
-}

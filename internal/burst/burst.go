@@ -26,6 +26,11 @@ import (
 // fixed-width.
 const MaxSlots = 16
 
+// DefaultSlots is the slot count of the facade's burst monitor: eight
+// 7.5-second windows at the default one-minute interval. The trace
+// generator's burst preset confines each pulse to one of these windows.
+const DefaultSlots = 8
+
 // Config describes a burst monitor's geometry.
 type Config struct {
 	Slots  int           // sub-intervals per EWMA interval

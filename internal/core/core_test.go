@@ -348,16 +348,13 @@ func TestAblationPhasesOff(t *testing.T) {
 		Type: trace.Misconfig, Victim: dark, Ports: []uint16{80},
 		StartInterval: 2, EndInterval: 9, Rate: 240, Cause: "stale DNS",
 	}}
-	d, err := NewDetector(TestRecorderConfig(0xfeed), DetectorConfig{
-		Threshold: 60, DisablePhase2: true, DisablePhase3: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	results := runTrace(t, testDetector(t), cfg)
+	// The misconfig FP survives classification; only phase 3 removes it.
+	if n := len(dedup(results, phase2, AlertSYNFlood)); n == 0 {
+		t.Fatal("misconfig FP missing after classification, before phase 3")
 	}
-	results := runTrace(t, d, cfg)
-	// With phase 3 off, the misconfig FP must survive to Final.
-	if n := len(dedup(results, final, AlertSYNFlood)); n == 0 {
-		t.Fatal("phase-3 ablation still filtered the misconfig FP")
+	if n := len(dedup(results, final, AlertSYNFlood)); n != 0 {
+		t.Fatalf("phase 3 kept %d flooding FPs for a dark destination", n)
 	}
 }
 
@@ -366,7 +363,6 @@ func TestDetectorConfigValidation(t *testing.T) {
 		{Threshold: -1},
 		{Alpha: 2},
 		{TwoDPhi: 1.5},
-		{MinSynRatio: 0.5},
 	}
 	for i, cfg := range bad {
 		if _, err := NewDetector(TestRecorderConfig(1), cfg); err == nil {

@@ -38,49 +38,11 @@ type DetectorConfig struct {
 	// (paper §4 example: top 5 of 64 buckets, φ=0.8).
 	TwoDTopP int
 	TwoDPhi  float64
-	// MinPersistIntervals is the number of consecutive intervals a
-	// flooding victim must stay anomalous before an alert is emitted —
-	// the "attacks last some time" half of the §3.4 congestion filter.
-	MinPersistIntervals int
-	// MinSynRatio is the other half: a flooding alert requires
-	// #SYN ≥ MinSynRatio × #SYN/ACK for the victim service (congestion
-	// still answers an appreciable fraction; floods answer almost none).
-	MinSynRatio float64
-	// BlockScanMinKeys is the number of distinct vertical-scan pairs AND
-	// horizontal-scan ports one source must trigger simultaneously before
-	// its scan alerts merge into a single block-scan alert (paper §3.2
-	// lists block scans in the threat model; they surface in steps 2 and
-	// 3 at once). Default 2.
-	BlockScanMinKeys int
-	// DisablePhase2 and DisablePhase3 switch the FP-reduction phases off
-	// for ablation studies; Final then mirrors the earlier phase.
-	DisablePhase2, DisablePhase3 bool
-	// BurstSlotThreshold is the per-slot alarm level for the sub-interval
-	// burst monitor (only meaningful when the recorder runs with
-	// BurstSlots > 0). A key alerts when one slot alone reaches it while
-	// the interval total stays under Threshold — the long-duration-flow
-	// filter that keeps sustained floods out of the burst channel.
-	// Default Threshold/2.
-	BurstSlotThreshold float64
 	// PersistScan enables the persistent-and-sparse flow detector: keys
-	// sitting in the sub-threshold band [PersistFloor, Threshold) of the
+	// sitting in the sub-threshold band [Threshold/6, Threshold) of the
 	// RS({SIP,Dport}) raw counts interval after interval. Stealthy scans
 	// never clear Threshold, but they cannot avoid persistence.
 	PersistScan bool
-	// PersistFloor is the band's lower edge (default Threshold/6).
-	PersistFloor float64
-	// PersistStreak is the streak length that raises a persist-scan
-	// alert (default 3).
-	PersistStreak int
-	// PersistGap is the number of intervals a band streak may skip
-	// before it resets. 0 means the default (1); negative tolerates no
-	// gap at all.
-	PersistGap int
-	// PersistMaxEntries caps the persistence table (default 4096).
-	PersistMaxEntries int
-	// ReflectThreshold is the unmatched-inbound-SYN/ACK alarm level for
-	// the reflection monitor (default Threshold).
-	ReflectThreshold float64
 }
 
 // applyDefaults fills zero-valued fields.
@@ -103,33 +65,6 @@ func (c DetectorConfig) applyDefaults() DetectorConfig {
 	if c.TwoDPhi == 0 {
 		c.TwoDPhi = 0.8
 	}
-	if c.MinPersistIntervals == 0 {
-		c.MinPersistIntervals = 2
-	}
-	if c.MinSynRatio == 0 {
-		c.MinSynRatio = 3
-	}
-	if c.BlockScanMinKeys == 0 {
-		c.BlockScanMinKeys = 2
-	}
-	if c.BurstSlotThreshold == 0 {
-		c.BurstSlotThreshold = c.Threshold / 2
-	}
-	if c.PersistFloor == 0 {
-		c.PersistFloor = c.Threshold / 6
-	}
-	if c.PersistStreak == 0 {
-		c.PersistStreak = 3
-	}
-	if c.PersistGap == 0 {
-		c.PersistGap = 1
-	}
-	if c.PersistMaxEntries == 0 {
-		c.PersistMaxEntries = 4096
-	}
-	if c.ReflectThreshold == 0 {
-		c.ReflectThreshold = c.Threshold
-	}
 	return c
 }
 
@@ -143,18 +78,6 @@ func (c DetectorConfig) Validate() error {
 	}
 	if c.TwoDPhi < 0 || c.TwoDPhi > 1 {
 		return fmt.Errorf("core: phi %v out of [0,1]", c.TwoDPhi)
-	}
-	if c.MinSynRatio < 1 {
-		return fmt.Errorf("core: min SYN ratio %v < 1", c.MinSynRatio)
-	}
-	if c.PersistFloor < 0 || c.PersistFloor > c.Threshold {
-		return fmt.Errorf("core: persist floor %v out of [0, threshold %v]", c.PersistFloor, c.Threshold)
-	}
-	if c.BurstSlotThreshold < 0 {
-		return fmt.Errorf("core: negative burst slot threshold %v", c.BurstSlotThreshold)
-	}
-	if c.ReflectThreshold < 0 {
-		return fmt.Errorf("core: negative reflection threshold %v", c.ReflectThreshold)
 	}
 	return nil
 }
@@ -200,6 +123,16 @@ type Detector struct {
 	// sparse flow detector — nil unless PersistScan is on.
 	persist *persist.Tracker
 }
+
+// The persistent-and-sparse detector alerts once a key has sat in the
+// sub-threshold band for persistStreak intervals, skipping at most
+// persistGap intervals between sightings; its table holds at most
+// persistMaxEntries keys.
+const (
+	persistStreak     = 3
+	persistGap        = 1
+	persistMaxEntries = 4096
+)
 
 // NewDetector builds a detector with its own recorder.
 func NewDetector(rcfg RecorderConfig, dcfg DetectorConfig) (*Detector, error) {
@@ -256,14 +189,10 @@ func NewDetector(rcfg RecorderConfig, dcfg DetectorConfig) (*Detector, error) {
 		}
 	}
 	if dcfg.PersistScan {
-		gap := dcfg.PersistGap
-		if gap < 0 {
-			gap = 0
-		}
 		d.persist, err = persist.NewTracker(persist.Config{
-			MinIntervals: dcfg.PersistStreak,
-			MaxGap:       gap,
-			MaxEntries:   dcfg.PersistMaxEntries,
+			MinIntervals: persistStreak,
+			MaxGap:       persistGap,
+			MaxEntries:   persistMaxEntries,
 		})
 		if err != nil {
 			return nil, err
@@ -484,6 +413,16 @@ func (d *Detector) recoverKeys(rs *revsketch.Sketch, rsErr sketch.Grid,
 	return out, nil
 }
 
+// Phase 3's congestion filter (§3.4) passes a flooding victim only once
+// it has stayed anomalous for minPersistIntervals consecutive intervals
+// ("attacks last some time") and its SYNs outnumber its SYN/ACKs by
+// minSynRatio (congestion still answers an appreciable fraction; floods
+// answer almost none).
+const (
+	minPersistIntervals = 2
+	minSynRatio         = 3
+)
+
 // detect runs the three-step algorithm of paper §3.3 plus the Phase 2/3
 // false-positive reduction.
 func (d *Detector) detect(rec *Recorder, g errGrids) (IntervalResult, error) {
@@ -598,58 +537,52 @@ func (d *Detector) detect(rec *Recorder, g errGrids) (IntervalResult, error) {
 	// whose destination-port distribution is concentrated is really a
 	// (stealthy) SYN flood, not a scan; a horizontal-scan candidate whose
 	// destination-IP distribution is concentrated likewise.
-	res.Phase2 = res.Raw
-	if !d.cfg.DisablePhase2 {
-		res.Phase2 = res.Phase2[:0:0]
-		for _, a := range res.Raw {
-			switch a.Type {
-			case AlertVScan:
-				key := netmodel.PackSIPDIP(a.SIP, a.DIP)
-				if rec.TwoDSipDipXDport.Concentrated(key, d.cfg.TwoDTopP, d.cfg.TwoDPhi).Concentrated {
-					continue // reclassified: concentrated ports ⇒ flooding-like, not a scan
-				}
-			case AlertHScan:
-				key := netmodel.PackSIPDport(a.SIP, a.Port)
-				if rec.TwoDSipDportXDip.Concentrated(key, d.cfg.TwoDTopP, d.cfg.TwoDPhi).Concentrated {
-					continue // concentrated destinations ⇒ flooding-like
-				}
+	res.Phase2 = res.Raw[:0:0]
+	for _, a := range res.Raw {
+		switch a.Type {
+		case AlertVScan:
+			key := netmodel.PackSIPDIP(a.SIP, a.DIP)
+			if rec.TwoDSipDipXDport.Concentrated(key, d.cfg.TwoDTopP, d.cfg.TwoDPhi).Concentrated {
+				continue // reclassified: concentrated ports ⇒ flooding-like, not a scan
 			}
-			res.Phase2 = append(res.Phase2, a)
+		case AlertHScan:
+			key := netmodel.PackSIPDport(a.SIP, a.Port)
+			if rec.TwoDSipDportXDip.Concentrated(key, d.cfg.TwoDTopP, d.cfg.TwoDPhi).Concentrated {
+				continue // concentrated destinations ⇒ flooding-like
+			}
 		}
-		res.Phase2 = d.mergeBlockScans(res.Phase2)
+		res.Phase2 = append(res.Phase2, a)
 	}
+	res.Phase2 = d.mergeBlockScans(res.Phase2)
 
 	// Phase 3 — flooding FP reduction (§3.4): active-service, SYN ratio
 	// and persistence filters. Scan alerts pass through untouched.
-	res.Final = res.Phase2
-	if !d.cfg.DisablePhase3 {
-		res.Final = res.Final[:0:0]
-		seenVictims := make(map[uint64]bool)
-		for _, a := range res.Phase2 {
-			if a.Type != AlertSYNFlood {
-				res.Final = append(res.Final, a)
-				continue
-			}
-			victim := netmodel.PackDIPDport(a.DIP, a.Port)
-			seenVictims[victim] = true
-			if !rec.Services.Contains(victim) {
-				continue // never answered a SYN: misconfiguration, not a DoS target
-			}
-			if !d.passesSynRatio(rec, victim) {
-				continue // answering too well: congestion/overload, not a flood
-			}
-			d.streaks[victim]++
-			if d.streaks[victim] < d.cfg.MinPersistIntervals {
-				continue // not persistent yet: transient burst
-			}
+	res.Final = res.Phase2[:0:0]
+	seenVictims := make(map[uint64]bool)
+	for _, a := range res.Phase2 {
+		if a.Type != AlertSYNFlood {
 			res.Final = append(res.Final, a)
+			continue
 		}
-		// Drop streaks for victims that stopped being anomalous; bounded
-		// state, and a later unrelated anomaly starts a fresh streak.
-		for k := range d.streaks {
-			if !seenVictims[k] {
-				delete(d.streaks, k)
-			}
+		victim := netmodel.PackDIPDport(a.DIP, a.Port)
+		seenVictims[victim] = true
+		if !rec.Services.Contains(victim) {
+			continue // never answered a SYN: misconfiguration, not a DoS target
+		}
+		if !d.passesSynRatio(rec, victim) {
+			continue // answering too well: congestion/overload, not a flood
+		}
+		d.streaks[victim]++
+		if d.streaks[victim] < minPersistIntervals {
+			continue // not persistent yet: transient burst
+		}
+		res.Final = append(res.Final, a)
+	}
+	// Drop streaks for victims that stopped being anomalous; bounded
+	// state, and a later unrelated anomaly starts a fresh streak.
+	for k := range d.streaks {
+		if !seenVictims[k] {
+			delete(d.streaks, k)
 		}
 	}
 	return res, nil
@@ -681,19 +614,13 @@ func (d *Detector) detectScenarios(rec *Recorder, res *IntervalResult) error {
 	if len(extra) == 0 {
 		return nil
 	}
-	// Phase slices may alias each other when phases are disabled, so
-	// append into fresh slices instead of mutating shared backing arrays.
-	res.Raw = appendAlerts(res.Raw, extra)
-	res.Phase2 = appendAlerts(res.Phase2, extra)
-	res.Final = appendAlerts(res.Final, extra)
+	// Each phase owns its backing array (every phase starts from a
+	// zero-capacity reslice of the one before), so appending in place
+	// cannot write through to another phase.
+	res.Raw = append(res.Raw, extra...)
+	res.Phase2 = append(res.Phase2, extra...)
+	res.Final = append(res.Final, extra...)
 	return nil
-}
-
-// appendAlerts returns a fresh slice holding base then extra.
-func appendAlerts(base, extra []Alert) []Alert {
-	out := make([]Alert, 0, len(base)+len(extra))
-	out = append(out, base...)
-	return append(out, extra...)
 }
 
 // detectBursts decodes the sub-interval burst monitor: keys whose SYN
@@ -705,7 +632,10 @@ func (d *Detector) detectBursts(rec *Recorder, diag *DiagStats) ([]Alert, error)
 		return nil, nil
 	}
 	start := time.Now()
-	findings, err := rec.Burst.Detect(d.cfg.BurstSlotThreshold, d.cfg.Threshold, d.cfg.MaxKeysPerStep)
+	// A key alerts when one slot alone reaches half the threshold while
+	// the interval total stays under it — the long-duration-flow filter
+	// that keeps sustained floods out of the burst channel.
+	findings, err := rec.Burst.Detect(d.cfg.Threshold/2, d.cfg.Threshold, d.cfg.MaxKeysPerStep)
 	if err != nil {
 		return nil, err
 	}
@@ -725,8 +655,8 @@ func (d *Detector) detectBursts(rec *Recorder, diag *DiagStats) ([]Alert, error)
 }
 
 // detectPersistent surfaces keys sitting in the sub-threshold band
-// [PersistFloor, Threshold) of the RS({SIP,Dport}) RAW counts and feeds
-// them to the persistence tracker; keys banded for PersistStreak
+// [Threshold/6, Threshold) of the RS({SIP,Dport}) RAW counts and feeds
+// them to the persistence tracker; keys banded for persistStreak
 // gap-tolerant intervals alert. Raw counts (not forecast errors) on
 // purpose: a steady low-rate scan is exactly what the EWMA absorbs into
 // its forecast, so its error vanishes while its raw mass persists.
@@ -734,7 +664,7 @@ func (d *Detector) detectPersistent(rec *Recorder, diag *DiagStats) ([]Alert, er
 	if d.persist == nil {
 		return nil, nil
 	}
-	floor := d.cfg.PersistFloor
+	floor := d.cfg.Threshold / 6
 	start := time.Now()
 	var band []revsketch.KeyEstimate
 	var err error
@@ -819,7 +749,7 @@ func (d *Detector) detectReflection(rec *Recorder, diag *DiagStats) ([]Alert, er
 		return nil, nil
 	}
 	start := time.Now()
-	keys, err := rec.Reflect.DecodeCounts(d.cfg.ReflectThreshold, invsketch.DecodeOptions{
+	keys, err := rec.Reflect.DecodeCounts(d.cfg.Threshold, invsketch.DecodeOptions{
 		MaxKeys: d.cfg.MaxKeysPerStep,
 	})
 	if err != nil {
@@ -843,11 +773,12 @@ func (d *Detector) detectReflection(rec *Recorder, diag *DiagStats) ([]Alert, er
 // one source sweeping an address range × port range triggers step 2 once
 // per address (vertical-scan candidates) and step 3 once per port
 // (horizontal-scan candidates) simultaneously. When a source owns at
-// least BlockScanMinKeys alerts of each kind, the constituents collapse
+// least blockScanMinKeys alerts of each kind, the constituents collapse
 // into a single block-scan alert carrying the source and the combined
 // change magnitude, so mitigation blocks the host instead of chasing its
 // per-port shadows.
 func (d *Detector) mergeBlockScans(alerts []Alert) []Alert {
+	const blockScanMinKeys = 2
 	type tally struct{ v, h int }
 	bySIP := make(map[netmodel.IPv4]*tally)
 	for _, a := range alerts {
@@ -867,7 +798,7 @@ func (d *Detector) mergeBlockScans(alerts []Alert) []Alert {
 	}
 	merged := make(map[netmodel.IPv4]bool)
 	for sip, t := range bySIP {
-		if t.v >= d.cfg.BlockScanMinKeys && t.h >= d.cfg.BlockScanMinKeys {
+		if t.v >= blockScanMinKeys && t.h >= blockScanMinKeys {
 			merged[sip] = true
 		} else if d.blockScanners[sip] > 0 && t.v+t.h >= 1 {
 			merged[sip] = true // tail of a known block scan
@@ -924,5 +855,5 @@ func (d *Detector) passesSynRatio(rec *Recorder, victim uint64) bool {
 		return true // nothing answered at all: flood-like (or dark, which
 		// the active-service filter already handled)
 	}
-	return syn >= d.cfg.MinSynRatio*synAck
+	return syn >= minSynRatio*synAck
 }

@@ -125,7 +125,8 @@ func TestBlockScanMerged(t *testing.T) {
 func TestBlockScanDoesNotMergeIndependentScans(t *testing.T) {
 	// One source running a single hscan and another running a single
 	// vscan must NOT produce block-scan alerts (different sources), and a
-	// source with one of each stays below BlockScanMinKeys=2 per kind.
+	// source with one of each stays below the block-scan minimum of two
+	// per kind.
 	cfg := baseTraceConfig(34, 10)
 	h := netmodel.MustParseIPv4("203.0.113.50")
 	v := netmodel.MustParseIPv4("203.0.113.60")

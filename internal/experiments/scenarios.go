@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/hifind/hifind/internal/baseline/backscatter"
+	"github.com/hifind/hifind/internal/burst"
 	"github.com/hifind/hifind/internal/core"
 	"github.com/hifind/hifind/internal/evalx"
 	"github.com/hifind/hifind/internal/trace"
@@ -61,8 +62,8 @@ func scenarioSpecs(intervals int) []scenarioSpec {
 			name: "burst-pulse", alert: core.AlertBurstFlood, attack: trace.BurstPulse,
 			cfg: trace.BurstPulseConfig(505, intervals),
 			detector: func(r *core.RecorderConfig, _ *core.DetectorConfig) {
-				r.BurstSlots = trace.BurstSlotCount
-				r.BurstWindow = trace.BurstPulseConfig(505, intervals).Interval / trace.BurstSlotCount
+				r.BurstSlots = burst.DefaultSlots
+				r.BurstWindow = trace.BurstPulseConfig(505, intervals).Interval / burst.DefaultSlots
 			},
 		},
 		{

@@ -3,6 +3,7 @@ package trace
 import (
 	"time"
 
+	"github.com/hifind/hifind/internal/burst"
 	"github.com/hifind/hifind/internal/netmodel"
 )
 
@@ -156,12 +157,6 @@ func LBLConfig(seed int64, intervals int, scale float64) Config {
 	return cfg
 }
 
-// BurstSlotCount is the sub-interval slot count the burst preset is
-// aligned with: WithBurstDetection(BurstSlotCount) divides the one-minute
-// interval into 7.5-second windows, and every pulse below is confined to
-// the interior of one window so a whole pulse lands in a single slot.
-const BurstSlotCount = 8
-
 // BurstPulseConfig builds the burst-flood scenario: spoofed SYN pulses
 // whose per-interval totals stay under the detection threshold (so the
 // EWMA path never alarms) but whose SYNs are compressed into a few
@@ -181,7 +176,9 @@ func BurstPulseConfig(seed int64, intervals int) Config {
 		OutboundFlows:   80,
 		FailRate:        0.04,
 	}
-	window := cfg.Interval / BurstSlotCount // 7.5s
+	// Every pulse is confined to the interior of one of the burst
+	// monitor's windows, so a whole pulse lands in a single slot.
+	window := cfg.Interval / burst.DefaultSlots // 7.5s
 	cfg.Attacks = []Attack{
 		{Type: BurstPulse, Spoofed: true, Victim: prefix | 0x9b01,
 			Ports: []uint16{80}, StartInterval: 1, EndInterval: intervals - 2,

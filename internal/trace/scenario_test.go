@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hifind/hifind/internal/burst"
 	"github.com/hifind/hifind/internal/netmodel"
 	"github.com/hifind/hifind/internal/pcap"
 )
@@ -29,7 +30,7 @@ func requireNoServiceAt(t *testing.T, g *Generator, addr netmodel.IPv4, port uin
 func TestBurstPulseWindows(t *testing.T) {
 	cfg := BurstPulseConfig(7, 10)
 	g := mustGen(t, cfg)
-	window := cfg.Interval / BurstSlotCount
+	window := cfg.Interval / burst.DefaultSlots
 	for _, a := range cfg.Attacks {
 		if a.Type != BurstPulse {
 			continue

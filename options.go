@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/hifind/hifind/internal/burst"
 	"github.com/hifind/hifind/internal/core"
 	"github.com/hifind/hifind/internal/telemetry"
 )
@@ -18,16 +19,10 @@ type config struct {
 	thresholdPerSecond float64
 	alpha              float64
 	compact            bool
-	quorum             int
-	maxKeys            int
-	disablePhase2      bool
-	disablePhase3      bool
-	minPersist         int
-	minSynRatio        float64
 	egress             bool
 	invertible         bool
 	flowCache          int
-	burstSlots         int
+	burstMonitor       bool
 	persistScan        bool
 	reflection         bool
 	// Observability (nil means uninstrumented — zero hot-path cost).
@@ -118,73 +113,6 @@ func WithCompactSketches() Option {
 	}
 }
 
-// WithQuorum sets the reversible-sketch inference quorum (default: one
-// less than the number of stages).
-func WithQuorum(q int) Option {
-	return func(c *config) error {
-		if q < 1 {
-			return fmt.Errorf("hifind: quorum %d < 1", q)
-		}
-		c.quorum = q
-		return nil
-	}
-}
-
-// WithMaxKeysPerStep caps the culprit keys recovered per detection step
-// per interval (default 2048; the paper's stress test uses a top-100
-// variant).
-func WithMaxKeysPerStep(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("hifind: max keys %d < 1", n)
-		}
-		c.maxKeys = n
-		return nil
-	}
-}
-
-// WithoutClassification disables Phase 2 (2D-sketch reclassification of
-// port scans) — an ablation switch.
-func WithoutClassification() Option {
-	return func(c *config) error {
-		c.disablePhase2 = true
-		return nil
-	}
-}
-
-// WithoutFloodHeuristics disables Phase 3 (SYN-flooding false-positive
-// reduction) — an ablation switch.
-func WithoutFloodHeuristics() Option {
-	return func(c *config) error {
-		c.disablePhase3 = true
-		return nil
-	}
-}
-
-// WithFloodPersistence sets how many consecutive anomalous intervals a
-// flooding victim needs before an alert is emitted (default 2).
-func WithFloodPersistence(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("hifind: persistence %d < 1", n)
-		}
-		c.minPersist = n
-		return nil
-	}
-}
-
-// WithMinSynRatio sets the congestion filter's required #SYN : #SYN/ACK
-// ratio (default 3).
-func WithMinSynRatio(r float64) Option {
-	return func(c *config) error {
-		if r < 1 {
-			return fmt.Errorf("hifind: SYN ratio %v < 1", r)
-		}
-		c.minSynRatio = r
-		return nil
-	}
-}
-
 // WithInvertibleInference selects the invertible-sketch inference engine
 // for offender-key recovery: the recorder additionally maintains
 // bucketized invertible sketches whose buckets fold the flow keys into
@@ -232,20 +160,16 @@ func WithFlowCache(entries int) Option {
 }
 
 // WithBurstDetection adds the sub-interval burst monitor: the interval
-// is cut into slots windows, each backed by its own invertible sketch,
+// is cut into eight windows, each backed by its own invertible sketch,
 // and a {DIP,Dport} key whose un-responded-SYN mass concentrates in one
 // window while the interval total stays below the flood threshold
 // raises a burst-flood alert. This is the pulse attack the
 // interval-grain EWMA structurally cannot see — 48 SYNs in 4 seconds is
-// invisible at a 60-per-minute threshold, devastating at the window
-// scale. Slots must be in [1, 16]; 8 gives 7.5-second windows at the
-// default one-minute interval.
-func WithBurstDetection(slots int) Option {
+// invisible at a 60-per-minute threshold, devastating at the 7.5-second
+// window scale of the default one-minute interval.
+func WithBurstDetection() Option {
 	return func(c *config) error {
-		if slots < 1 || slots > 16 {
-			return fmt.Errorf("hifind: burst slots %d out of [1, 16]", slots)
-		}
-		c.burstSlots = slots
+		c.burstMonitor = true
 		return nil
 	}
 }
@@ -319,21 +243,15 @@ func (c config) build() (core.RecorderConfig, core.DetectorConfig) {
 		rcfg.Inference = core.InferenceInvertible
 	}
 	rcfg.FlowCache = c.flowCache
-	if c.burstSlots > 0 {
-		rcfg.BurstSlots = c.burstSlots
-		rcfg.BurstWindow = c.interval / time.Duration(c.burstSlots)
+	if c.burstMonitor {
+		rcfg.BurstSlots = burst.DefaultSlots
+		rcfg.BurstWindow = c.interval / burst.DefaultSlots
 	}
 	rcfg.Reflection = c.reflection
 	dcfg := core.DetectorConfig{
-		Threshold:           c.thresholdPerSecond * c.interval.Seconds(),
-		Alpha:               c.alpha,
-		Quorum:              c.quorum,
-		MaxKeysPerStep:      c.maxKeys,
-		MinPersistIntervals: c.minPersist,
-		MinSynRatio:         c.minSynRatio,
-		DisablePhase2:       c.disablePhase2,
-		DisablePhase3:       c.disablePhase3,
-		PersistScan:         c.persistScan,
+		Threshold:   c.thresholdPerSecond * c.interval.Seconds(),
+		Alpha:       c.alpha,
+		PersistScan: c.persistScan,
 	}
 	return rcfg, dcfg
 }
