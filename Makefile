@@ -78,21 +78,15 @@ smoke:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# Performance regression gates: re-measure the inference and flow-cache
-# comparisons and compare the *speedups* (machine-independent ratios)
-# against the committed baselines. The inference gate fails on >10%
-# decode-speedup regression, a decode speedup under 5x, or invertible
-# recall below the reverse witness; the cache gate fails on >10% speedup
-# regression, a Zipf-traffic packet speedup below 1.5x, or a broken
-# byte-identity anchor.
-# Refresh the committed baselines with:
-#   go run ./cmd/benchtables -table inference
+# Performance regression gate: re-measure the flow-cache comparison and
+# compare its *speedups* (machine-independent ratios) against the
+# committed baseline. The gate fails on >10% speedup regression, a
+# Zipf-traffic packet speedup below 1.5x, or a broken byte-identity
+# anchor.
+# Refresh the committed baseline with:
 #   go run ./cmd/benchtables -table cache
-FRESH_INFERENCE ?= BENCH_inference.fresh.json
 FRESH_CACHE ?= BENCH_cache.fresh.json
 .PHONY: bench-gate
 bench-gate:
-	$(GO) run ./cmd/benchtables -table inference -benchout $(FRESH_INFERENCE)
-	$(GO) run ./cmd/benchgate -table inference -baseline BENCH_inference.json -fresh $(FRESH_INFERENCE)
 	$(GO) run ./cmd/benchtables -table cache -benchout $(FRESH_CACHE)
-	$(GO) run ./cmd/benchgate -table cache -baseline BENCH_cache.json -fresh $(FRESH_CACHE)
+	$(GO) run ./cmd/benchgate -baseline BENCH_cache.json -fresh $(FRESH_CACHE)

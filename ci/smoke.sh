@@ -155,8 +155,9 @@ echo "smoke: flow cache wired (nonzero hit counter, clean exit)"
 # Flags that went with earlier simplifications must fail at flag parsing
 # (exit status 2), so a stale runbook cannot run in silence: -workers
 # went with the key-sharded pipeline, the burst slot count into
-# -detectors, the live flow queue into a constant and -of into -routers.
-for gone in "-workers 2" "-burst-slots 8" "-flow-queue 8" "-of 3"; do
+# -detectors, the live flow queue into a constant, -of into -routers and
+# -inference with the invertible engine (reverse hashing is the only one).
+for gone in "-workers 2" "-burst-slots 8" "-flow-queue 8" "-of 3" "-inference reverse"; do
     name=${gone%% *}
     echo "smoke: $name must be rejected"
     rc=0

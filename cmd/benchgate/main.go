@@ -1,24 +1,12 @@
-// Command benchgate enforces the performance contracts of the inference
-// engines and the flow cache: it compares a freshly measured comparison
-// against the committed baseline JSON and exits non-zero on regression.
+// Command benchgate enforces the performance contract of the flow cache:
+// it compares a freshly measured comparison against the committed
+// baseline JSON and exits non-zero on regression.
 //
 // The gate judges speedups — path-vs-path ratios measured back to back
 // in one process — never absolute rates, so a slower CI machine cannot
 // fail the gate and a faster one cannot mask a regression.
 //
-// Inference mode (`-table inference`, the BENCH_inference.json shape
-// written by `benchtables -table inference`):
-//
-//  1. SpeedupRatio ≥ -min-inference-speedup (default 5.0): the O(buckets)
-//     decode must beat the reverse-hashing search by this floor.
-//  2. SpeedupRatio ≥ (1 - tolerance) × baseline (default tolerance 10%):
-//     the margin recorded in the committed JSON must not silently erode.
-//  3. InvertibleRecall ≥ ReverseRecall (fresh run): the decode may never
-//     recover fewer true offender keys than the witness engine it
-//     replaces.
-//
-// Cache mode (`-table cache`, the BENCH_cache.json shape written by
-// `benchtables -table cache`):
+// Over the BENCH_cache.json shape written by `benchtables -table cache`:
 //
 //  1. PacketSpeedup ≥ -min-cache-speedup (default 1.5): the flow cache
 //     must keep beating the cache-less recorder on Zipf-skewed packets.
@@ -30,8 +18,7 @@
 //
 // Usage:
 //
-//	benchgate -table inference -baseline BENCH_inference.json -fresh /tmp/fresh.json
-//	benchgate -table cache -baseline BENCH_cache.json -fresh /tmp/fresh.json
+//	benchgate -baseline BENCH_cache.json -fresh /tmp/fresh.json
 package main
 
 import (
@@ -52,69 +39,16 @@ func main() {
 
 func run() error {
 	var (
-		table        = flag.String("table", "", "which contract to enforce: inference or cache (required)")
-		baselinePath = flag.String("baseline", "", "committed baseline JSON (default BENCH_<table>.json)")
+		baselinePath = flag.String("baseline", "BENCH_cache.json", "committed baseline JSON")
 		freshPath    = flag.String("fresh", "", "freshly measured JSON (required)")
 		tolerance    = flag.Float64("tolerance", 0.10, "allowed fractional speedup regression vs baseline")
-		minInfer     = flag.Float64("min-inference-speedup", 5.0, "absolute floor for the invertible decode speedup")
 		minCache     = flag.Float64("min-cache-speedup", 1.5, "absolute floor for the flow-cache packet speedup on Zipf traffic")
 	)
 	flag.Parse()
-	if *table != "inference" && *table != "cache" {
-		return fmt.Errorf("-table must be inference or cache, got %q", *table)
-	}
 	if *freshPath == "" {
-		return fmt.Errorf("-fresh is required (run `benchtables -table %s -benchout <file>` first)", *table)
-	}
-	if *baselinePath == "" {
-		*baselinePath = "BENCH_" + *table + ".json"
-	}
-	if *table == "inference" {
-		return gateInference(*baselinePath, *freshPath, *tolerance, *minInfer)
+		return fmt.Errorf("-fresh is required (run `benchtables -table cache -benchout <file>` first)")
 	}
 	return gateCache(*baselinePath, *freshPath, *tolerance, *minCache)
-}
-
-// gateInference enforces the inference-engine contract over the
-// BENCH_inference.json shape.
-func gateInference(baselinePath, freshPath string, tolerance, minSpeedup float64) error {
-	baseline, err := loadInference(baselinePath)
-	if err != nil {
-		return err
-	}
-	fresh, err := loadInference(freshPath)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("inference gate: baseline %s, fresh %s (tolerance %.0f%%)\n",
-		baselinePath, freshPath, 100*tolerance)
-	fmt.Printf("  decode speedup: baseline %.1fx, fresh %.1fx\n", baseline.SpeedupRatio, fresh.SpeedupRatio)
-	fmt.Printf("  recall: reverse %.3f, invertible %.3f\n", fresh.ReverseRecall, fresh.InvertibleRecall)
-
-	var failures []string
-	if fresh.SpeedupRatio < minSpeedup {
-		failures = append(failures, fmt.Sprintf(
-			"invertible decode speedup %.1fx below the %.1fx floor — the O(buckets) advantage is gone",
-			fresh.SpeedupRatio, minSpeedup))
-	}
-	if floor := baseline.SpeedupRatio * (1 - tolerance); fresh.SpeedupRatio < floor {
-		failures = append(failures, fmt.Sprintf(
-			"decode speedup regressed: %.1fx vs baseline %.1fx (floor %.1fx)",
-			fresh.SpeedupRatio, baseline.SpeedupRatio, floor))
-	}
-	if fresh.InvertibleRecall < fresh.ReverseRecall {
-		failures = append(failures, fmt.Sprintf(
-			"invertible recall %.3f below the reverse witness %.3f — the decode is losing true offender keys",
-			fresh.InvertibleRecall, fresh.ReverseRecall))
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "benchgate: FAIL:", f)
-		}
-		return fmt.Errorf("%d check(s) failed", len(failures))
-	}
-	fmt.Println("  PASS")
-	return nil
 }
 
 // gateCache enforces the flow-cache contract over the BENCH_cache.json
@@ -178,21 +112,6 @@ func loadCache(path string) (experiments.CacheBench, error) {
 	}
 	if b.UncachedPacketPPS <= 0 || b.UncachedFlowRPS <= 0 {
 		return experiments.CacheBench{}, fmt.Errorf("%s: not a cache benchmark (zero uncached rates)", path)
-	}
-	return b, nil
-}
-
-func loadInference(path string) (experiments.InferenceBench, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return experiments.InferenceBench{}, err
-	}
-	var b experiments.InferenceBench
-	if err := json.Unmarshal(data, &b); err != nil {
-		return experiments.InferenceBench{}, fmt.Errorf("%s: %w", path, err)
-	}
-	if b.ReverseDecodeSec <= 0 || b.InvertibleDecodeSec <= 0 {
-		return experiments.InferenceBench{}, fmt.Errorf("%s: not an inference benchmark (zero latencies)", path)
 	}
 	return b, nil
 }

@@ -28,13 +28,13 @@ func main() {
 
 func run() error {
 	tables := []string{"1", "4", "5", "6", "7", "9", "f4", "mr", "val", "ma", "perf",
-		"cache", "inference", "mit", "ttd", "ablation", "scenarios", "all"}
+		"cache", "mit", "ttd", "ablation", "scenarios", "all"}
 	var (
 		table = flag.String("table", "all",
 			"which artifact to regenerate: "+strings.Join(tables, ", "))
 		full     = flag.Bool("full", false, "run at the larger scale")
 		benchout = flag.String("benchout", "",
-			"write the cache/inference benchmark results as JSON to this file (default BENCH_<table>.json; only with that -table named)")
+			"write the cache benchmark results as JSON to this file (default BENCH_cache.json; only with -table cache)")
 	)
 	flag.Parse()
 	if !slices.Contains(tables, *table) {
@@ -175,36 +175,6 @@ func run() error {
 		}
 		if out != "" {
 			data, err := json.MarshalIndent(cb, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", out)
-		}
-	}
-	if want("inference") {
-		section("Inference — invertible decode vs reverse-hashing search")
-		heavy, noise, rounds := 20, 2000, 5
-		if *full {
-			heavy, noise, rounds = 20, 8000, 9
-		}
-		ib, err := experiments.InferenceLatency(heavy, noise, rounds)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatInference(ib))
-		// As with the cache table, -table all leaves the committed JSON
-		// alone; asking for the inference table explicitly records it.
-		out := ""
-		if *table == "inference" {
-			if out = *benchout; out == "" {
-				out = "BENCH_inference.json"
-			}
-		}
-		if out != "" {
-			data, err := json.MarshalIndent(ib, "", "  ")
 			if err != nil {
 				return err
 			}

@@ -57,7 +57,6 @@ func run() error {
 		threshold = flag.Float64("threshold", 1, "detection threshold in unresponded SYNs per second")
 		alpha     = flag.Float64("alpha", 0.5, "EWMA smoothing constant")
 		compact   = flag.Bool("compact", false, "use compact (≈1.5MB) sketches instead of the paper's 13.2MB set")
-		inference = flag.String("inference", "reverse", "offender-key recovery engine: reverse (reverse-hashing search) or invertible (O(buckets) sketch decode)")
 		phases    = flag.Bool("phases", false, "print raw and after-classification alerts too")
 		statePath = flag.String("state", "", "checkpoint file: loaded at start if present, saved after every interval (live mode)")
 		httpAddr  = flag.String("http", "", "serve /metrics, /healthz, /debug/vars and /debug/pprof on this address (e.g. :9090)")
@@ -121,13 +120,6 @@ func run() error {
 	if *compact {
 		opts = append(opts, hifind.WithCompactSketches())
 	}
-	switch *inference {
-	case "reverse":
-	case "invertible":
-		opts = append(opts, hifind.WithInvertibleInference())
-	default:
-		return fmt.Errorf("-inference must be reverse or invertible, got %q", *inference)
-	}
 	if *flowCache > 0 {
 		opts = append(opts, hifind.WithFlowCache(*flowCache))
 	}
@@ -177,11 +169,10 @@ func run() error {
 	if len(auxNames) > 0 {
 		auxNote = strings.Join(auxNames, ",")
 	}
-	fmt.Printf("HiFIND: %0.1f MB of sketches, %v intervals, threshold %.1f SYN/s, %s inference%s, detectors %s\n",
-		float64(det.MemoryBytes())/(1<<20), *interval, *threshold, det.InferenceEngine(), cacheNote, auxNote)
+	fmt.Printf("HiFIND: %0.1f MB of sketches, %v intervals, threshold %.1f SYN/s%s, detectors %s\n",
+		float64(det.MemoryBytes())/(1<<20), *interval, *threshold, cacheNote, auxNote)
 	if sink != nil {
 		sink.Emit(telemetry.Event{Time: time.Now(), Kind: "startup", Fields: map[string]any{
-			"inference_engine":   det.InferenceEngine(),
 			"memory_bytes":       det.MemoryBytes(),
 			"interval_seconds":   interval.Seconds(),
 			"flow_cache_entries": *flowCache,
@@ -303,8 +294,8 @@ func runLive(ctx context.Context, det *hifind.Detector, addr string, edgeCIDRs [
 		}
 		return nil
 	})
-	fmt.Printf("listening for NetFlow v5 on %s, %v intervals, %s inference; Ctrl-C to stop\n",
-		collector.Addr(), interval, det.InferenceEngine())
+	fmt.Printf("listening for NetFlow v5 on %s, %v intervals; Ctrl-C to stop\n",
+		collector.Addr(), interval)
 
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()

@@ -263,11 +263,6 @@ func New(opts ...Option) (*Detector, error) {
 // Interval returns the configured interval length.
 func (d *Detector) Interval() time.Duration { return d.interval }
 
-// InferenceEngine names the active offender-key recovery engine:
-// "reverse" (reversible-sketch search, the default) or "invertible"
-// (O(buckets) invertible-sketch decode, WithInvertibleInference).
-func (d *Detector) InferenceEngine() string { return d.det.InferenceEngine().String() }
-
 // Observe records one packet. Non-IPv4 packets are counted and dropped
 // (the paper's system is IPv4-only). Not safe for concurrent use — see
 // the Detector contract.

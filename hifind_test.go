@@ -241,7 +241,7 @@ func TestMergedRejectsGarbageState(t *testing.T) {
 	}{
 		{"truncated", good[:len(good)/2]},
 		{"wrong seed", snapshot(hifind.WithSeed(0xbad5eed))},
-		{"other inference mode", snapshot(hifind.WithInvertibleInference())},
+		{"other structure set", snapshot(hifind.WithReflectionDetection())},
 	} {
 		for _, d := range []*hifind.Detector{det, twin} {
 			for i := 0; i < 100; i++ {

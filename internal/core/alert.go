@@ -173,9 +173,8 @@ type DiagStats struct {
 	ReflectionCandidates int
 
 	// InferenceSeconds is the wall time the interval's three
-	// offender-key recovery steps took (reverse-hashing search or
-	// invertible decode, whichever engine is active); KeysRecovered is
-	// their combined post-verification yield. Zero on intervals where
+	// offender-key recovery steps took (reverse-hashing search);
+	// KeysRecovered is their combined post-verification yield. Zero on intervals where
 	// detection did not run (forecast warm-up).
 	InferenceSeconds float64
 	KeysRecovered    int

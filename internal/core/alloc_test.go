@@ -138,11 +138,10 @@ func TestObserveFlowAllocs(t *testing.T) {
 
 // TestAddBinaryAllocs pins the merge path: adding serialized states
 // validates and sums in place, so two contributors allocate nothing — at
-// paper geometry, and with every optional structure (invertible
-// sketches, burst and reflection monitors) on.
+// paper geometry, and with every optional structure (burst and
+// reflection monitors) on.
 func TestAddBinaryAllocs(t *testing.T) {
 	full := TestRecorderConfig(0xa110c)
-	full.Inference = InferenceInvertible
 	full.BurstSlots, full.BurstWindow = 4, 15*time.Second
 	full.Reflection = true
 	for name, cfg := range map[string]RecorderConfig{

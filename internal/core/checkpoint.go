@@ -42,7 +42,7 @@ func (d *Detector) MarshalState() ([]byte, error) {
 		// Persistence streaks span interval boundaries by definition; a
 		// restart must not reset a stealth scanner's streak to zero. The
 		// block exists only when the detector is configured with
-		// PersistScan, mirroring the invertible-forecaster convention.
+		// PersistScan.
 		pb, err := d.persist.MarshalBinary()
 		if err != nil {
 			return nil, fmt.Errorf("core: checkpoint persistence tracker: %w", err)
@@ -135,19 +135,12 @@ func (d *Detector) RestoreState(data []byte) error {
 	return nil
 }
 
-// forecasters lists the detector's EWMA instances in a fixed order. The
-// invertible-inference forecasters extend the list only when active, so
-// reverse-mode checkpoints keep their historical layout and a mode
-// mismatch surfaces as a block-count error instead of a misparse.
+// forecasters lists the detector's EWMA instances in a fixed order.
 func (d *Detector) forecasters() []forecaster {
-	fcs := []forecaster{
+	return []forecaster{
 		d.fcSipDport, d.fcDipDport, d.fcSipDip,
 		d.fcVSipDport, d.fcVDipDport, d.fcVSipDip,
 	}
-	if d.fcInvSipDport != nil {
-		fcs = append(fcs, d.fcInvSipDport, d.fcInvDipDport, d.fcInvSipDip)
-	}
-	return fcs
 }
 
 // forecaster is the serializable surface of timeseries.EWMA used here.

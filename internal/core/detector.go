@@ -102,11 +102,6 @@ type Detector struct {
 	fcVSipDport *timeseries.EWMA
 	fcVDipDport *timeseries.EWMA
 	fcVSipDip   *timeseries.EWMA
-	// Invertible-sketch forecasters over the flattened buckets×fields
-	// snapshot geometry — nil unless the recorder runs InferenceInvertible.
-	fcInvSipDport *timeseries.EWMA
-	fcInvDipDport *timeseries.EWMA
-	fcInvSipDip   *timeseries.EWMA
 
 	interval int
 	// streaks tracks consecutive anomalous intervals per flooding victim
@@ -174,20 +169,6 @@ func NewDetector(rcfg RecorderConfig, dcfg DetectorConfig) (*Detector, error) {
 	if d.fcVSipDip, err = mkK(rcfg.Verifier); err != nil {
 		return nil, err
 	}
-	if rcfg.Inference == InferenceInvertible {
-		mkI := func(p invsketch.Params) (*timeseries.EWMA, error) {
-			return timeseries.NewEWMA(dcfg.Alpha, p.Stages, p.Buckets*p.Fields())
-		}
-		if d.fcInvSipDport, err = mkI(rcfg.Inv48); err != nil {
-			return nil, err
-		}
-		if d.fcInvDipDport, err = mkI(rcfg.Inv48); err != nil {
-			return nil, err
-		}
-		if d.fcInvSipDip, err = mkI(rcfg.Inv64); err != nil {
-			return nil, err
-		}
-	}
 	if dcfg.PersistScan {
 		d.persist, err = persist.NewTracker(persist.Config{
 			MinIntervals: persistStreak,
@@ -200,9 +181,6 @@ func NewDetector(rcfg RecorderConfig, dcfg DetectorConfig) (*Detector, error) {
 	}
 	return d, nil
 }
-
-// InferenceEngine returns the active offender-key recovery engine.
-func (d *Detector) InferenceEngine() InferenceEngine { return d.rec.Config().Inference }
 
 // Config returns the detection configuration (defaults applied).
 func (d *Detector) Config() DetectorConfig { return d.cfg }
@@ -275,28 +253,10 @@ func (d *Detector) EndIntervalWithPartial(partial bool) (IntervalResult, error) 
 	if err != nil {
 		return IntervalResult{}, err
 	}
-	var errInvSipDport, errInvDipDport, errInvSipDip sketch.Grid
-	invOK := true
-	if d.fcInvSipDport != nil {
-		var ok bool
-		if errInvSipDport, ok, err = d.fcInvSipDport.Observe(rec.InvSipDport.Snapshot()); err != nil {
-			return IntervalResult{}, err
-		}
-		invOK = invOK && ok
-		if errInvDipDport, ok, err = d.fcInvDipDport.Observe(rec.InvDipDport.Snapshot()); err != nil {
-			return IntervalResult{}, err
-		}
-		invOK = invOK && ok
-		if errInvSipDip, ok, err = d.fcInvSipDip.Observe(rec.InvSipDip.Snapshot()); err != nil {
-			return IntervalResult{}, err
-		}
-		invOK = invOK && ok
-	}
-	if ok1 && ok2 && ok3 && invOK {
+	if ok1 && ok2 && ok3 {
 		res, err = d.detect(rec, errGrids{
 			sipDport: errSipDport, dipDport: errDipDport, sipDip: errSipDip,
 			vSipDport: errVSipDport, vDipDport: errVDipDport, vSipDip: errVSipDip,
-			invSipDport: errInvSipDport, invDipDport: errInvDipDport, invSipDip: errInvSipDip,
 		})
 		if err != nil {
 			return IntervalResult{}, err
@@ -334,9 +294,8 @@ func (d *Detector) EndIntervalWithPartial(partial bool) (IntervalResult, error) 
 
 // errGrids bundles the forecast-error grids of one interval.
 type errGrids struct {
-	sipDport, dipDport, sipDip          sketch.Grid
-	vSipDport, vDipDport, vSipDip       sketch.Grid
-	invSipDport, invDipDport, invSipDip sketch.Grid // nil in reverse mode
+	sipDport, dipDport, sipDip    sketch.Grid
+	vSipDport, vDipDport, vSipDip sketch.Grid
 }
 
 // verifierCheck builds the inference Verify callback for one reversible
@@ -354,63 +313,6 @@ func (d *Detector) verifierCheck(ver *sketch.Sketch, verErr sketch.Grid) func(ui
 	return func(key uint64, _ float64) bool {
 		return ver.EstimateGrid(verErr, total, key) >= floor
 	}
-}
-
-// recoverKeys dispatches one detection step's offender-key recovery to
-// the active inference engine. The reverse engine runs the paper's
-// reverse-hashing INFERENCE over the reversible sketch's error grid;
-// the invertible engine decodes candidate keys from the invertible
-// sketch's buckets in O(buckets), then re-estimates each key from the
-// *reversible* sketch's error grid and applies exactly the filters
-// Inference applies (threshold, Verify, estimate-descending sort,
-// MaxKeys cap). Sharing the estimator means that whenever the two
-// engines recover the same key set, their outputs — and therefore the
-// rendered alerts — are bit-identical, which is what the cross-engine
-// differential suite asserts.
-func (d *Detector) recoverKeys(rs *revsketch.Sketch, rsErr sketch.Grid,
-	inv *invsketch.Sketch, invErr sketch.Grid,
-	opts revsketch.InferenceOptions) ([]revsketch.KeyEstimate, error) {
-	t := d.cfg.Threshold
-	if inv == nil {
-		return rs.Inference(rsErr, t, opts)
-	}
-	// Decode at half the threshold: the invertible sketch's own estimator
-	// and the reversible one disagree by small amounts, so a key sitting
-	// exactly at the threshold could pass the authoritative reversible
-	// estimate below while Decode's internal filter rejects it. The margin
-	// keeps Decode a candidate generator; the filters below decide. The
-	// loose MaxKeys cap likewise leaves room for candidates the estimate
-	// and Verify filters will reject, mirroring Inference's internal 4×
-	// emission headroom.
-	decoded, err := inv.Decode(invErr, t/2, invsketch.DecodeOptions{MaxKeys: opts.MaxKeys * 4})
-	if err != nil {
-		return nil, err
-	}
-	totals := revsketch.GridTotals(rsErr)
-	out := make([]revsketch.KeyEstimate, 0, len(decoded))
-	for _, ke := range decoded {
-		est := rs.EstimateGrid(rsErr, totals, ke.Key)
-		if est < t {
-			continue
-		}
-		if opts.Verify != nil && !opts.Verify(ke.Key, est) {
-			continue
-		}
-		out = append(out, revsketch.KeyEstimate{Key: ke.Key, Estimate: est})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Estimate > out[b].Estimate {
-			return true
-		}
-		if out[a].Estimate < out[b].Estimate {
-			return false
-		}
-		return out[a].Key < out[b].Key
-	})
-	if len(out) > opts.MaxKeys {
-		out = out[:opts.MaxKeys]
-	}
-	return out, nil
 }
 
 // Phase 3's congestion filter (§3.4) passes a flooding victim only once
@@ -433,7 +335,7 @@ func (d *Detector) detect(rec *Recorder, g errGrids) (IntervalResult, error) {
 	stepOpts := opts
 	stepOpts.Verify = d.verifierCheck(rec.VerDipDport, g.vDipDport)
 	stepStart := time.Now()
-	floodKeys, err := d.recoverKeys(rec.RSDipDport, g.dipDport, rec.InvDipDport, g.invDipDport, stepOpts)
+	floodKeys, err := rec.RSDipDport.Inference(g.dipDport, d.cfg.Threshold, stepOpts)
 	if err != nil {
 		return res, err
 	}
@@ -458,7 +360,7 @@ func (d *Detector) detect(rec *Recorder, g errGrids) (IntervalResult, error) {
 	// the rest are vertical-scan candidates.
 	stepOpts.Verify = d.verifierCheck(rec.VerSipDip, g.vSipDip)
 	stepStart = time.Now()
-	pairKeys, err := d.recoverKeys(rec.RSSipDip, g.sipDip, rec.InvSipDip, g.invSipDip, stepOpts)
+	pairKeys, err := rec.RSSipDip.Inference(g.sipDip, d.cfg.Threshold, stepOpts)
 	if err != nil {
 		return res, err
 	}
@@ -488,7 +390,7 @@ func (d *Detector) detect(rec *Recorder, g errGrids) (IntervalResult, error) {
 	// scan candidates.
 	stepOpts.Verify = d.verifierCheck(rec.VerSipDport, g.vSipDport)
 	stepStart = time.Now()
-	srcKeys, err := d.recoverKeys(rec.RSSipDport, g.sipDport, rec.InvSipDport, g.invSipDport, stepOpts)
+	srcKeys, err := rec.RSSipDport.Inference(g.sipDport, d.cfg.Threshold, stepOpts)
 	if err != nil {
 		return res, err
 	}
@@ -666,54 +568,17 @@ func (d *Detector) detectPersistent(rec *Recorder, diag *DiagStats) ([]Alert, er
 	}
 	floor := d.cfg.Threshold / 6
 	start := time.Now()
-	var band []revsketch.KeyEstimate
-	var err error
-	if rec.InvSipDport == nil {
-		opts := revsketch.InferenceOptions{Quorum: d.cfg.Quorum, MaxKeys: d.cfg.MaxKeysPerStep}
-		if d.cfg.VerifyFraction >= 0 {
-			verFloor := d.cfg.VerifyFraction * floor
-			ver := rec.VerSipDport
-			opts.Verify = func(key uint64, _ float64) bool {
-				return ver.Estimate(key) >= verFloor
-			}
-		}
-		band, err = rec.RSSipDport.InferenceCounts(floor, opts)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// Invertible engine: decode candidates cheaply, then re-estimate
-		// from the reversible sketch so both engines agree key-for-key
-		// and estimate-for-estimate (the cross-engine identity contract).
-		decoded, derr := rec.InvSipDport.DecodeCounts(floor/2, invsketch.DecodeOptions{
-			MaxKeys: d.cfg.MaxKeysPerStep * 4,
-		})
-		if derr != nil {
-			return nil, derr
-		}
+	opts := revsketch.InferenceOptions{Quorum: d.cfg.Quorum, MaxKeys: d.cfg.MaxKeysPerStep}
+	if d.cfg.VerifyFraction >= 0 {
 		verFloor := d.cfg.VerifyFraction * floor
-		for _, ke := range decoded {
-			est := rec.RSSipDport.Estimate(ke.Key)
-			if est < floor {
-				continue
-			}
-			if d.cfg.VerifyFraction >= 0 && rec.VerSipDport.Estimate(ke.Key) < verFloor {
-				continue
-			}
-			band = append(band, revsketch.KeyEstimate{Key: ke.Key, Estimate: est})
+		ver := rec.VerSipDport
+		opts.Verify = func(key uint64, _ float64) bool {
+			return ver.Estimate(key) >= verFloor
 		}
-		sort.Slice(band, func(a, b int) bool {
-			if band[a].Estimate > band[b].Estimate {
-				return true
-			}
-			if band[a].Estimate < band[b].Estimate {
-				return false
-			}
-			return band[a].Key < band[b].Key
-		})
-		if len(band) > d.cfg.MaxKeysPerStep {
-			band = band[:d.cfg.MaxKeysPerStep]
-		}
+	}
+	band, err := rec.RSSipDport.InferenceCounts(floor, opts)
+	if err != nil {
+		return nil, err
 	}
 	diag.InferenceSeconds += time.Since(start).Seconds()
 	// Keep only the sub-threshold band: anything at or above Threshold

@@ -76,8 +76,7 @@ func refSides(r *Recorder, dir netmodel.Direction) (toward, away bool) {
 // (sip,dip,dport): each structure mangles and hashes its key
 // independently through its own Update. The tally is the paper's fixed
 // per-packet budget (§5.5.2) — Stages counter writes per reversible,
-// verifier and 2D sketch, Stages×Fields per invertible sketch, and the
-// OS sketch's Stages on SYNs only.
+// verifier and 2D sketch, and the OS sketch's Stages on SYNs only.
 func refUpdate(r *Recorder, sip, dip netmodel.IPv4, dport uint16, v int32) {
 	kSipDport := netmodel.PackSIPDport(sip, dport)
 	kDipDport := netmodel.PackDIPDport(dip, dport)
@@ -95,12 +94,6 @@ func refUpdate(r *Recorder, sip, dip netmodel.IPv4, dport uint16, v int32) {
 	if v > 0 {
 		r.OSDipDport.Update(kDipDport, 1)
 		acc += r.cfg.Original.Stages
-	}
-	if r.cfg.Inference == InferenceInvertible {
-		r.InvSipDport.Update(kSipDport, v)
-		r.InvDipDport.Update(kDipDport, v)
-		r.InvSipDip.Update(kSipDip, v)
-		acc += 2*r.cfg.Inv48.Stages*r.cfg.Inv48.Fields() + r.cfg.Inv64.Stages*r.cfg.Inv64.Fields()
 	}
 	r.memoryAccesses += int64(acc)
 }
@@ -215,18 +208,15 @@ func requireIdentical(t *testing.T, got, ref *Recorder, label string) {
 }
 
 // TestDifferentialSequential drives both sides with identical mixed
-// packet/flow streams across several seeds, in both inference modes
-// (the invertible one records into three more sketches), and requires
-// byte-identical state.
+// packet/flow streams across several seeds and requires byte-identical
+// state.
 func TestDifferentialSequential(t *testing.T) {
-	for _, inf := range []InferenceEngine{InferenceReverse, InferenceInvertible} {
-		for _, seed := range []int64{1, 2, 3, 42} {
-			events := diffStream(seed, 4000)
-			got, ref := diffRecorders(t, inferenceConfig(0xd1ff, inf))
-			feed(got, events)
-			feedRef(ref, events)
-			requireIdentical(t, got, ref, "sequential/"+inf.String())
-		}
+	for _, seed := range []int64{1, 2, 3, 42} {
+		events := diffStream(seed, 4000)
+		got, ref := diffRecorders(t, TestRecorderConfig(0xd1ff))
+		feed(got, events)
+		feedRef(ref, events)
+		requireIdentical(t, got, ref, "sequential")
 	}
 }
 

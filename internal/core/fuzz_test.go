@@ -75,17 +75,17 @@ func FuzzObserve(f *testing.F) {
 }
 
 // FuzzRecorderAddBinary feeds arbitrary bytes to the merge path — the
-// parser the aggregation collector runs over payloads read off TCP — in
-// both inference modes with the burst and reflection monitors on. Seeds
-// are valid snapshots of each mode plus truncations of them. Every table
-// is at its smallest valid size: the parser does not depend on
-// geometry, and 8–11 KB seeds instead of the compact configuration's
-// 5 MB keep the mutator on the headers and block lengths. AddBinary must
-// never panic, and a rejected payload must leave the receiver's
-// serialized state exactly as it was.
+// parser the aggregation collector runs over payloads read off TCP — on
+// two structure sets: with the burst and reflection monitors on, and the
+// plain set the collector merges. Seeds are valid snapshots of each set
+// plus truncations of them. Every table is at its smallest valid size:
+// the parser does not depend on geometry, and 8–11 KB seeds instead of
+// the compact configuration's 5 MB keep the mutator on the headers and
+// block lengths. AddBinary must never panic, and a rejected payload must
+// leave the receiver's serialized state exactly as it was.
 func FuzzRecorderAddBinary(f *testing.F) {
 	var recs []*Recorder
-	for _, inf := range []InferenceEngine{InferenceReverse, InferenceInvertible} {
+	for i, monitors := range []bool{true, false} {
 		tiny := invsketch.Params{KeyBits: 48, Stages: 1, Buckets: 4}
 		cfg := RecorderConfig{
 			Seed:            0xadd,
@@ -95,20 +95,18 @@ func FuzzRecorderAddBinary(f *testing.F) {
 			Original:        sketch.Params{Stages: 6, Buckets: 1 << 4},
 			TwoD:            sketch2d.Params{Stages: 5, XBuckets: 4, YBuckets: 4},
 			ServiceCapacity: 1 << 6,
-			Inference:       inf,
-			Inv48:           tiny,
-			Inv64:           invsketch.Params{KeyBits: 64, Stages: 1, Buckets: 4},
-			BurstSlots:      4,
-			BurstWindow:     15 * time.Second,
 			Burst:           tiny,
-			Reflection:      true,
 			Reflect:         tiny,
+		}
+		if monitors {
+			cfg.BurstSlots, cfg.BurstWindow = 4, 15*time.Second
+			cfg.Reflection = true
 		}
 		src, err := NewRecorder(cfg)
 		if err != nil {
 			f.Fatal(err)
 		}
-		feed(src, diffStream(int64(inf)+1, 300))
+		feed(src, diffStream(int64(i)+1, 300))
 		payload := mustMarshal(f, src)
 		for _, n := range []int{len(payload), len(payload) - 1, len(payload) / 2, 12, 8} {
 			f.Add(payload[:n])
@@ -131,7 +129,7 @@ func FuzzRecorderAddBinary(f *testing.F) {
 				continue
 			}
 			if !bytes.Equal(mustMarshal(t, r), before[i]) {
-				t.Fatalf("%s receiver: rejected payload changed its state", r.Config().Inference)
+				t.Fatalf("receiver %d: rejected payload changed its state", i)
 			}
 		}
 	})

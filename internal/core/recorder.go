@@ -40,37 +40,6 @@ func (o Orientation) String() string {
 	}
 }
 
-// InferenceEngine selects how offender keys are recovered from the
-// heavy-change signal at detection time. The choice is part of
-// RecorderConfig: the invertible engine records into three additional
-// sketches, so recorders on different inference engines hold
-// structurally different state and must not merge.
-type InferenceEngine int
-
-const (
-	// InferenceReverse is the paper's reverse-hashing INFERENCE over
-	// the modular-hash candidate space (package revsketch) — the
-	// witness engine the differential suite compares against.
-	InferenceReverse InferenceEngine = iota
-	// InferenceInvertible records each key's folded material into
-	// bucketized invertible sketches (package invsketch) alongside the
-	// reversible set, and recovers offender keys with an O(buckets)
-	// decode instead of the reverse-hashing search.
-	InferenceInvertible
-)
-
-// String names the inference engine.
-func (e InferenceEngine) String() string {
-	switch e {
-	case InferenceReverse:
-		return "reverse"
-	case InferenceInvertible:
-		return "invertible"
-	default:
-		return fmt.Sprintf("inference(%d)", int(e))
-	}
-}
-
 // RecorderConfig sizes the sketch set. The zero value is replaced by the
 // paper's §5.1 configuration (PaperRecorderConfig).
 type RecorderConfig struct {
@@ -91,14 +60,6 @@ type RecorderConfig struct {
 	TwoD sketch2d.Params
 	// ServiceCapacity sizes the active-service Bloom filter.
 	ServiceCapacity int
-	// Inference selects the offender-key recovery engine (default
-	// InferenceReverse). InferenceInvertible additionally records into
-	// the three invertible sketches sized by Inv48/Inv64.
-	Inference InferenceEngine
-	// Inv48 is the geometry of the two 48-bit invertible sketches
-	// ({SIP,Dport} and {DIP,Dport}); Inv64 of the {SIP,DIP} sketch.
-	// Only consulted when Inference is InferenceInvertible.
-	Inv48, Inv64 invsketch.Params
 	// BurstSlots, when positive, enables the ALBUS-style sub-interval
 	// burst monitor: BurstSlots invertible sketches (geometry Burst,
 	// shared hashing) cycle through wall-clock windows of BurstWindow,
@@ -108,8 +69,8 @@ type RecorderConfig struct {
 	BurstSlots  int
 	BurstWindow time.Duration
 	// Burst is the per-slot burst-monitor geometry; Reflect the
-	// reflection monitor's. Like Inv48/Inv64 they are only consulted
-	// when their monitor is enabled.
+	// reflection monitor's. They are only consulted when their monitor
+	// is enabled.
 	Burst invsketch.Params
 	// Reflection enables the reflection/amplification monitor: one
 	// invertible sketch over {DIP, service Sport} recording inbound
@@ -139,8 +100,6 @@ func PaperRecorderConfig(seed uint64) RecorderConfig {
 		Original:        sketch.Params{Stages: 6, Buckets: 1 << 14},
 		TwoD:            sketch2d.PaperParams(),
 		ServiceCapacity: 1 << 20,
-		Inv48:           invsketch.Params48(),
-		Inv64:           invsketch.Params64(),
 		Burst:           invsketch.Params48(),
 		Reflect:         invsketch.Params48(),
 	}
@@ -159,8 +118,6 @@ func TestRecorderConfig(seed uint64) RecorderConfig {
 	cfg.Original.Buckets = 1 << 12
 	cfg.TwoD.XBuckets = 1 << 10
 	cfg.ServiceCapacity = 1 << 16
-	cfg.Inv48.Buckets = 1 << 9
-	cfg.Inv64.Buckets = 1 << 9
 	cfg.Burst.Buckets = 1 << 9
 	cfg.Reflect.Buckets = 1 << 9
 	return cfg
@@ -192,12 +149,6 @@ type Recorder struct {
 	// 2D sketches: x={SIP,Dport}×y={DIP} and x={SIP,DIP}×y={Dport}.
 	TwoDSipDportXDip *sketch2d.Sketch
 	TwoDSipDipXDport *sketch2d.Sketch
-	// Invertible sketches, same keys and value as the reversible set —
-	// nil unless cfg.Inference is InferenceInvertible. They carry the
-	// folded key material the O(buckets) decode recovers offenders from.
-	InvSipDport *invsketch.Sketch
-	InvDipDport *invsketch.Sketch
-	InvSipDip   *invsketch.Sketch
 	// Burst is the sub-interval burst monitor over {DIP,Dport} — nil
 	// unless cfg.BurstSlots is positive. Reflect is the reflection
 	// monitor over {DIP, service Sport} — nil unless cfg.Reflection.
@@ -233,8 +184,6 @@ type updatePlans struct {
 	osDipDport                       *sketch.Plan
 	twoDSipDportXDip                 *sketch2d.Plan
 	twoDSipDipXDport                 *sketch2d.Plan
-	// Invertible-sketch plans, nil in reverse-inference mode.
-	invSipDport, invDipDport, invSipDip *invsketch.Plan
 	// Burst and reflection monitor plans, nil when disabled.
 	burst, reflect *invsketch.Plan
 }
@@ -287,21 +236,6 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 	if r.Services, err = bloom.New(cfg.ServiceCapacity, 0.01, cfg.Seed^0x0a); err != nil {
 		return nil, fmt.Errorf("core: service filter: %w", err)
 	}
-	switch cfg.Inference {
-	case InferenceReverse:
-	case InferenceInvertible:
-		if r.InvSipDport, err = invsketch.New(cfg.Inv48, cfg.Seed^0x0b); err != nil {
-			return nil, fmt.Errorf("core: Inv{SIP,Dport}: %w", err)
-		}
-		if r.InvDipDport, err = invsketch.New(cfg.Inv48, cfg.Seed^0x0c); err != nil {
-			return nil, fmt.Errorf("core: Inv{DIP,Dport}: %w", err)
-		}
-		if r.InvSipDip, err = invsketch.New(cfg.Inv64, cfg.Seed^0x0d); err != nil {
-			return nil, fmt.Errorf("core: Inv{SIP,DIP}: %w", err)
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown inference engine %d", cfg.Inference)
-	}
 	if cfg.BurstSlots != 0 {
 		bc := burst.Config{Slots: cfg.BurstSlots, Window: cfg.BurstWindow, Params: cfg.Burst}
 		if r.Burst, err = burst.New(bc, cfg.Seed^0x0e); err != nil {
@@ -339,11 +273,6 @@ func (r *Recorder) newPlans() updatePlans {
 		osDipDport:       r.OSDipDport.NewPlan(),
 		twoDSipDportXDip: r.TwoDSipDportXDip.NewPlan(),
 		twoDSipDipXDport: r.TwoDSipDipXDport.NewPlan(),
-	}
-	if r.InvSipDport != nil {
-		p.invSipDport = r.InvSipDport.NewPlan()
-		p.invDipDport = r.InvDipDport.NewPlan()
-		p.invSipDip = r.InvSipDip.NewPlan()
 	}
 	if r.Burst != nil {
 		p.burst = r.Burst.NewPlan()
@@ -508,15 +437,6 @@ func (r *Recorder) record(sip, dip netmodel.IPv4, dport uint16, syns, acks int64
 	r.flushFlow(sip, dip, dport, syns, acks)
 }
 
-// invAccesses is the extra per-packet counter-write budget of the
-// invertible sketches, zero in reverse-inference mode.
-func (r *Recorder) invAccesses() int64 {
-	if r.InvSipDport == nil {
-		return 0
-	}
-	return int64(2*r.cfg.Inv48.Stages*r.cfg.Inv48.Fields() + r.cfg.Inv64.Stages*r.cfg.Inv64.Fields())
-}
-
 // update applies value v to every #SYN−#SYN/ACK structure under
 // connection (sip,dip,dport) and syn to the OS sketch, accounting
 // memory accesses for n collapsed packets. Each key's hash work happens
@@ -562,24 +482,12 @@ func (r *Recorder) update(sip, dip netmodel.IPv4, dport uint16, v, syn int32, n 
 	}
 	r.TwoDSipDportXDip.UpdateAt(p.twoDSipDportXDip, v)
 	r.TwoDSipDipXDport.UpdateAt(p.twoDSipDipXDport, v)
-	if r.InvSipDport != nil {
-		r.InvSipDport.FillPlan(kSipDport, ppSipDport, p.invSipDport)
-		r.InvDipDport.FillPlan(kDipDport, ppDipDport, p.invDipDport)
-		r.InvSipDip.FillPlan(kSipDip, ppSipDip, p.invSipDip)
-		r.InvSipDport.UpdateAt(p.invSipDport, v)
-		r.InvDipDport.UpdateAt(p.invDipDport, v)
-		r.InvSipDip.UpdateAt(p.invSipDip, v)
-	}
 
 	// Counter writes per packet: 6 per RS ×3, 6 per verifier ×3, 5 per 2D
 	// ×2, plus 6 for the OS on SYNs — the fixed per-packet access budget
 	// of paper §5.5.2 (no per-flow state anywhere), scaled by the number
-	// of packets this weighted update collapses. The invertible engine
-	// adds Stages×Fields writes per invertible sketch; each stage's burst
-	// is one contiguous bucket, so the cache-line cost is closer to
-	// Stages than to Stages×Fields, but the budget counts writes
-	// honestly.
-	acc := int64(3*r.cfg.RS48.Stages+3*r.cfg.Verifier.Stages+2*r.cfg.TwoD.Stages) + r.invAccesses()
+	// of packets this weighted update collapses.
+	acc := int64(3*r.cfg.RS48.Stages + 3*r.cfg.Verifier.Stages + 2*r.cfg.TwoD.Stages)
 	if syn != 0 {
 		acc += int64(r.cfg.Original.Stages)
 	}
@@ -657,9 +565,6 @@ func (r *Recorder) MemoryBytes() int {
 		r.VerSipDport.MemoryBytes() + r.VerDipDport.MemoryBytes() + r.VerSipDip.MemoryBytes() +
 		r.OSDipDport.MemoryBytes() +
 		r.TwoDSipDportXDip.MemoryBytes() + r.TwoDSipDipXDport.MemoryBytes()
-	if r.InvSipDport != nil {
-		total += r.InvSipDport.MemoryBytes() + r.InvDipDport.MemoryBytes() + r.InvSipDip.MemoryBytes()
-	}
 	if r.Burst != nil {
 		total += r.Burst.MemoryBytes()
 	}
@@ -682,11 +587,6 @@ func (r *Recorder) Reset() {
 	r.OSDipDport.Reset()
 	r.TwoDSipDportXDip.Reset()
 	r.TwoDSipDipXDport.Reset()
-	if r.InvSipDport != nil {
-		r.InvSipDport.Reset()
-		r.InvDipDport.Reset()
-		r.InvSipDip.Reset()
-	}
 	if r.Burst != nil {
 		r.Burst.Reset()
 	}
@@ -708,10 +608,9 @@ type wireBlock interface {
 	AddBinary(data []byte, apply bool) error
 }
 
-// newBlocks lists the structures in wire order. Invertible-mode blocks
-// follow the common set, so the reverse-mode layout is unchanged and a
-// mode mismatch fails the block count check rather than silently
-// misparsing.
+// newBlocks lists the structures in wire order. Monitor blocks follow
+// the common set, so a structure-set mismatch fails the block count
+// check rather than silently misparsing.
 func (r *Recorder) newBlocks() []wireBlock {
 	blocks := []wireBlock{
 		r.RSSipDport, r.RSDipDport, r.RSSipDip,
@@ -719,9 +618,6 @@ func (r *Recorder) newBlocks() []wireBlock {
 		r.OSDipDport,
 		r.TwoDSipDportXDip, r.TwoDSipDipXDport,
 		r.Services,
-	}
-	if r.InvSipDport != nil {
-		blocks = append(blocks, r.InvSipDport, r.InvDipDport, r.InvSipDip)
 	}
 	if r.Burst != nil {
 		blocks = append(blocks, r.Burst)
@@ -764,7 +660,7 @@ func (r *Recorder) MarshalBinary() ([]byte, error) {
 // multi-router aggregation of paper §3.1 (Table 2's COMBINE with unit
 // coefficients), exact by sketch linearity. Counters and totals add,
 // the active-service filter takes the union, and the packet counts
-// sum. Every payload is validated (block count for r's inference mode,
+// sum. Every payload is validated (block count for r's structure set,
 // then each block's length, magic, geometry and seed against r's
 // structure) before any is added, so an error leaves r exactly as it
 // was. It allocates nothing; pending flow-cache aggregates stay in the

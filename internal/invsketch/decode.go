@@ -7,7 +7,7 @@ import (
 	"github.com/hifind/hifind/internal/sketch"
 )
 
-// KeyEstimate is one key recovered by Decode with its estimated value.
+// KeyEstimate is one key recovered by DecodeCounts with its estimated value.
 type KeyEstimate struct {
 	Key      uint64
 	Estimate float64
@@ -39,8 +39,7 @@ type DecodeOptions struct {
 	// first). Default: 4096.
 	MaxKeys int
 	// Verify, when set, is consulted for every decoded key before it is
-	// accepted — the same hook revsketch.InferenceOptions offers, so
-	// HiFIND's verifier-sketch check plugs into either engine.
+	// accepted — the same hook revsketch.InferenceOptions offers.
 	Verify func(key uint64, estimate float64) bool
 }
 
@@ -57,10 +56,8 @@ func (o DecodeOptions) withDefaults() DecodeOptions {
 	return o
 }
 
-// Decode recovers heavy-change keys directly from the buckets of an
-// external value grid sharing the sketch's snapshot geometry (Stages
-// rows of Buckets×Fields values — in HiFIND the EWMA forecast-error
-// grid), returning every key whose estimated change is at least
+// DecodeCounts recovers heavy keys directly from the sketch's own
+// counters, returning every key whose estimated value is at least
 // threshold, largest first.
 //
 // One pass over the buckets: a bucket whose change counter clears the
@@ -72,34 +69,38 @@ func (o DecodeOptions) withDefaults() DecodeOptions {
 // match the bucket's fingerprint sum within the noise-adaptive slack.
 // Collision garbage fails (a) with probability 1−1/Buckets; whatever
 // survives faces (b), (c) and the caller's Verify. Work is
-// O(Stages × Buckets × KeyBits) with no search — the whole point
-// versus reverse-hashing INFERENCE.
-func (s *Sketch) Decode(g sketch.Grid, threshold float64, opts DecodeOptions) ([]KeyEstimate, error) {
-	fields := s.params.Fields()
-	if g.Stages() != s.params.Stages || g.Buckets() != s.params.Buckets*fields {
-		return nil, fmt.Errorf("invsketch: decode grid %dx%d does not match sketch %dx%d",
-			g.Stages(), g.Buckets(), s.params.Stages, s.params.Buckets*fields)
-	}
+// O(Stages × Buckets × KeyBits) with no search.
+func (s *Sketch) DecodeCounts(threshold float64, opts DecodeOptions) ([]KeyEstimate, error) {
 	if threshold <= 0 {
 		return nil, fmt.Errorf("invsketch: decode threshold %v must be positive", threshold)
 	}
 	opts = opts.withDefaults()
 	bucketFloor := opts.BucketFraction * threshold
-	totals := CountTotals(g, s.params)
+	// Each stage's sum over the change-counter fields: the k-ary
+	// estimator corrects against the stage's total change, not the
+	// folded key material. Summed from the int32 cells rather than taken
+	// from s.total, which differs from them once a cell wraps.
+	fields := s.params.Fields()
+	totals := make([]float64, s.params.Stages)
+	for j := range totals {
+		for b := 0; b < s.params.Buckets; b++ {
+			totals[j] += float64(s.rows[j][b*fields])
+		}
+	}
 	seen := make(map[uint64]bool)
 	var out []KeyEstimate
 	for j := 0; j < s.params.Stages; j++ {
-		row := g[j]
+		row := s.rows[j]
 		for b := 0; b < s.params.Buckets; b++ {
 			base := b * fields
-			count := row[base]
+			count := float64(row[base])
 			if count < bucketFloor {
 				continue
 			}
 			// Bit-majority key readout.
 			var key uint64
 			for i := 0; i < s.params.KeyBits; i++ {
-				if 2*row[base+2+i] > count {
+				if 2*float64(row[base+2+i]) > count {
 					key |= uint64(1) << uint(i)
 				}
 			}
@@ -109,7 +110,7 @@ func (s *Sketch) Decode(g sketch.Grid, threshold float64, opts DecodeOptions) ([
 			if seen[key] {
 				continue
 			}
-			est := s.EstimateGrid(g, totals, key)
+			est := s.estimateCounts(totals, key)
 			if est < threshold {
 				continue
 			}
@@ -118,7 +119,7 @@ func (s *Sketch) Decode(g sketch.Grid, threshold float64, opts DecodeOptions) ([
 				noise = 0
 			}
 			allowed := opts.FingerprintSlack + 255*noise/count
-			fpRatio := row[base+1] / count
+			fpRatio := float64(row[base+1]) / count
 			if d := fpRatio - float64(s.Fingerprint(key)); d > allowed || d < -allowed {
 				continue // fingerprint sum disagrees: corrupted readout
 			}
@@ -144,45 +145,15 @@ func (s *Sketch) Decode(g sketch.Grid, threshold float64, opts DecodeOptions) ([
 	return out, nil
 }
 
-// DecodeCounts runs Decode directly over the sketch's own counters, for
-// callers that detect on raw per-interval values instead of forecast
-// errors (tests, fuzzing, simple deployments).
-func (s *Sketch) DecodeCounts(threshold float64, opts DecodeOptions) ([]KeyEstimate, error) {
-	g := sketch.NewGrid(s.params.Stages, s.params.Buckets*s.params.Fields())
-	if err := g.AddCounts(s.rows, 1); err != nil {
-		return nil, err
-	}
-	return s.Decode(g, threshold, opts)
-}
-
-// CountTotals returns each stage's sum over the change-counter fields
-// of a snapshot-geometry grid, for use with EstimateGrid. Fingerprint
-// and bit fields are excluded: the k-ary estimator corrects against the
-// stage's total change, not the folded key material.
-func CountTotals(g sketch.Grid, p Params) []float64 {
-	fields := p.Fields()
-	t := make([]float64, g.Stages())
-	for j := range t {
-		row := g[j]
-		var sum float64
-		for b := 0; b < p.Buckets; b++ {
-			sum += row[b*fields]
-		}
-		t[j] = sum
-	}
-	return t
-}
-
-// EstimateGrid estimates a key's change from a snapshot-geometry grid
-// with the k-ary mean-corrected median estimator over the change
-// counters — the same estimator the reversible sketch uses, so the two
-// engines' magnitudes are directly comparable.
-func (s *Sketch) EstimateGrid(g sketch.Grid, totals []float64, key uint64) float64 {
+// estimateCounts estimates a key's value with the k-ary mean-corrected
+// median estimator over the change counters, correcting against
+// per-stage change totals.
+func (s *Sketch) estimateCounts(totals []float64, key uint64) float64 {
 	fields := s.params.Fields()
 	k := float64(s.params.Buckets)
 	est := s.scratch
 	for j := 0; j < s.params.Stages; j++ {
-		c := g[j][s.BucketIndex(j, key)*fields]
+		c := float64(s.rows[j][s.BucketIndex(j, key)*fields])
 		est[j] = (c - totals[j]/k) / (1 - 1/k)
 	}
 	return sketch.MedianInPlace(est)

@@ -53,9 +53,6 @@ type Params struct {
 // ({SIP,Dport}, {DIP,Dport}).
 func Params48() Params { return Params{KeyBits: 48, Stages: 3, Buckets: 1 << 12} }
 
-// Params64 returns the default geometry for the 64-bit {SIP,DIP} key.
-func Params64() Params { return Params{KeyBits: 64, Stages: 3, Buckets: 1 << 12} }
-
 // Fields returns the number of int32 counters per bucket.
 func (p Params) Fields() int { return p.KeyBits + 2 }
 
@@ -197,20 +194,6 @@ func (s *Sketch) UpdateAt(p *Plan, v int32) {
 		s.apply(j, ix, p.key, p.fp, v)
 	}
 	s.total += int64(v)
-}
-
-// Snapshot deep-copies the counters in EWMA geometry: Stages rows of
-// Buckets×Fields values, ready for timeseries forecasting.
-func (s *Sketch) Snapshot() [][]int32 {
-	rowLen := s.params.Buckets * s.params.Fields()
-	out := make([][]int32, s.params.Stages)
-	backing := make([]int32, s.params.Stages*rowLen)
-	for j := range s.rows {
-		row := backing[j*rowLen : (j+1)*rowLen : (j+1)*rowLen]
-		copy(row, s.rows[j])
-		out[j] = row
-	}
-	return out
 }
 
 // Total returns the sum of all update values.

@@ -361,23 +361,15 @@ func TestValidate(t *testing.T) {
 	if err := Params48().Validate(); err != nil {
 		t.Errorf("Params48: %v", err)
 	}
-	if err := Params64().Validate(); err != nil {
-		t.Errorf("Params64: %v", err)
-	}
 }
 
-// TestDecodeGridGeometryMismatch: wrong-shaped grids and non-positive
-// thresholds are rejected.
+// TestDecodeGridGeometryMismatch: non-positive thresholds are rejected.
 func TestDecodeGridGeometryMismatch(t *testing.T) {
 	s := newTestSketch(t, testParams(), 0x21)
-	if _, err := s.Decode(sketch.NewGrid(2, 10), 1, DecodeOptions{}); err == nil {
-		t.Error("mismatched grid accepted")
-	}
-	g := sketch.NewGrid(s.params.Stages, s.params.Buckets*s.params.Fields())
-	if _, err := s.Decode(g, 0, DecodeOptions{}); err == nil {
+	if _, err := s.DecodeCounts(0, DecodeOptions{}); err == nil {
 		t.Error("zero threshold accepted")
 	}
-	if _, err := s.Decode(g, 1, DecodeOptions{}); err != nil {
+	if _, err := s.DecodeCounts(1, DecodeOptions{}); err != nil {
 		t.Errorf("valid decode rejected: %v", err)
 	}
 }

@@ -2,9 +2,9 @@ package revsketch
 
 // Edge-case coverage for the reverse-hashing search: intervals with no
 // traffic at all, heavy-bucket sets overflowing the per-stage cap, and
-// the fully saturated grids a massive DDoS produces. The search now
-// doubles as the differential witness for the invertible-sketch decode
-// engine, so its behavior at the boundaries must stay pinned.
+// the fully saturated grids a massive DDoS produces. The search is the
+// detector's only offender-key recovery, so its behavior at the
+// boundaries must stay pinned.
 
 import (
 	"testing"

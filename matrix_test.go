@@ -2,12 +2,10 @@ package hifind_test
 
 // The two facade-level identity statements over the golden corpus.
 //
-// TestFlowCacheIdentityMatrix: every golden trace is replayed under both
-// inference engines (reverse and invertible sketches) with the
-// flow-aggregation cache off and on, and in every cell both the rendered
-// per-interval alert output AND the serialized cross-interval state must
-// be byte-identical to the cache-less baseline of the same inference
-// mode.
+// TestFlowCacheIdentityMatrix: every golden trace is replayed with the
+// flow-aggregation cache off and on, and both the rendered per-interval
+// alert output AND the serialized cross-interval state must be
+// byte-identical to the cache-less baseline.
 //
 // TestReplicaIngestIdentity: the multi-core ingestion route — a Detector
 // plus one Recorder per extra feeding goroutine, summed at rotation by
@@ -27,49 +25,43 @@ import (
 )
 
 func TestFlowCacheIdentityMatrix(t *testing.T) {
-	modes := map[string][]hifind.Option{
-		"reverse":    nil,
-		"invertible": {hifind.WithInvertibleInference()},
-	}
 	for name, sc := range goldenScenarios() {
-		cfg := sc.cfg
-		g, err := trace.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		w := pcap.NewWriter(&buf)
-		if err := g.Stream(w.WritePacket); err != nil {
-			t.Fatal(err)
-		}
-		capture := buf.Bytes()
-		edge := []string{fmt.Sprintf("%s/16", cfg.InternalPrefix)}
+		t.Run(name, func(t *testing.T) {
+			cfg := sc.cfg
+			g, err := trace.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			w := pcap.NewWriter(&buf)
+			if err := g.Stream(w.WritePacket); err != nil {
+				t.Fatal(err)
+			}
+			capture := buf.Bytes()
+			edge := []string{fmt.Sprintf("%s/16", cfg.InternalPrefix)}
 
-		for mode, modeOpts := range modes {
-			t.Run(name+"/"+mode, func(t *testing.T) {
-				seq := newCompact(t, sc.options(modeOpts...)...)
-				wantAlerts := replayGolden(t, capture, edge, seq)
-				wantState, err := seq.SaveState()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if name != "benign-only" && wantAlerts == "" {
-					t.Fatal("cache-less baseline produced no output; the matrix would be vacuous")
-				}
+			seq := newCompact(t, sc.options()...)
+			wantAlerts := replayGolden(t, capture, edge, seq)
+			wantState, err := seq.SaveState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name != "benign-only" && wantAlerts == "" {
+				t.Fatal("cache-less baseline produced no output; the matrix would be vacuous")
+			}
 
-				cached := newCompact(t, append(sc.options(modeOpts...), hifind.WithFlowCache(1024))...)
-				if got := replayGolden(t, capture, edge, cached); got != wantAlerts {
-					t.Errorf("cached: alerts diverged from cache-less:\n%s", goldenDiff(wantAlerts, got))
-				}
-				state, err := cached.SaveState()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(state, wantState) {
-					t.Error("cached: serialized state not byte-identical to cache-less")
-				}
-			})
-		}
+			cached := newCompact(t, append(sc.options(), hifind.WithFlowCache(1024))...)
+			if got := replayGolden(t, capture, edge, cached); got != wantAlerts {
+				t.Errorf("cached: alerts diverged from cache-less:\n%s", goldenDiff(wantAlerts, got))
+			}
+			state, err := cached.SaveState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(state, wantState) {
+				t.Error("cached: serialized state not byte-identical to cache-less")
+			}
+		})
 	}
 }
 

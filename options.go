@@ -20,7 +20,6 @@ type config struct {
 	alpha              float64
 	compact            bool
 	egress             bool
-	invertible         bool
 	flowCache          int
 	burstMonitor       bool
 	persistScan        bool
@@ -109,29 +108,6 @@ func WithEgressMonitoring() Option {
 func WithCompactSketches() Option {
 	return func(c *config) error {
 		c.compact = true
-		return nil
-	}
-}
-
-// WithInvertibleInference selects the invertible-sketch inference engine
-// for offender-key recovery: the recorder additionally maintains
-// bucketized invertible sketches whose buckets fold the flow keys into
-// linear counter groups, and interval-end key recovery decodes heavy
-// forecast errors directly from the O(buckets) structure instead of
-// running the reversible sketches' reverse-hashing candidate search.
-// Alert output is unchanged — decoded keys are re-estimated and filtered
-// against the same reversible-sketch error grids, and the differential
-// suite proves both engines emit identical alerts on the golden traces —
-// but the per-interval inference cost drops from the search's
-// combinatorial candidate enumeration to a single linear scan.
-//
-// The option changes the recorder's structure set, so every participant
-// of an aggregated deployment (remote Recorders, checkpoint files) must
-// agree on it; mixing modes fails loudly when a state is merged or a
-// checkpoint restored.
-func WithInvertibleInference() Option {
-	return func(c *config) error {
-		c.invertible = true
 		return nil
 	}
 }
@@ -238,9 +214,6 @@ func (c config) build() (core.RecorderConfig, core.DetectorConfig) {
 	}
 	if c.egress {
 		rcfg.Orientation = core.Egress
-	}
-	if c.invertible {
-		rcfg.Inference = core.InferenceInvertible
 	}
 	rcfg.FlowCache = c.flowCache
 	if c.burstMonitor {
