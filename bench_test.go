@@ -19,7 +19,6 @@ import (
 	"github.com/hifind/hifind/internal/baseline/pcf"
 	"github.com/hifind/hifind/internal/core"
 	"github.com/hifind/hifind/internal/experiments"
-	"github.com/hifind/hifind/internal/mitigate"
 	"github.com/hifind/hifind/internal/netflow"
 	"github.com/hifind/hifind/internal/netmodel"
 	"github.com/hifind/hifind/internal/revsketch"
@@ -529,19 +528,6 @@ func BenchmarkStateSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkMitigation measures the closed detection→enforcement loop on
-// the NU trace (an extension beyond the paper's evaluation; DESIGN.md §7).
-func BenchmarkMitigation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Mitigation(experiments.QuickScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*res.AttackDropRate(), "attack-drop-%")
-		b.ReportMetric(100*res.BenignDropRate(), "benign-drop-%")
-	}
-}
-
 // ---------- extension micro-benchmarks ----------
 
 func BenchmarkNetFlowDecode(b *testing.B) {
@@ -563,23 +549,6 @@ func BenchmarkNetFlowDecode(b *testing.B) {
 		if _, _, err := netflow.Unmarshal(pkt); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkMitigateAdmit(b *testing.B) {
-	engine, err := mitigate.New(mitigate.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine.Apply([]core.Alert{
-		{Type: core.AlertHScan, SIP: 7, Port: 445},
-		{Type: core.AlertSYNFlood, DIP: 9, Port: 80, Spoofed: true},
-	})
-	pkt := netmodel.Packet{SrcIP: 8, DstIP: 10, SrcPort: 1234, DstPort: 80,
-		Flags: netmodel.FlagSYN, Dir: netmodel.Inbound}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		engine.Admit(pkt)
 	}
 }
 

@@ -171,6 +171,18 @@ for gone in "-workers 2" "-burst-slots 8" "-flow-queue 8" "-of 3" "-inference re
     fi
 done
 
+# The mitigation table went with the mitigation engine: asking for it
+# must fail naming the tables that remain.
+echo "smoke: benchtables -table mit must be rejected"
+go build -o "$workdir/benchtables" ./cmd/benchtables
+rc=0
+"$workdir/benchtables" -table mit >"$workdir/stdout-mit.log" 2>"$workdir/stderr-mit.log" || rc=$?
+if [ "$rc" -ne 1 ] || ! grep -q -- '-table must be one of 1, 4, .*ablation, scenarios, all, got "mit"' "$workdir/stderr-mit.log"; then
+    echo "smoke: benchtables -table mit exited $rc, want 1 naming the valid tables" >&2
+    cat "$workdir/stderr-mit.log" >&2
+    exit 1
+fi
+
 echo "smoke: -detectors bogus must be rejected"
 rc=0
 "$workdir/hifind" -pcap "$workdir/smoke.pcap" -edge 129.105.0.0/16 -detectors bogus \

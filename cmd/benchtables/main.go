@@ -28,7 +28,7 @@ func main() {
 
 func run() error {
 	tables := []string{"1", "4", "5", "6", "7", "9", "f4", "mr", "val", "ma", "perf",
-		"cache", "mit", "ttd", "ablation", "scenarios", "all"}
+		"cache", "ttd", "ablation", "scenarios", "all"}
 	var (
 		table = flag.String("table", "all",
 			"which artifact to regenerate: "+strings.Join(tables, ", "))
@@ -192,16 +192,6 @@ func run() error {
 		}
 		fmt.Printf("attacks detected %d, missed %d; latency mean %.1f intervals, max %d\n",
 			sum.Detected, sum.Missed, sum.MeanIntervals, sum.MaxIntervals)
-	}
-	if want("mit") {
-		section("Mitigation closed loop (detection -> enforcement, NU)")
-		res, err := experiments.Mitigation(scale)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("attack SYNs %d, dropped %d (%.0f%%); benign SYNs %d, dropped %d (%.2f%%); rules %d\n",
-			res.AttackSYNs, res.AttackDropped, 100*res.AttackDropRate(),
-			res.BenignSYNs, res.BenignDropped, 100*res.BenignDropRate(), res.RulesInstalled)
 	}
 	if want("scenarios") {
 		section("Evasion scenarios — per-detector precision/recall vs EWMA-only (DESIGN.md §17)")

@@ -26,11 +26,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
 	"os/signal"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -146,7 +148,7 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "telemetry on http://%s/metrics\n", srv.Addr())
 	}
 	if *listen != "" {
-		return runLive(ctx, det, *listen, strings.Split(*edge, ","), *interval, *statePath, reg, health)
+		return runLive(ctx, os.Stdout, det, *listen, strings.Split(*edge, ","), *interval, *statePath, reg, health)
 	}
 	path := *pcapPath
 	if path == "" {
@@ -249,16 +251,33 @@ func parseDetectors(list string) ([]hifind.Option, []string, error) {
 // flowQueueLen is the capacity of the live mode's collector→detector
 // flow queue. It holds the records of about 34 full NetFlow v5
 // datagrams (30 records each) that arrive while the detector is busy
-// rotating an interval; flows are dropped, not blocked on, when it is
-// full.
+// rotating an interval; flows are dropped and counted
+// (hifind_live_flows_dropped_total), not blocked on, when it is full.
 const flowQueueLen = 1024
 
+// liveSink builds the collector callback of live mode: it converts each
+// record that crosses the edge and queues it for the detector. When the
+// queue is full the flow is dropped rather than blocking the socket, and
+// dropped counts it.
+func liveSink(edge *netmodel.EdgeNetwork, flows chan<- netmodel.FlowRecord,
+	dropped *telemetry.Counter) func(netflow.Record, netflow.Header) {
+	return func(r netflow.Record, hdr netflow.Header) {
+		if fr, ok := netflow.ToFlowRecord(r, hdr, edge); ok {
+			select {
+			case flows <- fr:
+			default:
+				dropped.Inc()
+			}
+		}
+	}
+}
+
 // runLive receives NetFlow v5 over UDP and detects on wall-clock
-// intervals until the process is interrupted. The collector goroutine
-// forwards decoded flows over a channel so the detector stays
-// single-threaded. On SIGINT/SIGTERM the final partial interval is
-// flushed through detection before the source closes.
-func runLive(ctx context.Context, det *hifind.Detector, addr string, edgeCIDRs []string,
+// intervals until ctx is cancelled, writing its progress and alerts to
+// out. The collector goroutine forwards decoded flows over a channel so
+// the detector stays single-threaded. On cancellation the final partial
+// interval is flushed through detection before the source closes.
+func runLive(ctx context.Context, out io.Writer, det *hifind.Detector, addr string, edgeCIDRs []string,
 	interval time.Duration, statePath string, reg *telemetry.Registry, health *telemetry.Health) error {
 	edge, err := netmodel.NewEdgeNetwork(edgeCIDRs...)
 	if err != nil {
@@ -269,42 +288,39 @@ func runLive(ctx context.Context, det *hifind.Detector, addr string, edgeCIDRs [
 			if err := det.LoadState(data); err != nil {
 				return fmt.Errorf("load state %s: %w", statePath, err)
 			}
-			fmt.Printf("resumed from %s\n", statePath)
+			fmt.Fprintf(out, "resumed from %s\n", statePath)
 		} else if !os.IsNotExist(err) {
 			return err
 		}
 	}
 	flows := make(chan netmodel.FlowRecord, flowQueueLen)
-	collector, err := netflow.Listen(addr, func(r netflow.Record, hdr netflow.Header) {
-		if fr, ok := netflow.ToFlowRecord(r, hdr, edge); ok {
-			select {
-			case flows <- fr:
-			default: // backpressure: drop rather than block the socket
-			}
-		}
-	}, netflow.WithTelemetry(reg))
+	dropped := reg.Counter("hifind_live_flows_dropped_total",
+		"live NetFlow records dropped because the detector's flow queue was full")
+	collector, err := netflow.Listen(addr, liveSink(edge, flows, dropped), netflow.WithTelemetry(reg))
 	if err != nil {
 		return err
 	}
 	defer collector.Close()
-	closed := false
+	// The probe runs on the /healthz goroutine while the loop below
+	// closes the collector.
+	var closed atomic.Bool
 	health.Register("collector", func() error {
-		if closed {
+		if closed.Load() {
 			return fmt.Errorf("netflow collector closed")
 		}
 		return nil
 	})
-	fmt.Printf("listening for NetFlow v5 on %s, %v intervals; Ctrl-C to stop\n",
+	fmt.Fprintf(out, "listening for NetFlow v5 on %s, %v intervals; Ctrl-C to stop\n",
 		collector.Addr(), interval)
 
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	report := func(res hifind.Result) {
 		pkts, recs, malformed := collector.Stats()
-		fmt.Printf("interval %d: %d datagrams, %d records, %d malformed, %d alerts\n",
-			res.Interval, pkts, recs, malformed, len(res.Final))
+		fmt.Fprintf(out, "interval %d: %d datagrams, %d records, %d malformed, %d dropped, %d alerts\n",
+			res.Interval, pkts, recs, malformed, dropped.Value(), len(res.Final))
 		for _, a := range res.Final {
-			fmt.Printf("  ALERT %s\n", a)
+			fmt.Fprintf(out, "  ALERT %s\n", a)
 		}
 	}
 	for {
@@ -327,14 +343,14 @@ func runLive(ctx context.Context, det *hifind.Detector, addr string, edgeCIDRs [
 				}
 			}
 		case <-ctx.Done():
-			fmt.Println("\nshutting down")
+			fmt.Fprintln(out, "\nshutting down")
 			// Stop the source first so no flow arrives after the final
 			// detection, then flush the partial interval — the tail of
 			// the stream is detected, not dropped.
 			if err := collector.Close(); err != nil {
 				return err
 			}
-			closed = true
+			closed.Store(true)
 			for {
 				select {
 				case fr := <-flows:

@@ -24,7 +24,7 @@
 // Because every recording structure is linear, per-router state can be
 // serialized (Recorder, StateSnapshot) and summed at a central site
 // (EndIntervalMerged) to detect attacks split across asymmetric routes —
-// see examples/multirouter.
+// see ExampleDetector_EndIntervalMerged.
 package hifind
 
 import (

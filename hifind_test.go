@@ -399,42 +399,6 @@ func TestReplayNetFlow(t *testing.T) {
 	}
 }
 
-func TestEgressOptionThroughPublicAPI(t *testing.T) {
-	d, err := hifind.New(hifind.WithCompactSketches(), hifind.WithEgressMonitoring())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.EndInterval(); err != nil {
-		t.Fatal(err)
-	}
-	var alerts []hifind.Alert
-	for iv := 0; iv < 3; iv++ {
-		for i := 0; i < 200; i++ {
-			// Internal host scanning outward, unanswered.
-			d.Observe(hifind.Packet{
-				SrcIP:   addr("129.105.7.7"),
-				DstIP:   netip.AddrFrom4([4]byte{10, 0, byte(iv), byte(i%250 + 1)}),
-				SrcPort: uint16(40000 + i), DstPort: 445,
-				SYN: true, Dir: hifind.Outbound,
-			})
-		}
-		res, err := d.EndInterval()
-		if err != nil {
-			t.Fatal(err)
-		}
-		alerts = append(alerts, res.Final...)
-	}
-	found := false
-	for _, a := range alerts {
-		if a.Type == hifind.HorizontalScan && a.Attacker == addr("129.105.7.7") {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("egress detector missed the internal scanner via the public API")
-	}
-}
-
 func TestObserveFlowEquivalence(t *testing.T) {
 	// Flow-record input must drive detection like the equivalent packets.
 	d := newCompact(t, hifind.WithSeed(0x2222))

@@ -79,28 +79,6 @@ func TestCacheDifferentialSequential(t *testing.T) {
 	}
 }
 
-// TestCacheDifferentialEgress covers the direction-flipped orientation,
-// where ObserveFlow rewrites the record before the cache add.
-func TestCacheDifferentialEgress(t *testing.T) {
-	ccfg := TestRecorderConfig(0xe9e9)
-	ccfg.Orientation = Egress
-	ccfg.FlowCache = 64
-	cached, err := NewRecorder(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcfg := TestRecorderConfig(0xe9e9)
-	pcfg.Orientation = Egress
-	plain, err := NewRecorder(pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := diffStream(9, 4000)
-	feed(cached, events)
-	feed(plain, events)
-	requireSameState(t, cached, plain, "egress")
-}
-
 // TestCacheDifferentialCombine splits one stream across three "routers"
 // per configuration, merges each trio with COMBINE — every operand's
 // cache flushes as it serializes, the receiver's stays pending — and

@@ -30,11 +30,10 @@ func refObserve(r *Recorder, pkt netmodel.Packet) {
 	if pkt.Flags&netmodel.FlagSYN == 0 {
 		return
 	}
-	toward, away := refSides(r, pkt.Dir)
 	switch ack := pkt.Flags&netmodel.FlagACK != 0; {
-	case toward && !ack:
+	case pkt.Dir == netmodel.Inbound && !ack:
 		refUpdate(r, pkt.SrcIP, pkt.DstIP, pkt.DstPort, +1)
-	case away && ack:
+	case pkt.Dir == netmodel.Outbound && ack:
 		// The connection's client is the packet destination.
 		refUpdate(r, pkt.DstIP, pkt.SrcIP, pkt.SrcPort, -1)
 		r.Services.Add(netmodel.PackDIPDport(pkt.SrcIP, pkt.SrcPort))
@@ -45,31 +44,19 @@ func refObserve(r *Recorder, pkt netmodel.Packet) {
 // refObserveFlow is the reference's ObserveFlow: a record replays as
 // that many single packets' worth of ±1 updates.
 func refObserveFlow(r *Recorder, rec netmodel.FlowRecord) {
-	toward, away := refSides(r, rec.Dir)
-	if toward {
+	if rec.Dir == netmodel.Inbound {
 		for i := 0; i < rec.SYNs; i++ {
 			refUpdate(r, rec.SrcIP, rec.DstIP, rec.DstPort, +1)
 			r.packets++
 		}
 	}
-	if away && rec.SYNACKs > 0 {
+	if rec.Dir == netmodel.Outbound && rec.SYNACKs > 0 {
 		for i := 0; i < rec.SYNACKs; i++ {
 			refUpdate(r, rec.DstIP, rec.SrcIP, rec.SrcPort, -1)
 			r.packets++
 		}
 		r.Services.Add(netmodel.PackDIPDport(rec.SrcIP, rec.SrcPort))
 	}
-}
-
-// refSides reports whether dir crosses the edge toward the protected
-// side (where attack SYNs come from) or away from it (where the
-// answering SYN/ACKs go), for the recorder's orientation.
-func refSides(r *Recorder, dir netmodel.Direction) (toward, away bool) {
-	toward, away = dir == netmodel.Inbound, dir == netmodel.Outbound
-	if r.cfg.Orientation == Egress {
-		toward, away = away, toward
-	}
-	return toward, away
 }
 
 // refUpdate applies one SYN (v=+1) or SYN/ACK (v=−1) of connection
@@ -218,18 +205,6 @@ func TestDifferentialSequential(t *testing.T) {
 		feedRef(ref, events)
 		requireIdentical(t, got, ref, "sequential")
 	}
-}
-
-// TestDifferentialEgress covers the direction-flipped orientation,
-// where ObserveFlow rewrites the record before the weighted update.
-func TestDifferentialEgress(t *testing.T) {
-	cfg := TestRecorderConfig(0xe9e9)
-	cfg.Orientation = Egress
-	got, ref := diffRecorders(t, cfg)
-	events := diffStream(9, 4000)
-	feed(got, events)
-	feedRef(ref, events)
-	requireIdentical(t, got, ref, "egress")
 }
 
 // TestDifferentialCombine splits one stream across three "routers" per

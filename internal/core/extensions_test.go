@@ -7,25 +7,20 @@ import (
 	"github.com/hifind/hifind/internal/trace"
 )
 
-// The extension tests cover the features beyond the paper's evaluation:
-// egress-oriented monitoring and block-scan classification (both named in
-// the paper's threat model, §3.2, but not separately evaluated).
+// The extension tests cover behaviour beyond the paper's evaluation:
+// block-scan classification (named in the paper's threat model, §3.2,
+// but not separately evaluated), forecasting under diurnal swing and
+// checkpoint/restore.
 
-func TestEgressDetectsInternalScanner(t *testing.T) {
-	// A compromised internal host scans external port 445. An ingress
-	// detector is blind to outbound SYNs; an egress detector catches it.
-	rcfg := TestRecorderConfig(0xE61)
-	rcfg.Orientation = Egress
-	egress, err := NewDetector(rcfg, DetectorConfig{Threshold: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingress := testDetector(t)
-
+func TestIngressIgnoresOutboundScan(t *testing.T) {
+	// A compromised internal host scans external port 445 while internal
+	// clients browse outside. The detector protects the inbound direction
+	// (inbound SYNs against outbound SYN/ACKs), so neither the answered
+	// browsing nor the unanswered outbound scan may raise an alert.
+	d := testDetector(t)
 	scanner := netmodel.MustParseIPv4("129.105.66.6") // internal
-	feed := func(d *Detector, iv int) []Alert {
-		// Benign outbound browsing: internal clients to external servers,
-		// answered.
+	var alerts []Alert
+	for iv := 0; iv < 4; iv++ {
 		for i := 0; i < 300; i++ {
 			client := netmodel.IPv4(0x81690000 + uint32(i%200))
 			server := netmodel.IPv4(0x08080000 + uint32(i))
@@ -46,36 +41,10 @@ func TestEgressDetectsInternalScanner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Final
+		alerts = append(alerts, res.Final...)
 	}
-
-	var egressAlerts, ingressAlerts []Alert
-	for iv := 0; iv < 4; iv++ {
-		egressAlerts = append(egressAlerts, feed(egress, iv)...)
-		ingressAlerts = append(ingressAlerts, feed(ingress, iv)...)
-	}
-	found := false
-	for _, a := range egressAlerts {
-		if a.Type == AlertHScan && a.SIP == scanner && a.Port == 445 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("egress detector missed the internal scanner: %v", egressAlerts)
-	}
-	if len(ingressAlerts) != 0 {
-		t.Errorf("ingress detector alerted on outbound traffic: %v", ingressAlerts)
-	}
-}
-
-func TestOrientationValidation(t *testing.T) {
-	cfg := TestRecorderConfig(1)
-	cfg.Orientation = Orientation(99)
-	if _, err := NewRecorder(cfg); err == nil {
-		t.Error("bogus orientation accepted")
-	}
-	if Ingress.String() != "ingress" || Egress.String() != "egress" {
-		t.Error("orientation names wrong")
+	if len(alerts) != 0 {
+		t.Errorf("ingress detector alerted on outbound traffic: %v", alerts)
 	}
 }
 

@@ -15,39 +15,12 @@ import (
 	"github.com/hifind/hifind/internal/sketch2d"
 )
 
-// Orientation selects which direction of edge crossing a recorder
-// protects. The paper's deployment watches attacks entering the edge
-// (Ingress: inbound SYNs vs outbound SYN/ACKs); the same machinery pointed
-// the other way detects compromised internal hosts scanning or flooding
-// the outside world.
-type Orientation int
-
-// Orientations. The RecorderConfig zero value means Ingress.
-const (
-	Ingress Orientation = iota + 1
-	Egress
-)
-
-// String names the orientation.
-func (o Orientation) String() string {
-	switch o {
-	case Ingress:
-		return "ingress"
-	case Egress:
-		return "egress"
-	default:
-		return fmt.Sprintf("orientation(%d)", int(o))
-	}
-}
-
 // RecorderConfig sizes the sketch set. The zero value is replaced by the
 // paper's §5.1 configuration (PaperRecorderConfig).
 type RecorderConfig struct {
 	// Seed derives every hash function; recorders sharing a seed are
 	// combinable across routers.
 	Seed uint64
-	// Orientation picks the protected direction (default Ingress).
-	Orientation Orientation
 	// RS48 is the geometry of the two 48-bit reversible sketches
 	// ({SIP,Dport} and {DIP,Dport}); RS64 of the {SIP,DIP} sketch.
 	RS48, RS64 revsketch.Params
@@ -196,12 +169,6 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 	if cfg.ServiceCapacity < 1 {
 		return nil, fmt.Errorf("core: service capacity %d < 1", cfg.ServiceCapacity)
 	}
-	if cfg.Orientation == 0 {
-		cfg.Orientation = Ingress
-	}
-	if cfg.Orientation != Ingress && cfg.Orientation != Egress {
-		return nil, fmt.Errorf("core: unknown orientation %d", cfg.Orientation)
-	}
 	r := &Recorder{cfg: cfg}
 	var err error
 	// Distinct derived seeds keep the structures independent while still
@@ -288,22 +255,18 @@ func (r *Recorder) Config() RecorderConfig { return r.cfg }
 
 // Observe records one packet. Only two packet classes matter to the
 // #SYN−#SYN/ACK signal (paper §3.3): connection-opening SYNs crossing the
-// edge in the protected direction add one under the connection keys, and
-// the answering SYN/ACKs crossing back subtract one under the same keys
-// (for a SYN/ACK the connection's client is the packet destination).
-// Everything else is ignored.
+// edge inbound add one under the connection keys, and the answering
+// outbound SYN/ACKs subtract one under the same keys (for a SYN/ACK the
+// connection's client is the packet destination). Everything else is
+// ignored.
 func (r *Recorder) Observe(pkt netmodel.Packet) {
-	synDir, ackDir := netmodel.Inbound, netmodel.Outbound
-	if r.cfg.Orientation == Egress {
-		synDir, ackDir = netmodel.Outbound, netmodel.Inbound
-	}
 	switch {
-	case pkt.Dir == synDir && pkt.Flags.IsSYN():
+	case pkt.Dir == netmodel.Inbound && pkt.Flags.IsSYN():
 		r.record(pkt.SrcIP, pkt.DstIP, pkt.DstPort, 1, 0)
 		if r.Burst != nil {
 			r.burstUpdate(pkt.Timestamp, netmodel.PackDIPDport(pkt.DstIP, pkt.DstPort), +1, 1)
 		}
-	case pkt.Dir == ackDir && pkt.Flags.IsSYNACK():
+	case pkt.Dir == netmodel.Outbound && pkt.Flags.IsSYNACK():
 		// Connection client = pkt.DstIP, server = pkt.SrcIP:pkt.SrcPort.
 		r.record(pkt.DstIP, pkt.SrcIP, pkt.SrcPort, 0, 1)
 		r.Services.Add(netmodel.PackDIPDport(pkt.SrcIP, pkt.SrcPort))
@@ -311,14 +274,14 @@ func (r *Recorder) Observe(pkt netmodel.Packet) {
 		if r.Burst != nil {
 			r.burstUpdate(pkt.Timestamp, netmodel.PackDIPDport(pkt.SrcIP, pkt.SrcPort), -1, 1)
 		}
-	case pkt.Dir == ackDir && pkt.Flags.IsSYN():
+	case pkt.Dir == netmodel.Outbound && pkt.Flags.IsSYN():
 		// Outbound connection attempt: subtract under {requester, service
 		// port} so the answering SYN/ACK below nets a benign round trip
 		// to zero. Ignored unless the reflection monitor is on.
 		if r.Reflect != nil {
 			r.reflectUpdate(netmodel.PackDIPDport(pkt.SrcIP, pkt.DstPort), -1, 1)
 		}
-	case pkt.Dir == synDir && pkt.Flags.IsSYNACK():
+	case pkt.Dir == netmodel.Inbound && pkt.Flags.IsSYNACK():
 		// Handshake response entering the edge: add under {destination,
 		// responding service port}. Unsolicited ones — reflected floods —
 		// have no outbound SYN to cancel against and accumulate.
@@ -350,15 +313,6 @@ func (r *Recorder) reflectUpdate(key uint64, v int32, n int64) {
 // to c repeated Update(k, v), including under int32 wraparound — so
 // replay cost is O(1) per record instead of O(SYNs).
 func (r *Recorder) ObserveFlow(rec netmodel.FlowRecord) {
-	if r.cfg.Orientation == Egress {
-		// Flip the record's edge-crossing direction so the shared
-		// accounting below applies unchanged.
-		if rec.Dir == netmodel.Inbound {
-			rec.Dir = netmodel.Outbound
-		} else {
-			rec.Dir = netmodel.Inbound
-		}
-	}
 	if rec.Dir == netmodel.Inbound && rec.SYNs > 0 {
 		r.record(rec.SrcIP, rec.DstIP, rec.DstPort, int64(rec.SYNs), 0)
 		r.packets += int64(rec.SYNs)

@@ -19,7 +19,6 @@ type config struct {
 	thresholdPerSecond float64
 	alpha              float64
 	compact            bool
-	egress             bool
 	flowCache          int
 	burstMonitor       bool
 	persistScan        bool
@@ -87,17 +86,6 @@ func WithAlpha(a float64) Option {
 			return fmt.Errorf("hifind: alpha %v out of (0,1]", a)
 		}
 		c.alpha = a
-		return nil
-	}
-}
-
-// WithEgressMonitoring points the detector at traffic *leaving* the edge:
-// outbound SYNs versus inbound SYN/ACKs. Use a second detector with this
-// option alongside the default ingress one to catch compromised internal
-// hosts scanning or flooding the outside world.
-func WithEgressMonitoring() Option {
-	return func(c *config) error {
-		c.egress = true
 		return nil
 	}
 }
@@ -211,9 +199,6 @@ func (c config) build() (core.RecorderConfig, core.DetectorConfig) {
 	rcfg := core.PaperRecorderConfig(c.seed)
 	if c.compact {
 		rcfg = core.TestRecorderConfig(c.seed)
-	}
-	if c.egress {
-		rcfg.Orientation = core.Egress
 	}
 	rcfg.FlowCache = c.flowCache
 	if c.burstMonitor {
