@@ -37,8 +37,11 @@ type instruments struct {
 	candPair   *telemetry.Gauge
 	candSource *telemetry.Gauge
 
-	inferSeconds *telemetry.Histogram
-	inferKeys    *telemetry.Counter
+	inferSeconds    *telemetry.Histogram
+	inferKeys       *telemetry.Counter
+	inferNodes      *telemetry.Counter
+	inferLeaves     *telemetry.Counter
+	inferBudgetHits *telemetry.Counter
 
 	cacheHits      *telemetry.Counter
 	cacheMisses    *telemetry.Counter
@@ -103,6 +106,12 @@ func newInstruments(reg *telemetry.Registry) instruments {
 			telemetry.DefBuckets),
 		inferKeys: reg.Counter("hifind_inference_keys_recovered_total",
 			"verified offender keys recovered across all inference steps"),
+		inferNodes: reg.Counter("hifind_inference_nodes_total",
+			"reverse-search nodes expanded by the three inference steps"),
+		inferLeaves: reg.Counter("hifind_inference_leaves_total",
+			"candidate keys the three inference steps' reverse search emitted"),
+		inferBudgetHits: reg.Counter("hifind_inference_budget_hits_total",
+			"inference steps whose node or operation budget cut the search short"),
 
 		cacheHits: reg.Counter("hifind_flowcache_hits_total",
 			"flow-cache probes that found their connection resident"),
@@ -138,6 +147,9 @@ func (ins *instruments) recordInterval(res core.IntervalResult) {
 	if d.InferenceSeconds > 0 || d.KeysRecovered > 0 {
 		ins.inferSeconds.Observe(d.InferenceSeconds)
 		ins.inferKeys.Add(int64(d.KeysRecovered))
+		ins.inferNodes.Add(int64(d.InferenceNodes))
+		ins.inferLeaves.Add(int64(d.InferenceLeaves))
+		ins.inferBudgetHits.Add(int64(d.InferenceBudgetHits))
 	}
 	// Cache-less detectors report identically-zero cache diagnostics;
 	// skip them so the series only move when a cache is actually wired.

@@ -178,6 +178,12 @@ type DiagStats struct {
 	// detection did not run (forecast warm-up).
 	InferenceSeconds float64
 	KeysRecovered    int
+	// The same three steps' reverse-search work (revsketch
+	// InferenceStats): DFS nodes expanded, candidate keys emitted, and
+	// how many steps a node or operation budget cut short.
+	InferenceNodes      int
+	InferenceLeaves     int
+	InferenceBudgetHits int
 
 	OccRSSipDport  float64
 	OccRSDipDport  float64

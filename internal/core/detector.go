@@ -315,6 +315,15 @@ func (d *Detector) verifierCheck(ver *sketch.Sketch, verErr sketch.Grid) func(ui
 	}
 }
 
+// addSearch adds the search work of one of the three inference steps.
+func (d *DiagStats) addSearch(st revsketch.InferenceStats) {
+	d.InferenceNodes += st.Nodes
+	d.InferenceLeaves += st.Leaves
+	if st.BudgetHit {
+		d.InferenceBudgetHits++
+	}
+}
+
 // Phase 3's congestion filter (§3.4) passes a flooding victim only once
 // it has stayed anomalous for minPersistIntervals consecutive intervals
 // ("attacks last some time") and its SYNs outnumber its SYN/ACKs by
@@ -340,6 +349,7 @@ func (d *Detector) detect(rec *Recorder, g errGrids) (IntervalResult, error) {
 		return res, err
 	}
 	res.Diag.InferenceSeconds += time.Since(stepStart).Seconds()
+	res.Diag.addSearch(rec.RSDipDport.LastInference())
 	res.Diag.KeysRecovered += len(floodKeys)
 	res.Diag.FloodCandidates = len(floodKeys)
 	floodingDIPs := make(map[netmodel.IPv4]bool, len(floodKeys))
@@ -365,6 +375,7 @@ func (d *Detector) detect(rec *Recorder, g errGrids) (IntervalResult, error) {
 		return res, err
 	}
 	res.Diag.InferenceSeconds += time.Since(stepStart).Seconds()
+	res.Diag.addSearch(rec.RSSipDip.LastInference())
 	res.Diag.KeysRecovered += len(pairKeys)
 	res.Diag.PairCandidates = len(pairKeys)
 	floodingSIPs := make(map[netmodel.IPv4]bool)
@@ -395,6 +406,7 @@ func (d *Detector) detect(rec *Recorder, g errGrids) (IntervalResult, error) {
 		return res, err
 	}
 	res.Diag.InferenceSeconds += time.Since(stepStart).Seconds()
+	res.Diag.addSearch(rec.RSSipDport.LastInference())
 	res.Diag.KeysRecovered += len(srcKeys)
 	res.Diag.SourceCandidates = len(srcKeys)
 	type hscanCand struct {

@@ -106,7 +106,8 @@ func TestInferenceModeIncompatible(t *testing.T) {
 }
 
 // TestInferenceDiagStats pins the observability fields: an interval with
-// attacks must report nonzero recovery time and a nonzero key yield.
+// attacks must report nonzero recovery time and a nonzero key yield, and
+// every recovered key was a leaf of a search that expanded it.
 func TestInferenceDiagStats(t *testing.T) {
 	d, err := NewDetector(TestRecorderConfig(0xd1a6), DetectorConfig{Threshold: 60})
 	if err != nil {
@@ -119,6 +120,10 @@ func TestInferenceDiagStats(t *testing.T) {
 			sawKeys = true
 			if res.Diag.InferenceSeconds <= 0 {
 				t.Fatal("keys recovered but zero inference time")
+			}
+			if dg := res.Diag; dg.InferenceLeaves < dg.KeysRecovered || dg.InferenceNodes < dg.InferenceLeaves {
+				t.Fatalf("interval %d: %d keys from %d leaves of %d nodes",
+					res.Interval, dg.KeysRecovered, dg.InferenceLeaves, dg.InferenceNodes)
 			}
 		}
 	}

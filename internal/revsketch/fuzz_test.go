@@ -2,13 +2,15 @@ package revsketch
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
 // FuzzInference drives the reverse-hashing search with arbitrary update
 // streams on a small geometry and checks its output invariants: no panic,
 // every estimate at or above the threshold, keys within the key space,
-// deduplicated, and sorted largest-estimate first.
+// deduplicated, sorted largest-estimate first, and a second call on the
+// same sketch equal to a fresh sketch's.
 func FuzzInference(f *testing.F) {
 	// Seeds: empty stream, one heavy key, a heavy key plus background
 	// noise, and a few colliding keys.
@@ -30,25 +32,27 @@ func FuzzInference(f *testing.F) {
 		// Small geometry keeps each fuzz execution fast: 16-bit keys split
 		// into 2 words of 8 bits, 3 stages of 16 buckets (2-bit chunks).
 		params := Params{KeyBits: 16, Words: 2, Stages: 3, Buckets: 16}
-		s, err := New(params, 0x5eed)
-		if err != nil {
-			t.Fatal(err)
+		build := func() *Sketch {
+			s, err := New(params, 0x5eed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Consume 3 bytes per update: 2 key bytes, 1 signed value byte.
+			for d := data; len(d) >= 3; d = d[3:] {
+				s.Update(uint64(binary.BigEndian.Uint16(d)), int32(int8(d[2])))
+			}
+			return s
 		}
-		// Consume 3 bytes per update: 2 key bytes, 1 signed value byte.
-		for len(data) >= 3 {
-			key := uint64(binary.BigEndian.Uint16(data))
-			v := int32(int8(data[2]))
-			s.Update(key, v)
-			data = data[3:]
-		}
+		s := build()
 
 		const threshold = 8.0
-		got, err := s.InferenceCounts(threshold, InferenceOptions{
+		opts := InferenceOptions{
 			MaxHeavyBuckets: 64,
 			MaxNodes:        100_000,
 			MaxOps:          1_000_000,
 			MaxKeys:         256,
-		})
+		}
+		got, err := s.InferenceCounts(threshold, opts)
 		if err != nil {
 			t.Fatalf("InferenceCounts: %v", err)
 		}
@@ -72,6 +76,21 @@ func FuzzInference(f *testing.F) {
 			if est := s.Estimate(ke.Key); est != ke.Estimate {
 				t.Fatalf("key %#x: inference estimate %v, point estimate %v", ke.Key, ke.Estimate, est)
 			}
+		}
+
+		// The search state is reused across calls: a second call on the
+		// same sketch, at a lower threshold so its search differs, must
+		// equal a fresh sketch's.
+		again, err := s.InferenceCounts(threshold/2, opts)
+		if err != nil {
+			t.Fatalf("second InferenceCounts: %v", err)
+		}
+		want, err := build().InferenceCounts(threshold/2, opts)
+		if err != nil {
+			t.Fatalf("fresh InferenceCounts: %v", err)
+		}
+		if !slices.Equal(again, want) {
+			t.Fatalf("reused sketch returned %v, fresh sketch %v", again, want)
 		}
 	})
 }

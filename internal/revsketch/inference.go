@@ -1,8 +1,10 @@
 package revsketch
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"github.com/hifind/hifind/internal/sketch"
@@ -26,17 +28,21 @@ type InferenceOptions struct {
 	// threshold the largest are kept. Bounds worst-case search time under
 	// massive attacks. Default: 4096.
 	MaxHeavyBuckets int
-	// MaxNodes caps DFS node expansions as a safety valve against
-	// adversarially dense heavy-bucket sets. Default: 4 000 000.
+	// MaxNodes caps DFS node expansions, leaves included, as a safety
+	// valve against adversarially dense heavy-bucket sets. It is the cap
+	// a spoofed flood reaches: at the paper geometry, the onset of
+	// 20 000 spoofed SYN/interval saturates the RS({SIP,DIP}) search,
+	// which expands its 4 M nodes (almost all of them leaves) after only
+	// 6.5 M of MaxOps's 200 M operations. Default: 4 000 000.
 	MaxNodes int
-	// MaxOps caps total candidate-enumeration work (reverse-map entries
-	// touched). When many keys are heavy simultaneously the per-word
-	// chunk space saturates and the search degenerates toward exhaustive
-	// enumeration — the regime behind the paper's 46.9-second stress
-	// detection times. The budget makes inference return its best results
-	// so far instead of stalling the pipeline. Units are 64-word bitset
-	// operations; the default of 200 000 000 bounds one inference to
-	// roughly half a second. Raise it for offline forensics on heavily
+	// MaxOps caps total candidate-enumeration work. When many keys are
+	// heavy simultaneously the per-word chunk space saturates and the
+	// search degenerates toward exhaustive enumeration — the regime
+	// behind the paper's 46.9-second stress detection times. The budget
+	// makes inference return its best results so far instead of stalling
+	// the pipeline. Units are 64-word bitset operations, which count the
+	// work of inner nodes but not of leaves; MaxNodes bounds those.
+	// Default: 200 000 000. Raise both for offline forensics on heavily
 	// saturated intervals.
 	MaxOps int64
 	// MaxKeys caps the number of keys returned (largest estimates first).
@@ -74,10 +80,22 @@ func (o InferenceOptions) withDefaults(stages int) InferenceOptions {
 	return o
 }
 
+// InferenceStats is the work one Inference call did; LastInference
+// reports it after the call returns.
+type InferenceStats struct {
+	Nodes  int   // DFS nodes expanded, leaves included (MaxNodes units)
+	Leaves int   // complete word prefixes emitted as candidate keys
+	Ops    int64 // 64-word bitset operations (MaxOps units)
+	// BudgetHit reports that MaxNodes or MaxOps stopped the search
+	// before it had explored every viable prefix.
+	BudgetHit bool
+}
+
 // Inference performs the reverse-hashing INFERENCE of paper Table 2 on an
 // external value grid sharing the sketch's geometry — in HiFIND the EWMA
 // forecast-error grid — returning every key whose estimated value is at
-// least threshold, largest first.
+// least threshold, largest first. The returned slice belongs to the
+// caller: later calls never write into it.
 //
 // Algorithm: per stage, collect the heavy buckets (value ≥ threshold).
 // Because bucket indices are concatenations of per-word chunks, candidate
@@ -88,6 +106,10 @@ func (o InferenceOptions) withDefaults(stages int) InferenceOptions {
 // re-estimated from the grid; keys whose estimate falls under the threshold
 // (false candidates from chunk collisions) are dropped — the same role the
 // paper's verifier sketches play, which internal/core layers on top.
+//
+// The search state lives in one run per sketch, built on first use and
+// reset by every call, so a warm sketch searches in fixed memory however
+// many nodes the budget lets it expand.
 func (s *Sketch) Inference(g sketch.Grid, threshold float64, opts InferenceOptions) ([]KeyEstimate, error) {
 	if g.Stages() != s.params.Stages || g.Buckets() != s.params.Buckets {
 		return nil, fmt.Errorf("revsketch: inference grid %dx%d does not match sketch %dx%d",
@@ -98,54 +120,42 @@ func (s *Sketch) Inference(g sketch.Grid, threshold float64, opts InferenceOptio
 	}
 	opts = opts.withDefaults(s.params.Stages)
 	s.buildReverseTables()
+	if s.run == nil {
+		s.run = newInferenceRun(s)
+	}
+	r := s.run
+	r.reset(g, threshold, opts)
+	r.dfs(0, r.heavy)
+	r.stats.BudgetHit = r.stats.Nodes >= opts.MaxNodes || r.stats.Ops >= opts.MaxOps
 
-	heavy := make([][]uint32, s.params.Stages)
-	for j := 0; j < s.params.Stages; j++ {
-		heavy[j] = heavyBuckets(g[j], threshold, opts.MaxHeavyBuckets)
-	}
-
-	words64 := (1<<uint(s.params.wordBits()) + 63) / 64
-	run := &inferenceRun{
-		s:      s,
-		grid:   g,
-		totals: GridTotals(g),
-		thresh: threshold,
-		opts:   opts,
-		prefix: make([]uint32, 0, s.params.Words),
-		seen:   make(map[uint64]bool),
-	}
-	run.stageBuf = make([][]uint64, s.params.Stages)
-	for j := range run.stageBuf {
-		run.stageBuf[j] = make([]uint64, words64)
-	}
-	for i := range run.planes {
-		run.planes[i] = make([]uint64, words64)
-	}
-	// Per-depth arenas for the narrowed compatibility sets: siblings at
-	// one depth reuse the same backing arrays, eliminating the hot path's
-	// allocations.
-	run.arena = make([][][]uint32, s.params.Words)
-	for d := range run.arena {
-		run.arena[d] = make([][]uint32, s.params.Stages)
-		for j := range run.arena[d] {
-			run.arena[d][j] = make([]uint32, 0, opts.MaxHeavyBuckets)
+	// Keys are emitted once each, so estimate descending, key ascending
+	// is a total order.
+	slices.SortFunc(r.out, func(a, b KeyEstimate) int {
+		switch {
+		case a.Estimate > b.Estimate:
+			return -1
+		case a.Estimate < b.Estimate:
+			return 1
 		}
-	}
-	run.dfs(0, heavy)
-
-	sort.Slice(run.out, func(a, b int) bool {
-		if run.out[a].Estimate > run.out[b].Estimate {
-			return true
-		}
-		if run.out[a].Estimate < run.out[b].Estimate {
-			return false
-		}
-		return run.out[a].Key < run.out[b].Key // deterministic tie-break
+		return cmp.Compare(a.Key, b.Key)
 	})
-	if len(run.out) > opts.MaxKeys {
-		run.out = run.out[:opts.MaxKeys]
+	var keys []KeyEstimate
+	if n := min(len(r.out), opts.MaxKeys); n > 0 {
+		keys = slices.Clone(r.out[:n])
 	}
-	return run.out, nil
+	// Drop the call's grid and Verify closure so the idle run pins
+	// neither across intervals.
+	r.grid, r.opts.Verify = nil, nil
+	return keys, nil
+}
+
+// LastInference reports the work of the sketch's most recent Inference
+// call; the zero value before the first.
+func (s *Sketch) LastInference() InferenceStats {
+	if s.run == nil {
+		return InferenceStats{}
+	}
+	return s.run.stats
 }
 
 // InferenceCounts runs Inference directly over the sketch's own counters,
@@ -159,10 +169,9 @@ func (s *Sketch) InferenceCounts(threshold float64, opts InferenceOptions) ([]Ke
 	return s.Inference(g, threshold, opts)
 }
 
-// heavyBuckets returns the indices of buckets with value ≥ threshold,
-// keeping only the cap largest when more qualify.
-func heavyBuckets(row []float64, threshold float64, cap int) []uint32 {
-	idx := make([]uint32, 0, 64)
+// heavyBuckets appends to idx the indices of buckets with value ≥
+// threshold, keeping only the cap largest when more qualify.
+func heavyBuckets(idx []uint32, row []float64, threshold float64, cap int) []uint32 {
 	for i, v := range row {
 		if v >= threshold {
 			idx = append(idx, uint32(i))
@@ -202,35 +211,105 @@ func (s *Sketch) buildReverseTables() {
 	}
 }
 
-// inferenceRun holds the state of one reverse-hashing search.
+// scoredWord is a candidate next word with its best-first rank.
+type scoredWord struct {
+	w     uint32
+	score float64
+}
+
+// inferenceRun holds the state of a sketch's reverse-hashing search. One
+// run serves every Inference call on its sketch: reset rebinds it to the
+// call's grid, and its buffers grow to the largest search served and
+// are then kept, so the search itself never allocates once warm.
 type inferenceRun struct {
 	s      *Sketch
 	grid   sketch.Grid
-	totals []float64
 	thresh float64
 	opts   InferenceOptions
-	nodes  int
-	ops    int64
+	stats  InferenceStats
+
+	totals []float64  // per-stage grid sums for EstimateGrid
+	heavy  [][]uint32 // per-stage heavy buckets: the root's compat sets
 	// stageBuf holds, per stage, the bitset of words allowed at the
 	// current position (OR of the allowed chunks' bitsets); planes are the
 	// carry-save counter bit-planes used to find words allowed in at least
 	// Quorum stages, 64 candidates at a time.
 	stageBuf [][]uint64
 	planes   [4][]uint64
-	prefix   []uint32     // words chosen so far
-	arena    [][][]uint32 // per-depth, per-stage compat buffers
-	seen     map[uint64]bool
-	out      []KeyEstimate
+	prefix   []uint32 // prefix[d] is the word chosen at depth d
+	// Per-depth arenas. A node at depth d ranks its candidate words in
+	// cands[d] and hands each child the narrowed compat sets next[d],
+	// whose per-stage slices live in kept[d][j]. Siblings at one depth
+	// overwrite them after the previous child returns, and a child
+	// writes only its own depth's, so no aliasing survives.
+	cands [][]scoredWord
+	next  [][][]uint32
+	kept  [][][]uint32
+	out   []KeyEstimate
+}
+
+func newInferenceRun(s *Sketch) *inferenceRun {
+	p := s.params
+	words64 := (1<<uint(p.wordBits()) + 63) / 64
+	r := &inferenceRun{
+		s:        s,
+		totals:   make([]float64, p.Stages),
+		heavy:    make([][]uint32, p.Stages),
+		stageBuf: make([][]uint64, p.Stages),
+		prefix:   make([]uint32, p.Words),
+		cands:    make([][]scoredWord, p.Words),
+		next:     make([][][]uint32, p.Words),
+		kept:     make([][][]uint32, p.Words),
+	}
+	for j := range r.stageBuf {
+		r.stageBuf[j] = make([]uint64, words64)
+	}
+	for i := range r.planes {
+		r.planes[i] = make([]uint64, words64)
+	}
+	for d := range r.next {
+		r.next[d] = make([][]uint32, p.Stages)
+		r.kept[d] = make([][]uint32, p.Stages)
+	}
+	return r
+}
+
+// reset binds the run to one call: its grid, threshold and options, the
+// grid's per-stage totals and heavy buckets, and kept arenas large enough
+// for any narrowing of those buckets.
+func (r *inferenceRun) reset(g sketch.Grid, threshold float64, opts InferenceOptions) {
+	r.grid, r.thresh, r.opts = g, threshold, opts
+	r.stats = InferenceStats{}
+	r.out = r.out[:0]
+	for j := range r.heavy {
+		r.totals[j] = g.Sum(j)
+		r.heavy[j] = heavyBuckets(r.heavy[j][:0], g[j], threshold, opts.MaxHeavyBuckets)
+		for d := range r.kept {
+			r.kept[d][j] = reserve(r.kept[d][j][:0], len(r.heavy[j]))
+		}
+	}
+}
+
+// reserve returns buf with room for at least n more elements, growing it
+// only when short. The run's arenas grow to the largest search the sketch
+// has served and are kept from then on, so growth is rare and amortized,
+// off the per-node path the hot-path rule guards.
+//
+//hifind:cold
+func reserve[T any](buf []T, n int) []T {
+	return slices.Grow(buf, n)
 }
 
 // dfs extends the current word prefix by every viable next word.
 // compat[j] holds the heavy buckets of stage j whose chunk prefix matches
 // the chosen words; an empty slice means the stage is dead on this branch.
+//
+//hifind:hot
 func (r *inferenceRun) dfs(depth int, compat [][]uint32) {
-	if r.nodes >= r.opts.MaxNodes || r.ops >= r.opts.MaxOps || len(r.out) >= r.opts.MaxKeys*4 {
+	if r.stats.Nodes >= r.opts.MaxNodes || r.stats.Ops >= r.opts.MaxOps || len(r.out) >= r.opts.MaxKeys*4 {
 		return
 	}
-	r.nodes++
+	r.stats.Nodes++
 	p := r.s.params
 	if depth == p.Words {
 		r.emit()
@@ -252,12 +331,13 @@ func (r *inferenceRun) dfs(depth int, compat [][]uint32) {
 	var chunkVal [16][16]float64
 	nStages := 0
 	var chunkSeen [16]bool // chunkBits ≤ 4 for all supported geometries
+	var distinct [16]uint32
 	for j := 0; j < p.Stages; j++ {
 		if len(compat[j]) == 0 {
 			continue
 		}
 		chunkSeen = [16]bool{}
-		distinct := make([]uint32, 0, 16)
+		nDistinct := 0
 		for _, b := range compat[j] {
 			c := b >> shift & chunkMask
 			if v := r.grid[j][b]; v > chunkVal[nStages][c] || !chunkSeen[c] {
@@ -265,24 +345,25 @@ func (r *inferenceRun) dfs(depth int, compat [][]uint32) {
 			}
 			if !chunkSeen[c] {
 				chunkSeen[c] = true
-				distinct = append(distinct, c)
+				distinct[nDistinct] = c
+				nDistinct++
 			}
 		}
 		stageIdx[nStages] = j
-		if len(distinct) == 1 {
+		if nDistinct == 1 {
 			// Single chunk: use the precomputed bitset directly.
 			stageSets[nStages] = r.s.revBits[j][depth][distinct[0]]
 		} else {
 			buf := r.stageBuf[nStages]
 			first := r.s.revBits[j][depth][distinct[0]]
 			copy(buf, first)
-			for _, c := range distinct[1:] {
+			for _, c := range distinct[1:nDistinct] {
 				set := r.s.revBits[j][depth][c]
 				for k := range buf {
 					buf[k] |= set[k]
 				}
 			}
-			r.ops += int64(len(distinct) * words64)
+			r.stats.Ops += int64(nDistinct * words64)
 			stageSets[nStages] = buf
 		}
 		nStages++
@@ -306,20 +387,26 @@ func (r *inferenceRun) dfs(depth int, compat [][]uint32) {
 			p3[k] |= c2
 		}
 	}
-	r.ops += int64(nStages * words64)
+	r.stats.Ops += int64(nStages * words64)
 	// Mask of words with count ≥ Quorum (counts fit in 4 bits; stages ≤ 15).
 	viable := r.stageBuf[0] // reuse as output; stage 0's set is consumed
 	quorumMask(r.planes, r.opts.Quorum, viable)
 
-	type scored struct {
-		w     uint32
-		score float64
+	nCands := 0
+	for _, v := range viable {
+		nCands += bits.OnesCount64(v)
 	}
-	cands := make([]scored, 0, 64)
+	cands := r.cands[depth]
+	if cap(cands) < nCands {
+		cands = reserve(cands[:0], nCands)
+		r.cands[depth] = cands
+	}
+	cands = cands[:nCands]
+	i := 0
 	for k := 0; k < words64; k++ {
 		bitsW := viable[k]
 		for bitsW != 0 {
-			w := uint32(k<<6) + uint32(trailingZeros64(bitsW))
+			w := uint32(k<<6) + uint32(bits.TrailingZeros64(bitsW))
 			bitsW &= bitsW - 1
 			// Best-first heuristic: sum, over live stages, the strongest
 			// compatible bucket this word keeps alive. True keys keep
@@ -332,49 +419,55 @@ func (r *inferenceRun) dfs(depth int, compat [][]uint32) {
 			for si := 0; si < nStages; si++ {
 				sc += chunkVal[si][r.s.wordTab[stageIdx[si]][depth][w]&uint8(chunkMask)]
 			}
-			cands = append(cands, scored{w: w, score: sc})
+			cands[i] = scoredWord{w: w, score: sc}
+			i++
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].score > cands[b].score {
-			return true
+	// Words are distinct, so score descending, word ascending is a total
+	// order: the ranking does not depend on the sort algorithm.
+	slices.SortFunc(cands, func(a, b scoredWord) int {
+		switch {
+		case a.score > b.score:
+			return -1
+		case a.score < b.score:
+			return 1
 		}
-		if cands[a].score < cands[b].score {
-			return false
-		}
-		return cands[a].w < cands[b].w
+		return cmp.Compare(a.w, b.w)
 	})
-	next := make([][]uint32, p.Stages)
+	// Every candidate keeps at least Quorum stages alive: quorumMask
+	// kept exactly the words whose chunk some compatible bucket carries
+	// in that many live stages. Leaves read only the prefix, so the last
+	// word needs no narrowing.
+	next := r.next[depth]
+	if depth == p.Words-1 {
+		next = nil
+	}
 	for _, cand := range cands {
 		w := cand.w
 		// Narrow each stage's compatible buckets to those matching w's
-		// chunk, into this depth's arena (siblings overwrite it after the
-		// recursive call returns, so no aliasing survives).
-		alive := 0
-		for j := 0; j < p.Stages; j++ {
+		// chunk, into this depth's kept arena (reset sized it for the
+		// stage's whole heavy list, which compat[j] is a subset of).
+		for j := range next {
 			next[j] = nil
 			if len(compat[j]) == 0 {
 				continue
 			}
 			want := uint32(r.s.wordTab[j][depth][w])
-			kept := r.arena[depth][j][:0]
+			kept := r.kept[depth][j][:len(compat[j])]
+			n := 0
 			for _, b := range compat[j] {
 				if b>>shift&chunkMask == want {
-					kept = append(kept, b)
+					kept[n] = b
+					n++
 				}
 			}
-			if len(kept) > 0 {
-				next[j] = kept
-				alive++
+			if n > 0 {
+				next[j] = kept[:n]
 			}
 		}
-		if alive < r.opts.Quorum {
-			continue
-		}
-		r.prefix = append(r.prefix, w)
+		r.prefix[depth] = w
 		r.dfs(depth+1, next)
-		r.prefix = r.prefix[:len(r.prefix)-1]
-		if r.nodes >= r.opts.MaxNodes || r.ops >= r.opts.MaxOps {
+		if r.stats.Nodes >= r.opts.MaxNodes || r.stats.Ops >= r.opts.MaxOps {
 			return
 		}
 	}
@@ -382,13 +475,14 @@ func (r *inferenceRun) dfs(depth int, compat [][]uint32) {
 
 // emit reconstructs the key from the completed word prefix, re-estimates
 // its value from the grid, and records it if it clears the threshold.
+// Every leaf is a distinct prefix (siblings differ in their word, and the
+// search never revisits a node), and joining the words and un-mangling
+// are both injective, so each key is emitted at most once.
+//
+//hifind:hot
 func (r *inferenceRun) emit() {
-	mangled := r.s.joinWords(r.prefix)
-	key := r.s.mangler.Unmangle(mangled)
-	if r.seen[key] {
-		return
-	}
-	r.seen[key] = true
+	r.stats.Leaves++
+	key := r.s.mangler.Unmangle(r.s.joinWords(r.prefix))
 	est := r.s.EstimateGrid(r.grid, r.totals, key)
 	if est < r.thresh {
 		return
@@ -396,12 +490,19 @@ func (r *inferenceRun) emit() {
 	if r.opts.Verify != nil && !r.opts.Verify(key, est) {
 		return
 	}
-	r.out = append(r.out, KeyEstimate{Key: key, Estimate: est})
+	n := len(r.out)
+	if n == cap(r.out) {
+		r.out = reserve(r.out, 1)
+	}
+	r.out = r.out[:n+1]
+	r.out[n] = KeyEstimate{Key: key, Estimate: est}
 }
 
 // quorumMask writes into out the mask of bit positions whose 4-bit
 // carry-save count (planes[3..0]) is at least quorum. Counts reach the
 // number of live stages, which Params caps well below 16.
+//
+//hifind:hot
 func quorumMask(planes [4][]uint64, quorum int, out []uint64) {
 	p0, p1, p2, p3 := planes[0], planes[1], planes[2], planes[3]
 	for k := range out {
@@ -449,10 +550,4 @@ func quorumMask(planes [4][]uint64, quorum int, out []uint64) {
 		}
 		out[k] = m
 	}
-}
-
-// trailingZeros64 is bits.TrailingZeros64 without the import churn in this
-// hot file.
-func trailingZeros64(x uint64) int {
-	return bits.TrailingZeros64(x)
 }

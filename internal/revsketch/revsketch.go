@@ -85,6 +85,9 @@ type Sketch struct {
 	// on first inference. Bitsets let the reverse search test candidate
 	// words 64 at a time.
 	revBits [][][][]uint64
+	// run is the reverse search's reusable state, built like revBits on
+	// first inference and reset by every call.
+	run *inferenceRun
 }
 
 // New builds an empty reversible sketch. Equal params and seed ⇒ identical
@@ -229,8 +232,8 @@ func (s *Sketch) Estimate(key uint64) float64 {
 }
 
 // EstimateGrid estimates a key's value from an external grid sharing this
-// sketch's geometry (e.g. a forecast-error grid). Per-stage totals are
-// computed by the caller via GridTotals to avoid rescanning.
+// sketch's geometry (e.g. a forecast-error grid). Per-stage totals
+// (Grid.Sum) are computed by the caller to avoid rescanning.
 func (s *Sketch) EstimateGrid(g sketch.Grid, totals []float64, key uint64) float64 {
 	words := s.splitWords(s.mangler.Mangle(key))
 	k := float64(s.params.Buckets)
@@ -240,15 +243,6 @@ func (s *Sketch) EstimateGrid(g sketch.Grid, totals []float64, key uint64) float
 		est[j] = (c - totals[j]/k) / (1 - 1/k)
 	}
 	return sketch.MedianInPlace(est)
-}
-
-// GridTotals returns each stage's sum for use with EstimateGrid.
-func GridTotals(g sketch.Grid) []float64 {
-	t := make([]float64, g.Stages())
-	for j := range t {
-		t[j] = g.Sum(j)
-	}
-	return t
 }
 
 // Snapshot deep-copies the counters.

@@ -474,7 +474,10 @@ func TestEstimateGridMatchesEstimate(t *testing.T) {
 	if err := g.AddCounts(s.Snapshot(), 1); err != nil {
 		t.Fatal(err)
 	}
-	totals := GridTotals(g)
+	totals := make([]float64, g.Stages())
+	for j := range totals {
+		totals[j] = g.Sum(j)
+	}
 	for key := uint64(0); key < 3000; key += 101 {
 		a, b := s.Estimate(key), s.EstimateGrid(g, totals, key)
 		if math.Abs(a-b) > 1e-6 {

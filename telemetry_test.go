@@ -50,6 +50,9 @@ func TestDetectorTelemetry(t *testing.T) {
 		"hifind_intervals_total 1",
 		`hifind_sketch_occupancy_ratio{sketch="rs_dip_dport"}`,
 		`hifind_inference_candidates{step="flood"}`,
+		"hifind_inference_nodes_total",
+		"hifind_inference_leaves_total",
+		"hifind_inference_budget_hits_total",
 		"hifind_detection_seconds_count 1",
 	} {
 		if !strings.Contains(out, want) {
