@@ -48,7 +48,6 @@ FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test -fuzz FuzzReadPacket -fuzztime $(FUZZTIME) ./internal/pcap
 	$(GO) test -fuzz FuzzInference -fuzztime $(FUZZTIME) ./internal/revsketch
-	$(GO) test -fuzz FuzzInvertibleDecode -fuzztime $(FUZZTIME) ./internal/invsketch
 	$(GO) test -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME) ./internal/aggregate
 	$(GO) test -fuzz FuzzObserve -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz FuzzRecorderAddBinary -fuzztime $(FUZZTIME) ./internal/core

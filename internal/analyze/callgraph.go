@@ -230,18 +230,15 @@ func determinismRootName(name string) bool {
 // hot-path roots (UPDATE/ESTIMATE/COMBINE entry points — their callees
 // are then reached by the flood itself, with the chain recorded), the
 // key-recovery entry points of the sketch family (reverse-hashing
-// Inference and invertible-sketch Decode — both must recover the same
-// keys on every run and router), and every marshal function in the
-// module. Cold is not a barrier here —
+// Inference, which must recover the same keys on every run and router),
+// and every marshal function in the module. Cold is not a barrier here —
 // rotation-time code still feeds persistent state, so it must stay
 // deterministic.
 func (p *Program) propagateDeterminism() {
 	var queue []*funcNode
 	for _, n := range p.sortedNodes() {
 		isRoot := (n.hot && n.hotFrom == nil) || determinismRootName(n.fn.Name()) ||
-			(pathMatchesAny(n.pkg.Path, hotpathPackages) &&
-				(strings.HasPrefix(n.fn.Name(), "Inference") ||
-					strings.HasPrefix(n.fn.Name(), "Decode")))
+			(pathMatchesAny(n.pkg.Path, hotpathPackages) && strings.HasPrefix(n.fn.Name(), "Inference"))
 		if isRoot {
 			n.detReach = true
 			n.detRoot = true

@@ -14,7 +14,6 @@ import (
 var hotpathPackages = []string{
 	"internal/sketch",
 	"internal/revsketch",
-	"internal/invsketch",
 	"internal/burst",
 	"internal/sketch2d",
 	"internal/bloom",

@@ -1,15 +1,16 @@
 // Package burst implements an ALBUS-style sub-interval burst monitor:
-// one invertible sketch per sub-interval slot, all sharing a seed (and
-// therefore hashing), so a pulse flood shorter than the EWMA interval
-// concentrates in a single slot instead of averaging away. Detection
-// decodes each slot for keys whose per-slot mass clears a burst
-// threshold, then applies the long-duration-flow filter: a key whose
-// mass summed across every slot already clears the sustained-flood
-// threshold is the EWMA detector's job and is suppressed here, leaving
-// exactly the pulses the interval detector cannot see.
+// one reversible sketch per sub-interval slot, all sharing one hash
+// family, so a pulse flood shorter than the EWMA interval concentrates
+// in a single slot instead of averaging away. Detection reverse-hashes
+// each slot for keys whose per-slot mass clears a burst threshold, then
+// applies the long-duration-flow filter: a key whose mass summed across
+// every slot already clears the sustained-flood threshold is the EWMA
+// detector's job and is suppressed here, leaving exactly the pulses the
+// interval detector cannot see.
 //
-// All per-slot state is linear (it is plain invsketch counters), so
-// COMBINE across routers and the weighted NetFlow path stay exact.
+// All per-slot state is linear (it is plain reversible-sketch
+// counters), so COMBINE across routers and the weighted NetFlow path
+// stay exact.
 package burst
 
 import (
@@ -18,103 +19,57 @@ import (
 	"sort"
 	"time"
 
-	"github.com/hifind/hifind/internal/invsketch"
-	"github.com/hifind/hifind/internal/sketch"
+	"github.com/hifind/hifind/internal/revsketch"
 )
 
-// MaxSlots bounds the slot count so the marshal header stays
-// fixed-width.
-const MaxSlots = 16
+// Slots is the monitor's slot count: eight 7.5-second windows at the
+// default one-minute interval. The trace generator's burst preset
+// confines each pulse to one of these windows.
+const Slots = 8
 
-// DefaultSlots is the slot count of the facade's burst monitor: eight
-// 7.5-second windows at the default one-minute interval. The trace
-// generator's burst preset confines each pulse to one of these windows.
-const DefaultSlots = 8
-
-// Config describes a burst monitor's geometry.
-type Config struct {
-	Slots  int           // sub-intervals per EWMA interval
-	Window time.Duration // wall-clock width of one slot
-	Params invsketch.Params
-}
-
-// Validate reports whether the configuration is buildable.
-func (c Config) Validate() error {
-	if c.Slots < 1 || c.Slots > MaxSlots {
-		return fmt.Errorf("burst: slots %d out of range [1,%d]", c.Slots, MaxSlots)
-	}
-	if c.Window <= 0 {
-		return fmt.Errorf("burst: window %v must be positive", c.Window)
-	}
-	return c.Params.Validate()
-}
-
-// Array is one burst monitor: Slots invertible sketches sharing a seed.
-// Like every other HiFIND structure it is not safe for concurrent use.
+// Array is one burst monitor: Slots reversible sketches sharing one
+// hash family. Like every other HiFIND structure it is not safe for
+// concurrent use.
 type Array struct {
-	cfg   Config
-	seed  uint64
-	slots []*invsketch.Sketch
+	window time.Duration
+	slots  [Slots]*revsketch.Sketch
 }
 
-// New builds an empty burst monitor. Every slot is constructed from the
-// same seed, so one bucket plan serves all slots and COMBINE across
-// routers with equal configuration is exact.
+// New builds an empty burst monitor whose slots each span window. Slot
+// 0 is built from params and seed and the others are its siblings, so
+// every slot hashes identically, the slots share one set of hash and
+// reverse tables, and COMBINE across routers with equal configuration
+// is exact.
 //
 //hifind:cold
-func New(cfg Config, seed uint64) (*Array, error) {
-	if err := cfg.Validate(); err != nil {
+func New(params revsketch.Params, window time.Duration, seed uint64) (*Array, error) {
+	if window <= 0 {
+		return nil, fmt.Errorf("burst: window %v must be positive", window)
+	}
+	first, err := revsketch.New(params, seed)
+	if err != nil {
 		return nil, err
 	}
-	a := &Array{cfg: cfg, seed: seed, slots: make([]*invsketch.Sketch, cfg.Slots)}
-	for i := range a.slots {
-		s, err := invsketch.New(cfg.Params, seed)
-		if err != nil {
-			return nil, err
-		}
-		a.slots[i] = s
+	a := &Array{window: window}
+	a.slots[0] = first
+	for i := 1; i < Slots; i++ {
+		a.slots[i] = first.Sibling()
 	}
 	return a, nil
 }
-
-// Config returns the monitor geometry.
-func (a *Array) Config() Config { return a.cfg }
-
-// Seed returns the shared hash seed.
-func (a *Array) Seed() uint64 { return a.seed }
-
-// SlotSketch exposes one slot's underlying sketch.
-func (a *Array) SlotSketch(i int) *invsketch.Sketch { return a.slots[i] }
 
 // Slot maps a timestamp to its slot index. Slots cycle modulo the
 // interval, so the array self-overwrites interval to interval once
 // Reset runs at rotation.
 func (a *Array) Slot(ts time.Time) int {
-	n := ts.UnixNano() / int64(a.cfg.Window)
-	s := int(n % int64(a.cfg.Slots))
+	s := int(ts.UnixNano() / int64(a.window) % Slots)
 	if s < 0 {
-		s += a.cfg.Slots
+		s += Slots
 	}
 	return s
 }
 
-// NewPlan returns a reusable bucket plan valid for every slot (all
-// slots hash identically by construction).
-func (a *Array) NewPlan() *invsketch.Plan { return a.slots[0].NewPlan() }
-
-// FillPlan computes the shared bucket plan for a key from its
-// precomputed polynomial powers.
-func (a *Array) FillPlan(key uint64, kp sketch.KeyPowers, p *invsketch.Plan) {
-	a.slots[0].FillPlan(key, kp, p)
-}
-
-// UpdateAt folds a weighted update into one slot through a plan.
-func (a *Array) UpdateAt(slot int, p *invsketch.Plan, v int32) {
-	a.slots[slot].UpdateAt(p, v)
-}
-
-// Update adds v to the key in one slot, hashing from scratch (tests and
-// the fuzz harness; the hot path plans).
+// Update adds v to the key in one slot.
 func (a *Array) Update(slot int, key uint64, v int32) {
 	a.slots[slot].Update(key, v)
 }
@@ -122,7 +77,7 @@ func (a *Array) Update(slot int, key uint64, v int32) {
 // AccessesPerUpdate returns the counter words one update touches, for
 // the recorder's memory-access accounting.
 func (a *Array) AccessesPerUpdate() int {
-	return a.cfg.Params.Stages * a.cfg.Params.Fields()
+	return a.slots[0].Params().Stages
 }
 
 // Reset zeroes every slot for the next interval.
@@ -134,21 +89,17 @@ func (a *Array) Reset() {
 
 // MemoryBytes returns the counter footprint across all slots.
 func (a *Array) MemoryBytes() int {
-	total := 0
-	for _, s := range a.slots {
-		total += s.MemoryBytes()
-	}
-	return total
+	return Slots * a.slots[0].MemoryBytes()
 }
 
 const arrayMagic = uint32(0x48694241) // "HiBA"
 
 // MarshalBinary serializes the monitor: header plus one length-prefixed
-// invsketch block per slot, deterministic byte-for-byte.
+// reversible-sketch block per slot, deterministic byte-for-byte.
 func (a *Array) MarshalBinary() ([]byte, error) {
 	buf := binary.LittleEndian.AppendUint32(nil, arrayMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.cfg.Slots))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(a.cfg.Window))
+	buf = binary.LittleEndian.AppendUint32(buf, Slots)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(a.window))
 	for _, s := range a.slots {
 		blk, err := s.MarshalBinary()
 		if err != nil {
@@ -162,7 +113,7 @@ func (a *Array) MarshalBinary() ([]byte, error) {
 
 // AddBinary adds a MarshalBinary encoding into a, slot by slot. The
 // encoding must carry a's slot count and window, and every slot block
-// must pass invsketch's checks against its slot; otherwise AddBinary
+// must pass revsketch's checks against its slot; otherwise AddBinary
 // returns an error and a is unchanged, because every slot validates
 // before any is added. With apply false it only validates.
 func (a *Array) AddBinary(data []byte, apply bool) error {
@@ -182,8 +133,8 @@ func (a *Array) addSlots(data []byte, apply bool) error {
 	}
 	slots := int(binary.LittleEndian.Uint32(data[4:]))
 	window := time.Duration(binary.LittleEndian.Uint64(data[8:]))
-	if slots != a.cfg.Slots || window != a.cfg.Window {
-		return fmt.Errorf("burst: %d slots of %v, want %d of %v", slots, window, a.cfg.Slots, a.cfg.Window)
+	if slots != Slots || window != a.window {
+		return fmt.Errorf("burst: %d slots of %v, want %d of %v", slots, window, Slots, a.window)
 	}
 	off := 16
 	for i, s := range a.slots {
@@ -216,20 +167,24 @@ type Finding struct {
 	Total float64 // mass summed across all slots
 }
 
-// Detect decodes every slot for keys at or above slotThreshold, drops
-// keys whose across-slot total reaches suppressTotal (long-duration
-// flows belong to the interval detector), and returns the survivors
-// sorted by peak descending, key ascending — a deterministic order for
-// the golden harness. maxKeys ≤ 0 means unlimited.
-func (a *Array) Detect(slotThreshold, suppressTotal float64, maxKeys int) ([]Finding, error) {
+// Detect reverse-hashes every slot for keys at or above slotThreshold,
+// reporting each slot search's work to searched, drops keys whose
+// across-slot total reaches suppressTotal (long-duration flows belong
+// to the interval detector), and returns the survivors sorted by peak
+// descending, key ascending — a deterministic order for the golden
+// harness. opts steers every slot search; its Verify is the alias
+// filter, and a positive MaxKeys also caps the findings returned.
+func (a *Array) Detect(slotThreshold, suppressTotal float64, opts revsketch.InferenceOptions,
+	searched func(revsketch.InferenceStats)) ([]Finding, error) {
 	seen := make(map[uint64]bool)
 	var keys []uint64
 	for i, s := range a.slots {
-		decoded, err := s.DecodeCounts(slotThreshold, invsketch.DecodeOptions{})
+		found, err := s.InferenceCounts(slotThreshold, opts)
 		if err != nil {
-			return nil, fmt.Errorf("burst: slot %d decode: %w", i, err)
+			return nil, fmt.Errorf("burst: slot %d inference: %w", i, err)
 		}
-		for _, ke := range decoded {
+		searched(s.LastInference())
+		for _, ke := range found {
 			if !seen[ke.Key] {
 				seen[ke.Key] = true
 				keys = append(keys, ke.Key)
@@ -261,8 +216,8 @@ func (a *Array) Detect(slotThreshold, suppressTotal float64, maxKeys int) ([]Fin
 		}
 		return out[x].Key < out[y].Key
 	})
-	if maxKeys > 0 && len(out) > maxKeys {
-		out = out[:maxKeys]
+	if opts.MaxKeys > 0 && len(out) > opts.MaxKeys {
+		out = out[:opts.MaxKeys]
 	}
 	return out, nil
 }

@@ -3,71 +3,73 @@ package burst
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 
-	"github.com/hifind/hifind/internal/invsketch"
-	"github.com/hifind/hifind/internal/sketch"
+	"github.com/hifind/hifind/internal/revsketch"
 )
 
-func testConfig() Config {
-	return Config{
-		Slots:  8,
-		Window: 7500 * time.Millisecond,
-		Params: invsketch.Params{KeyBits: 16, Stages: 3, Buckets: 64},
+const window = 7500 * time.Millisecond
+
+func newArray(t *testing.T, seed uint64) *Array {
+	t.Helper()
+	a, err := New(revsketch.Params48(), window, seed)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return a
 }
 
-func TestConfigValidate(t *testing.T) {
-	cases := []Config{
-		{Slots: 0, Window: time.Second, Params: invsketch.Params{KeyBits: 16, Stages: 3, Buckets: 64}},
-		{Slots: MaxSlots + 1, Window: time.Second, Params: invsketch.Params{KeyBits: 16, Stages: 3, Buckets: 64}},
-		{Slots: 4, Window: 0, Params: invsketch.Params{KeyBits: 16, Stages: 3, Buckets: 64}},
-		{Slots: 4, Window: time.Second, Params: invsketch.Params{KeyBits: 0, Stages: 3, Buckets: 64}},
-	}
-	for i, cfg := range cases {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("case %d: Validate accepted invalid config %+v", i, cfg)
+// only returns detection options whose Verify passes exactly the given
+// keys, standing in for the recorder's verifier sketch: it rejects the
+// modular-hash aliases reverse hashing recovers next to every heavy key.
+func only(keys ...uint64) revsketch.InferenceOptions {
+	return revsketch.InferenceOptions{Verify: func(key uint64, _ float64) bool {
+		return slices.Contains(keys, key)
+	}}
+}
+
+func ignoreSearch(revsketch.InferenceStats) {}
+
+func TestNewValidates(t *testing.T) {
+	for _, w := range []time.Duration{0, -time.Second} {
+		if _, err := New(revsketch.Params48(), w, 1); err == nil {
+			t.Errorf("New accepted window %v", w)
 		}
 	}
-	if err := testConfig().Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+	if _, err := New(revsketch.Params{KeyBits: 48, Words: 4, Stages: 6, Buckets: 1000}, window, 1); err == nil {
+		t.Error("New accepted a non-power-of-two bucket count")
 	}
 }
 
 func TestSlotMapping(t *testing.T) {
-	a, err := New(testConfig(), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newArray(t, 42)
 	start := time.Date(2005, 5, 10, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 2*a.Config().Slots; i++ {
-		ts := start.Add(time.Duration(i) * a.Config().Window)
-		want := i % a.Config().Slots
+	for i := 0; i < 2*Slots; i++ {
+		ts := start.Add(time.Duration(i) * window)
+		want := i % Slots
 		if got := a.Slot(ts); got != want {
 			t.Errorf("slot(%v) = %d, want %d", ts, got, want)
 		}
 		// Last nanosecond of the window still maps to the same slot.
-		if got := a.Slot(ts.Add(a.Config().Window - time.Nanosecond)); got != want {
+		if got := a.Slot(ts.Add(window - time.Nanosecond)); got != want {
 			t.Errorf("slot(end of window %d) = %d, want %d", i, got, want)
 		}
 	}
-	if got := a.Slot(time.Unix(-3, -1)); got < 0 || got >= a.Config().Slots {
+	if got := a.Slot(time.Unix(-3, -1)); got < 0 || got >= Slots {
 		t.Errorf("negative timestamp slot %d out of range", got)
 	}
 }
 
 func TestDetectPulseAndSuppressSustained(t *testing.T) {
-	a, err := New(testConfig(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newArray(t, 7)
 	const pulseKey, sustainedKey = uint64(0xBEEF), uint64(0xCAFE)
 	a.Update(3, pulseKey, 48) // one-slot pulse, total 48 < 60
-	for i := 0; i < a.Config().Slots; i++ {
+	for i := 0; i < Slots; i++ {
 		a.Update(i, sustainedKey, 75) // long-duration flood, total 600
 	}
-	got, err := a.Detect(30, 60, 0)
+	got, err := a.Detect(30, 60, only(pulseKey, sustainedKey), ignoreSearch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,26 +89,29 @@ func TestDetectPulseAndSuppressSustained(t *testing.T) {
 }
 
 func TestDetectMaxKeysAndOrder(t *testing.T) {
-	a, err := New(testConfig(), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newArray(t, 11)
 	a.Update(0, 0x0101, 50)
 	a.Update(1, 0x0202, 40)
 	a.Update(2, 0x0303, 45)
-	all, err := a.Detect(30, 1000, 0)
+	opts := only(0x0101, 0x0202, 0x0303)
+	var searches int
+	all, err := a.Detect(30, 1000, opts, func(revsketch.InferenceStats) { searches++ })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != 3 {
 		t.Fatalf("got %d findings, want 3", len(all))
 	}
+	if searches != Slots {
+		t.Errorf("Detect reported %d searches, want one per slot (%d)", searches, Slots)
+	}
 	for i := 1; i < len(all); i++ {
 		if all[i-1].Peak < all[i].Peak {
 			t.Errorf("findings not peak-descending: %+v", all)
 		}
 	}
-	capped, err := a.Detect(30, 1000, 2)
+	opts.MaxKeys = 2
+	capped, err := a.Detect(30, 1000, opts, ignoreSearch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,39 +120,12 @@ func TestDetectMaxKeysAndOrder(t *testing.T) {
 	}
 }
 
-func TestPlanMatchesUpdate(t *testing.T) {
-	cfg := testConfig()
-	direct, err := New(cfg, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	planned, err := New(cfg, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := planned.NewPlan()
-	keys := []uint64{1, 0xFFFF, 0x1234, 0xBEEF}
-	for i, key := range keys {
-		slot := i % cfg.Slots
-		direct.Update(slot, key, int32(i+1))
-		planned.FillPlan(key, sketch.PowersOf(key), p)
-		planned.UpdateAt(slot, p, int32(i+1))
-	}
-	db, _ := direct.MarshalBinary()
-	pb, _ := planned.MarshalBinary()
-	if !bytes.Equal(db, pb) {
-		t.Fatal("planned updates diverge from direct updates")
-	}
-}
-
 func TestCombineMarshalRoundTrip(t *testing.T) {
-	cfg := testConfig()
-	a, _ := New(cfg, 5)
-	b, _ := New(cfg, 5)
+	a, b := newArray(t, 5), newArray(t, 5)
 	a.Update(2, 0xAAAA, 20)
 	b.Update(2, 0xAAAA, 15)
 	b.Update(5, 0xBBBB, 31)
-	merged, _ := New(cfg, 5)
+	merged := newArray(t, 5)
 	for _, src := range []*Array{a, b} {
 		blob, err := src.MarshalBinary()
 		if err != nil {
@@ -157,14 +135,18 @@ func TestCombineMarshalRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if est := merged.SlotSketch(2).Estimate(0xAAAA); est < 30 || est > 40 {
-		t.Errorf("combined estimate %.1f, want ≈35", est)
+	got, err := merged.Detect(30, 1000, only(0xAAAA, 0xBBBB), ignoreSearch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Key != 0xAAAA || got[0].Slot != 2 || got[0].Peak < 30 || got[0].Peak > 40 {
+		t.Errorf("combined findings %+v, want 0xAAAA ≈35 in slot 2 first", got)
 	}
 	blob, err := merged.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, _ := New(cfg, 5)
+	back := newArray(t, 5)
 	if err := back.AddBinary(blob, true); err != nil {
 		t.Fatal(err)
 	}
@@ -175,20 +157,26 @@ func TestCombineMarshalRoundTrip(t *testing.T) {
 	if !bytes.Equal(blob, blob2) {
 		t.Fatal("marshal round trip not byte-identical")
 	}
-	other, _ := New(cfg, 6)
-	if err := other.AddBinary(blob, true); err == nil {
+	if err := newArray(t, 6).AddBinary(blob, true); err == nil {
 		t.Fatal("AddBinary accepted mismatched seeds")
+	}
+	other, err := New(revsketch.Params48(), 2*window, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.AddBinary(blob, true); err == nil {
+		t.Fatal("AddBinary accepted a mismatched window")
 	}
 }
 
 func TestResetAndMemory(t *testing.T) {
-	a, _ := New(testConfig(), 3)
+	a := newArray(t, 3)
 	a.Update(0, 0x7777, 100)
-	if a.MemoryBytes() == 0 {
-		t.Fatal("zero memory footprint")
+	if want := Slots * 6 * 4096 * 4; a.MemoryBytes() != want {
+		t.Fatalf("memory footprint %d bytes, want %d (one RS48 counter array per slot)", a.MemoryBytes(), want)
 	}
 	a.Reset()
-	got, err := a.Detect(30, 1000, 0)
+	got, err := a.Detect(30, 1000, revsketch.InferenceOptions{}, ignoreSearch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,17 +193,12 @@ func FuzzBurstDetect(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg := Config{
-			Slots:  4,
-			Window: time.Second,
-			Params: invsketch.Params{KeyBits: 16, Stages: 2, Buckets: 16},
-		}
-		a, err := New(cfg, 1234)
+		a, err := New(revsketch.Params{KeyBits: 16, Words: 4, Stages: 2, Buckets: 16}, time.Second, 1234)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for len(data) >= 12 {
-			slot := int(data[0]) % cfg.Slots
+			slot := int(data[0]) % Slots
 			key := uint64(binary.LittleEndian.Uint16(data[1:]))
 			v := int32(binary.LittleEndian.Uint32(data[3:]) % 201)
 			if data[7]&1 == 1 {
@@ -224,20 +207,21 @@ func FuzzBurstDetect(f *testing.F) {
 			a.Update(slot, key, v)
 			data = data[12:]
 		}
-		got, err := a.Detect(20, 100, 0)
+		opts := revsketch.InferenceOptions{}
+		got, err := a.Detect(20, 100, opts, ignoreSearch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := a.Detect(20, 100, 0)
+		again, err := a.Detect(20, 100, opts, ignoreSearch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(again) {
-			t.Fatalf("decode order nondeterministic: %d vs %d findings", len(got), len(again))
+			t.Fatalf("detect order nondeterministic: %d vs %d findings", len(got), len(again))
 		}
 		for i := range got {
 			if got[i] != again[i] {
-				t.Fatalf("decode nondeterministic at %d: %+v vs %+v", i, got[i], again[i])
+				t.Fatalf("detect nondeterministic at %d: %+v vs %+v", i, got[i], again[i])
 			}
 			if got[i].Peak < 20 {
 				t.Errorf("finding %d peak %.1f below threshold", i, got[i].Peak)

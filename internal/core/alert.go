@@ -167,20 +167,22 @@ type DiagStats struct {
 
 	// Auxiliary-detector candidate counts (zero when the corresponding
 	// detector is off): burst-monitor findings, persistence-band keys
-	// fed to the streak tracker, reflection-monitor decodes.
+	// fed to the streak tracker, reflection-monitor keys.
 	BurstCandidates      int
 	PersistCandidates    int
 	ReflectionCandidates int
 
-	// InferenceSeconds is the wall time the interval's three
-	// offender-key recovery steps took (reverse-hashing search);
-	// KeysRecovered is their combined post-verification yield. Zero on intervals where
-	// detection did not run (forecast warm-up).
+	// InferenceSeconds is the wall time the interval's offender-key
+	// recovery took, summed over every reverse-hashing search: the
+	// three steps plus the enabled auxiliary detectors (one search per
+	// burst slot, one each for persistence and reflection);
+	// KeysRecovered is their combined post-verification yield. Zero on
+	// intervals where detection did not run (forecast warm-up).
 	InferenceSeconds float64
 	KeysRecovered    int
-	// The same three steps' reverse-search work (revsketch
-	// InferenceStats): DFS nodes expanded, candidate keys emitted, and
-	// how many steps a node or operation budget cut short.
+	// The same searches' work, summed (revsketch InferenceStats): DFS
+	// nodes expanded, candidate keys emitted, and how many searches a
+	// node or operation budget cut short.
 	InferenceNodes      int
 	InferenceLeaves     int
 	InferenceBudgetHits int

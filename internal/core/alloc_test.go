@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hifind/hifind/internal/burst"
 	"github.com/hifind/hifind/internal/netmodel"
 	"github.com/hifind/hifind/internal/revsketch"
 )
@@ -143,7 +144,7 @@ func TestObserveFlowAllocs(t *testing.T) {
 // reflection monitors) on.
 func TestAddBinaryAllocs(t *testing.T) {
 	full := TestRecorderConfig(0xa110c)
-	full.BurstSlots, full.BurstWindow = 4, 15*time.Second
+	full.BurstWindow = time.Minute / burst.Slots
 	full.Reflection = true
 	for name, cfg := range map[string]RecorderConfig{
 		"paper": PaperRecorderConfig(0xa110c),

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hifind/hifind/internal/burst"
 	"github.com/hifind/hifind/internal/netmodel"
 	"github.com/hifind/hifind/internal/trace"
 )
@@ -382,6 +383,28 @@ func TestPaperMemoryBudget(t *testing.T) {
 	mb := float64(rec.MemoryBytes()) / (1 << 20)
 	if mb < 12 || mb > 15 {
 		t.Errorf("paper-config recorder uses %.1f MB, paper says ≈13.2 MB", mb)
+	}
+}
+
+// TestMonitorMemory pins what the burst and reflection monitors add at
+// paper geometry: one RS48 counter array (6 × 2^12 int32, 96 KiB) per
+// burst slot and one for reflection, plus the reflection verifier (6 ×
+// 2^14 int32, 384 KiB). The slots share their hash and reverse tables.
+func TestMonitorMemory(t *testing.T) {
+	plain, err := NewRecorder(PaperRecorderConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := PaperRecorderConfig(1)
+	cfg.BurstWindow = time.Minute / burst.Slots
+	cfg.Reflection = true
+	full, err := NewRecorder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rs48, verifier = 96 << 10, 384 << 10
+	if got, want := full.MemoryBytes()-plain.MemoryBytes(), (burst.Slots+1)*rs48+verifier; got != want {
+		t.Errorf("monitors add %d bytes, want %d (%d RS48 arrays and one verifier)", got, want, burst.Slots+1)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/hifind/hifind/internal/invsketch"
 	"github.com/hifind/hifind/internal/netmodel"
 	"github.com/hifind/hifind/internal/persist"
 	"github.com/hifind/hifind/internal/revsketch"
@@ -315,7 +314,23 @@ func (d *Detector) verifierCheck(ver *sketch.Sketch, verErr sketch.Grid) func(ui
 	}
 }
 
-// addSearch adds the search work of one of the three inference steps.
+// countsOptions builds the options of an auxiliary detector's search
+// over raw interval counts: the main steps' quorum and key cap, and a
+// Verify that passes a candidate only if the paired verifier's raw
+// estimate confirms VerifyFraction of the search threshold.
+func (d *Detector) countsOptions(ver *sketch.Sketch, threshold float64) revsketch.InferenceOptions {
+	opts := revsketch.InferenceOptions{Quorum: d.cfg.Quorum, MaxKeys: d.cfg.MaxKeysPerStep}
+	if d.cfg.VerifyFraction >= 0 {
+		floor := d.cfg.VerifyFraction * threshold
+		opts.Verify = func(key uint64, _ float64) bool {
+			return ver.Estimate(key) >= floor
+		}
+	}
+	return opts
+}
+
+// addSearch adds the work of one reverse-hashing search: a step of the
+// three-step algorithm or an auxiliary detector's.
 func (d *DiagStats) addSearch(st revsketch.InferenceStats) {
 	d.InferenceNodes += st.Nodes
 	d.InferenceLeaves += st.Leaves
@@ -537,7 +552,7 @@ func (d *Detector) detectScenarios(rec *Recorder, res *IntervalResult) error {
 	return nil
 }
 
-// detectBursts decodes the sub-interval burst monitor: keys whose SYN
+// detectBursts searches the sub-interval burst monitor: keys whose SYN
 // excess concentrates inside one slot window while the interval total
 // stays under the flood threshold — pulses the interval-grain EWMA
 // never sees.
@@ -548,8 +563,13 @@ func (d *Detector) detectBursts(rec *Recorder, diag *DiagStats) ([]Alert, error)
 	start := time.Now()
 	// A key alerts when one slot alone reaches half the threshold while
 	// the interval total stays under it — the long-duration-flow filter
-	// that keeps sustained floods out of the burst channel.
-	findings, err := rec.Burst.Detect(d.cfg.Threshold/2, d.cfg.Threshold, d.cfg.MaxKeysPerStep)
+	// that keeps sustained floods out of the burst channel. The slot
+	// searches' aliases die at the {DIP,Dport} verifier, which carries
+	// the same signal summed over the interval: a pulse leaves at least
+	// its slot's mass there, an alias next to nothing.
+	slotThreshold := d.cfg.Threshold / 2
+	opts := d.countsOptions(rec.VerDipDport, slotThreshold)
+	findings, err := rec.Burst.Detect(slotThreshold, d.cfg.Threshold, opts, diag.addSearch)
 	if err != nil {
 		return nil, err
 	}
@@ -580,19 +600,12 @@ func (d *Detector) detectPersistent(rec *Recorder, diag *DiagStats) ([]Alert, er
 	}
 	floor := d.cfg.Threshold / 6
 	start := time.Now()
-	opts := revsketch.InferenceOptions{Quorum: d.cfg.Quorum, MaxKeys: d.cfg.MaxKeysPerStep}
-	if d.cfg.VerifyFraction >= 0 {
-		verFloor := d.cfg.VerifyFraction * floor
-		ver := rec.VerSipDport
-		opts.Verify = func(key uint64, _ float64) bool {
-			return ver.Estimate(key) >= verFloor
-		}
-	}
-	band, err := rec.RSSipDport.InferenceCounts(floor, opts)
+	band, err := rec.RSSipDport.InferenceCounts(floor, d.countsOptions(rec.VerSipDport, floor))
 	if err != nil {
 		return nil, err
 	}
 	diag.InferenceSeconds += time.Since(start).Seconds()
+	diag.addSearch(rec.RSSipDport.LastInference())
 	// Keep only the sub-threshold band: anything at or above Threshold
 	// is a fast attack and belongs to the main three-step pipeline.
 	obs := make([]persist.Observation, 0, len(band))
@@ -617,7 +630,7 @@ func (d *Detector) detectPersistent(rec *Recorder, diag *DiagStats) ([]Alert, er
 	return alerts, nil
 }
 
-// detectReflection decodes the reflection monitor: {victim, service
+// detectReflection searches the reflection monitor: {victim, service
 // port} keys whose inbound SYN/ACK volume has no matching outbound SYNs
 // to cancel against. Benign round trips net to zero by construction, so
 // surviving positive mass is backscatter-style reflected flood traffic.
@@ -626,13 +639,12 @@ func (d *Detector) detectReflection(rec *Recorder, diag *DiagStats) ([]Alert, er
 		return nil, nil
 	}
 	start := time.Now()
-	keys, err := rec.Reflect.DecodeCounts(d.cfg.Threshold, invsketch.DecodeOptions{
-		MaxKeys: d.cfg.MaxKeysPerStep,
-	})
+	keys, err := rec.Reflect.InferenceCounts(d.cfg.Threshold, d.countsOptions(rec.VerReflect, d.cfg.Threshold))
 	if err != nil {
 		return nil, err
 	}
 	diag.InferenceSeconds += time.Since(start).Seconds()
+	diag.addSearch(rec.Reflect.LastInference())
 	diag.ReflectionCandidates = len(keys)
 	diag.KeysRecovered += len(keys)
 	alerts := make([]Alert, 0, len(keys))

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/hifind/hifind/internal/invsketch"
+	"github.com/hifind/hifind/internal/burst"
 	"github.com/hifind/hifind/internal/netmodel"
 	"github.com/hifind/hifind/internal/revsketch"
 	"github.com/hifind/hifind/internal/sketch"
@@ -86,7 +86,6 @@ func FuzzObserve(f *testing.F) {
 func FuzzRecorderAddBinary(f *testing.F) {
 	var recs []*Recorder
 	for i, monitors := range []bool{true, false} {
-		tiny := invsketch.Params{KeyBits: 48, Stages: 1, Buckets: 4}
 		cfg := RecorderConfig{
 			Seed:            0xadd,
 			RS48:            revsketch.Params{KeyBits: 48, Words: 4, Stages: 6, Buckets: 1 << 4},
@@ -95,11 +94,9 @@ func FuzzRecorderAddBinary(f *testing.F) {
 			Original:        sketch.Params{Stages: 6, Buckets: 1 << 4},
 			TwoD:            sketch2d.Params{Stages: 5, XBuckets: 4, YBuckets: 4},
 			ServiceCapacity: 1 << 6,
-			Burst:           tiny,
-			Reflect:         tiny,
 		}
 		if monitors {
-			cfg.BurstSlots, cfg.BurstWindow = 4, 15*time.Second
+			cfg.BurstWindow = time.Minute / burst.Slots
 			cfg.Reflection = true
 		}
 		src, err := NewRecorder(cfg)

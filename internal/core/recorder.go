@@ -8,7 +8,6 @@ import (
 	"github.com/hifind/hifind/internal/bloom"
 	"github.com/hifind/hifind/internal/burst"
 	"github.com/hifind/hifind/internal/flowcache"
-	"github.com/hifind/hifind/internal/invsketch"
 	"github.com/hifind/hifind/internal/netmodel"
 	"github.com/hifind/hifind/internal/revsketch"
 	"github.com/hifind/hifind/internal/sketch"
@@ -33,25 +32,20 @@ type RecorderConfig struct {
 	TwoD sketch2d.Params
 	// ServiceCapacity sizes the active-service Bloom filter.
 	ServiceCapacity int
-	// BurstSlots, when positive, enables the ALBUS-style sub-interval
-	// burst monitor: BurstSlots invertible sketches (geometry Burst,
-	// shared hashing) cycle through wall-clock windows of BurstWindow,
-	// recording the {DIP,Dport} #SYN−#SYN/ACK signal per sub-interval so
-	// pulse floods shorter than one EWMA interval stay visible. Zero
-	// disables the monitor; BurstWindow must be positive when enabled.
-	BurstSlots  int
+	// BurstWindow, when positive, enables the ALBUS-style sub-interval
+	// burst monitor: burst.Slots reversible sketches at the RS48
+	// geometry (one shared hash family) cycle through wall-clock
+	// windows of BurstWindow, recording the {DIP,Dport} #SYN−#SYN/ACK
+	// signal per sub-interval so pulse floods shorter than one EWMA
+	// interval stay visible. Zero disables the monitor.
 	BurstWindow time.Duration
-	// Burst is the per-slot burst-monitor geometry; Reflect the
-	// reflection monitor's. They are only consulted when their monitor
-	// is enabled.
-	Burst invsketch.Params
 	// Reflection enables the reflection/amplification monitor: one
-	// invertible sketch over {DIP, service Sport} recording inbound
+	// reversible sketch at the RS48 geometry over {DIP, service Sport},
+	// paired with a verifier at the Verifier geometry, recording inbound
 	// SYN/ACKs minus outbound SYNs, so unsolicited handshake responses
 	// (reflected floods) accumulate positive mass while benign round
 	// trips cancel to zero.
 	Reflection bool
-	Reflect    invsketch.Params
 	// FlowCache, when positive, bounds an exact flow-aggregation cache
 	// installed in front of the sketches: per-connection updates
 	// accumulate in the table and flush as weighted updates on eviction
@@ -73,8 +67,6 @@ func PaperRecorderConfig(seed uint64) RecorderConfig {
 		Original:        sketch.Params{Stages: 6, Buckets: 1 << 14},
 		TwoD:            sketch2d.PaperParams(),
 		ServiceCapacity: 1 << 20,
-		Burst:           invsketch.Params48(),
-		Reflect:         invsketch.Params48(),
 	}
 }
 
@@ -91,8 +83,6 @@ func TestRecorderConfig(seed uint64) RecorderConfig {
 	cfg.Original.Buckets = 1 << 12
 	cfg.TwoD.XBuckets = 1 << 10
 	cfg.ServiceCapacity = 1 << 16
-	cfg.Burst.Buckets = 1 << 9
-	cfg.Reflect.Buckets = 1 << 9
 	return cfg
 }
 
@@ -123,13 +113,18 @@ type Recorder struct {
 	TwoDSipDportXDip *sketch2d.Sketch
 	TwoDSipDipXDport *sketch2d.Sketch
 	// Burst is the sub-interval burst monitor over {DIP,Dport} — nil
-	// unless cfg.BurstSlots is positive. Reflect is the reflection
+	// unless cfg.BurstWindow is positive. Reflect is the reflection
 	// monitor over {DIP, service Sport} — nil unless cfg.Reflection.
 	// Both bypass the flow cache: their updates apply inline at observe
 	// time (the cache drops timestamps the burst monitor needs, and
 	// identity across cache modes falls out for free).
 	Burst   *burst.Array
-	Reflect *invsketch.Sketch
+	Reflect *revsketch.Sketch
+	// VerReflect is the reflection monitor's verifier: same key and
+	// value, conventional hashing, so reverse-hashing aliases of a
+	// reflection victim die as the main steps' aliases do. Nil with
+	// Reflect.
+	VerReflect *sketch.Sketch
 	// Services remembers {DIP,Dport} pairs that have produced SYN/ACKs —
 	// cross-interval state for the misconfiguration filter (§3.4).
 	Services *bloom.Filter
@@ -157,8 +152,6 @@ type updatePlans struct {
 	osDipDport                       *sketch.Plan
 	twoDSipDportXDip                 *sketch2d.Plan
 	twoDSipDipXDport                 *sketch2d.Plan
-	// Burst and reflection monitor plans, nil when disabled.
-	burst, reflect *invsketch.Plan
 }
 
 // NewRecorder builds an empty recorder.
@@ -203,15 +196,19 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 	if r.Services, err = bloom.New(cfg.ServiceCapacity, 0.01, cfg.Seed^0x0a); err != nil {
 		return nil, fmt.Errorf("core: service filter: %w", err)
 	}
-	if cfg.BurstSlots != 0 {
-		bc := burst.Config{Slots: cfg.BurstSlots, Window: cfg.BurstWindow, Params: cfg.Burst}
-		if r.Burst, err = burst.New(bc, cfg.Seed^0x0e); err != nil {
+	if cfg.BurstWindow > 0 {
+		if r.Burst, err = burst.New(cfg.RS48, cfg.BurstWindow, cfg.Seed^0x0e); err != nil {
 			return nil, fmt.Errorf("core: burst monitor: %w", err)
 		}
+	} else if cfg.BurstWindow < 0 {
+		return nil, fmt.Errorf("core: burst window %v < 0", cfg.BurstWindow)
 	}
 	if cfg.Reflection {
-		if r.Reflect, err = invsketch.New(cfg.Reflect, cfg.Seed^0x0f); err != nil {
+		if r.Reflect, err = revsketch.New(cfg.RS48, cfg.Seed^0x0f); err != nil {
 			return nil, fmt.Errorf("core: reflection monitor: %w", err)
+		}
+		if r.VerReflect, err = sketch.New(cfg.Verifier, cfg.Seed^0x10); err != nil {
+			return nil, fmt.Errorf("core: reflection verifier: %w", err)
 		}
 	}
 	r.plans = r.newPlans()
@@ -230,7 +227,7 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 
 // newPlans sizes one bucket plan per structure.
 func (r *Recorder) newPlans() updatePlans {
-	p := updatePlans{
+	return updatePlans{
 		rsSipDport:       r.RSSipDport.NewPlan(),
 		rsDipDport:       r.RSDipDport.NewPlan(),
 		rsSipDip:         r.RSSipDip.NewPlan(),
@@ -241,13 +238,6 @@ func (r *Recorder) newPlans() updatePlans {
 		twoDSipDportXDip: r.TwoDSipDportXDip.NewPlan(),
 		twoDSipDipXDport: r.TwoDSipDipXDport.NewPlan(),
 	}
-	if r.Burst != nil {
-		p.burst = r.Burst.NewPlan()
-	}
-	if r.Reflect != nil {
-		p.reflect = r.Reflect.NewPlan()
-	}
-	return p
 }
 
 // Config returns the recorder configuration.
@@ -301,10 +291,12 @@ func (r *Recorder) burstUpdate(ts time.Time, key uint64, v int32, n int64) {
 	r.memoryAccesses += int64(r.Burst.AccessesPerUpdate()) * n
 }
 
-// reflectUpdate folds one weighted update into the reflection monitor.
+// reflectUpdate folds one weighted update into the reflection monitor
+// and its verifier.
 func (r *Recorder) reflectUpdate(key uint64, v int32, n int64) {
 	r.Reflect.Update(key, v)
-	r.memoryAccesses += int64(r.cfg.Reflect.Stages*r.cfg.Reflect.Fields()) * n
+	r.VerReflect.Update(key, v)
+	r.memoryAccesses += int64(r.cfg.RS48.Stages+r.cfg.Verifier.Stages) * n
 }
 
 // ObserveFlow records a NetFlow-style flow record (the evaluation traces
@@ -370,9 +362,10 @@ func (r *Recorder) reflectFlow(key uint64, count int, sign int32) {
 			c = flowChunk
 		}
 		r.Reflect.Update(key, sign*int32(c))
+		r.VerReflect.Update(key, sign*int32(c))
 		left -= c
 	}
-	r.memoryAccesses += int64(r.cfg.Reflect.Stages*r.cfg.Reflect.Fields()) * int64(count)
+	r.memoryAccesses += int64(r.cfg.RS48.Stages+r.cfg.Verifier.Stages) * int64(count)
 }
 
 // flowChunk bounds one weighted update's collapsed packet count well
@@ -523,7 +516,7 @@ func (r *Recorder) MemoryBytes() int {
 		total += r.Burst.MemoryBytes()
 	}
 	if r.Reflect != nil {
-		total += r.Reflect.MemoryBytes()
+		total += r.Reflect.MemoryBytes() + r.VerReflect.MemoryBytes()
 	}
 	return total
 }
@@ -546,6 +539,7 @@ func (r *Recorder) Reset() {
 	}
 	if r.Reflect != nil {
 		r.Reflect.Reset()
+		r.VerReflect.Reset()
 	}
 	// Pending cache aggregates belong to the interval being discarded;
 	// drop them (and the interval's cache stats) rather than flush them
@@ -577,7 +571,7 @@ func (r *Recorder) newBlocks() []wireBlock {
 		blocks = append(blocks, r.Burst)
 	}
 	if r.Reflect != nil {
-		blocks = append(blocks, r.Reflect)
+		blocks = append(blocks, r.Reflect, r.VerReflect)
 	}
 	return blocks
 }

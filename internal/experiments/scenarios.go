@@ -62,8 +62,7 @@ func scenarioSpecs(intervals int) []scenarioSpec {
 			name: "burst-pulse", alert: core.AlertBurstFlood, attack: trace.BurstPulse,
 			cfg: trace.BurstPulseConfig(505, intervals),
 			detector: func(r *core.RecorderConfig, _ *core.DetectorConfig) {
-				r.BurstSlots = burst.DefaultSlots
-				r.BurstWindow = trace.BurstPulseConfig(505, intervals).Interval / burst.DefaultSlots
+				r.BurstWindow = trace.BurstPulseConfig(505, intervals).Interval / burst.Slots
 			},
 		},
 		{

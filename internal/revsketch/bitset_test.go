@@ -66,7 +66,7 @@ func TestQuorumMaskMatchesPopcount(t *testing.T) {
 // form an exact partition of the word space per (stage, position).
 func TestRevBitsetsPartitionWordSpace(t *testing.T) {
 	s := mustNew(t, smallParams(), 77)
-	s.buildReverseTables()
+	s.reverseTables()
 	p := s.params
 	wordSpace := 1 << uint(p.KeyBits/p.Words)
 	for j := 0; j < p.Stages; j++ {

@@ -119,11 +119,9 @@ func (s *Sketch) Inference(g sketch.Grid, threshold float64, opts InferenceOptio
 		return nil, fmt.Errorf("revsketch: inference threshold %v must be positive", threshold)
 	}
 	opts = opts.withDefaults(s.params.Stages)
-	s.buildReverseTables()
-	if s.run == nil {
-		s.run = newInferenceRun(s)
-	}
-	r := s.run
+	s.reverseTables()
+	r := s.searchRun()
+	r.s = s
 	r.reset(g, threshold, opts)
 	r.dfs(0, r.heavy)
 	r.stats.BudgetHit = r.stats.Nodes >= opts.MaxNodes || r.stats.Ops >= opts.MaxOps
@@ -149,8 +147,9 @@ func (s *Sketch) Inference(g sketch.Grid, threshold float64, opts InferenceOptio
 	return keys, nil
 }
 
-// LastInference reports the work of the sketch's most recent Inference
-// call; the zero value before the first.
+// LastInference reports the work of the most recent Inference call on
+// the sketch or, since siblings share one run, on any of its siblings;
+// the zero value before the first.
 func (s *Sketch) LastInference() InferenceStats {
 	if s.run == nil {
 		return InferenceStats{}
@@ -160,13 +159,27 @@ func (s *Sketch) LastInference() InferenceStats {
 
 // InferenceCounts runs Inference directly over the sketch's own counters,
 // for callers that detect on raw per-interval values instead of forecast
-// errors (tests, simple deployments).
+// errors: the auxiliary detectors and tests. The counters are copied
+// into a grid the search run keeps, so a warm sketch allocates only
+// the returned keys.
 func (s *Sketch) InferenceCounts(threshold float64, opts InferenceOptions) ([]KeyEstimate, error) {
-	g := sketch.NewGrid(s.params.Stages, s.params.Buckets)
-	if err := g.AddCounts(s.counts, 1); err != nil {
+	r := s.searchRun()
+	if r.counts == nil {
+		r.counts = sketch.NewGrid(s.params.Stages, s.params.Buckets)
+	}
+	r.counts.Zero()
+	if err := r.counts.AddCounts(s.counts, 1); err != nil {
 		return nil, err
 	}
-	return s.Inference(g, threshold, opts)
+	return s.Inference(r.counts, threshold, opts)
+}
+
+// searchRun returns the sketch's search run, building it on first use.
+func (s *Sketch) searchRun() *inferenceRun {
+	if s.run == nil {
+		s.run = newInferenceRun(s)
+	}
+	return s.run
 }
 
 // heavyBuckets appends to idx the indices of buckets with value ≥
@@ -185,10 +198,11 @@ func heavyBuckets(idx []uint32, row []float64, threshold float64, cap int) []uin
 	return idx
 }
 
-// buildReverseTables constructs chunk→word bitsets on first use.
-func (s *Sketch) buildReverseTables() {
+// reverseTables returns the chunk→word bitsets, building them on first
+// use.
+func (s *Sketch) reverseTables() [][][][]uint64 {
 	if s.revBits != nil {
-		return
+		return s.revBits
 	}
 	chunkSpace := 1 << uint(s.params.chunkBits())
 	wordSpace := 1 << uint(s.params.wordBits())
@@ -209,6 +223,7 @@ func (s *Sketch) buildReverseTables() {
 			s.revBits[j][i] = sets
 		}
 	}
+	return s.revBits
 }
 
 // scoredWord is a candidate next word with its best-first rank.
@@ -218,12 +233,14 @@ type scoredWord struct {
 }
 
 // inferenceRun holds the state of a sketch's reverse-hashing search. One
-// run serves every Inference call on its sketch: reset rebinds it to the
-// call's grid, and its buffers grow to the largest search served and
-// are then kept, so the search itself never allocates once warm.
+// run serves every Inference call on its sketch and its siblings: each
+// call rebinds it to the searched sketch and the call's grid, and its
+// buffers grow to the largest search served and are then kept, so the
+// search itself never allocates once warm.
 type inferenceRun struct {
 	s      *Sketch
 	grid   sketch.Grid
+	counts sketch.Grid // InferenceCounts' copy of the counters
 	thresh float64
 	opts   InferenceOptions
 	stats  InferenceStats

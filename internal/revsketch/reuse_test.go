@@ -105,3 +105,51 @@ func TestInferenceReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestSiblingHashesLikeItsSource: a sibling shares its source's hashing
+// and search run but not its counters. Fed the same updates as a sketch
+// built fresh from the same seed, it must encode the same bytes, leave
+// its source untouched, and search to the same keys and work.
+func TestSiblingHashesLikeItsSource(t *testing.T) {
+	p := smallParams()
+	const seed = 17
+	src := mustNew(t, p, seed)
+	sib := src.Sibling()
+	fresh := mustNew(t, p, seed)
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 2000; i++ {
+		key, v := uint64(rng.Intn(1<<p.KeyBits)), int32(1)
+		if i%400 == 0 {
+			v = 400
+		}
+		sib.Update(key, v)
+		fresh.Update(key, v)
+	}
+	sibBytes, _ := sib.MarshalBinary()
+	freshBytes, _ := fresh.MarshalBinary()
+	if !slices.Equal(sibBytes, freshBytes) {
+		t.Fatal("sibling counters differ from a fresh sketch's under the same updates")
+	}
+	if src.Total() != 0 || src.Occupancy() != 0 {
+		t.Fatal("updating a sibling wrote into its source")
+	}
+	got, err := sib.InferenceCounts(200, InferenceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotStats := sib.LastInference()
+	want, err := fresh.InferenceCounts(200, InferenceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 5 || !slices.Equal(got, want) || gotStats != fresh.LastInference() {
+		t.Errorf("sibling search: %d keys (%+v), fresh sketch %d (%+v)",
+			len(got), gotStats, len(want), fresh.LastInference())
+	}
+	if src.LastInference() != gotStats {
+		t.Error("source and sibling report different last searches from one shared run")
+	}
+	if err := src.AddBinary(sibBytes, true); err != nil {
+		t.Fatalf("source refuses its sibling's encoding: %v", err)
+	}
+}

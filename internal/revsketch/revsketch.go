@@ -110,14 +110,12 @@ func New(params Params, seed uint64) (*Sketch, error) {
 		seed:    seed,
 		mangler: m,
 		wordTab: make([][][]uint8, params.Stages),
-		counts:  make([][]int32, params.Stages),
+		counts:  newCounts(params),
 		scratch: make([]float64, params.Stages),
 	}
 	wordSpace := 1 << uint(params.wordBits())
 	chunkSpace := 1 << uint(params.chunkBits())
-	backing := make([]int32, params.Stages*params.Buckets)
 	for j := 0; j < params.Stages; j++ {
-		s.counts[j] = backing[j*params.Buckets : (j+1)*params.Buckets : (j+1)*params.Buckets]
 		s.wordTab[j] = make([][]uint8, params.Words)
 		for i := 0; i < params.Words; i++ {
 			poly := sketch.NewPoly4(&state)
@@ -129,6 +127,37 @@ func New(params Params, seed uint64) (*Sketch, error) {
 		}
 	}
 	return s, nil
+}
+
+// Sibling returns an empty sketch that hashes exactly as s does. It
+// shares s's mangler, word tables, reverse tables and search run and
+// owns only its counters, so a family of siblings costs one table set
+// plus one counter array each. The shared run serves the siblings'
+// searches in turn: LastInference on any of them reports the family's
+// most recent search.
+//
+//hifind:cold
+func (s *Sketch) Sibling() *Sketch {
+	return &Sketch{
+		params:  s.params,
+		seed:    s.seed,
+		mangler: s.mangler,
+		wordTab: s.wordTab,
+		revBits: s.reverseTables(),
+		run:     s.searchRun(),
+		counts:  newCounts(s.params),
+		scratch: make([]float64, s.params.Stages),
+	}
+}
+
+// newCounts allocates one stage-major counter array.
+func newCounts(p Params) [][]int32 {
+	counts := make([][]int32, p.Stages)
+	backing := make([]int32, p.Stages*p.Buckets)
+	for j := range counts {
+		counts[j] = backing[j*p.Buckets : (j+1)*p.Buckets : (j+1)*p.Buckets]
+	}
+	return counts
 }
 
 // Params returns the sketch geometry.

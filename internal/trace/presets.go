@@ -178,7 +178,7 @@ func BurstPulseConfig(seed int64, intervals int) Config {
 	}
 	// Every pulse is confined to the interior of one of the burst
 	// monitor's windows, so a whole pulse lands in a single slot.
-	window := cfg.Interval / burst.DefaultSlots // 7.5s
+	window := cfg.Interval / burst.Slots // 7.5s
 	cfg.Attacks = []Attack{
 		{Type: BurstPulse, Spoofed: true, Victim: prefix | 0x9b01,
 			Ports: []uint16{80}, StartInterval: 1, EndInterval: intervals - 2,

@@ -30,7 +30,7 @@ func requireNoServiceAt(t *testing.T, g *Generator, addr netmodel.IPv4, port uin
 func TestBurstPulseWindows(t *testing.T) {
 	cfg := BurstPulseConfig(7, 10)
 	g := mustGen(t, cfg)
-	window := cfg.Interval / burst.DefaultSlots
+	window := cfg.Interval / burst.Slots
 	for _, a := range cfg.Attacks {
 		if a.Type != BurstPulse {
 			continue

@@ -124,10 +124,13 @@ func WithFlowCache(entries int) Option {
 }
 
 // WithBurstDetection adds the sub-interval burst monitor: the interval
-// is cut into eight windows, each backed by its own invertible sketch,
-// and a {DIP,Dport} key whose un-responded-SYN mass concentrates in one
-// window while the interval total stays below the flood threshold
-// raises a burst-flood alert. This is the pulse attack the
+// is cut into eight windows, each backed by its own reversible sketch
+// (one shared hash family, 96 KiB of counters per window at the paper
+// geometry), and a {DIP,Dport} key whose un-responded-SYN mass
+// concentrates in one window while the interval total stays below the
+// flood threshold raises a burst-flood alert. Keys are recovered by
+// reverse hashing each window and confirmed against the {DIP,Dport}
+// verifier, like the three-step pipeline's. This is the pulse attack the
 // interval-grain EWMA structurally cannot see — 48 SYNs in 4 seconds is
 // invisible at a 60-per-minute threshold, devastating at the 7.5-second
 // window scale of the default one-minute interval.
@@ -151,13 +154,13 @@ func WithPersistentFlowDetection() Option {
 	}
 }
 
-// WithReflectionDetection adds the reflection/amplification monitor: an
-// invertible sketch over {local host, remote service port} that
-// subtracts outbound SYNs and adds inbound SYN/ACKs. Benign round
-// trips cancel; reflected floods — SYN/ACK backscatter from reflectors
-// that never saw a SYN from us — accumulate and alert. These packet
-// classes are invisible to the SYN-side structures the three-step
-// pipeline reads.
+// WithReflectionDetection adds the reflection/amplification monitor: a
+// reversible sketch over {local host, remote service port}, paired with
+// its own verifier sketch, that subtracts outbound SYNs and adds
+// inbound SYN/ACKs. Benign round trips cancel; reflected floods —
+// SYN/ACK backscatter from reflectors that never saw a SYN from us —
+// accumulate and alert. These packet classes are invisible to the
+// SYN-side structures the three-step pipeline reads.
 func WithReflectionDetection() Option {
 	return func(c *config) error {
 		c.reflection = true
@@ -202,8 +205,7 @@ func (c config) build() (core.RecorderConfig, core.DetectorConfig) {
 	}
 	rcfg.FlowCache = c.flowCache
 	if c.burstMonitor {
-		rcfg.BurstSlots = burst.DefaultSlots
-		rcfg.BurstWindow = c.interval / burst.DefaultSlots
+		rcfg.BurstWindow = c.interval / burst.Slots
 	}
 	rcfg.Reflection = c.reflection
 	dcfg := core.DetectorConfig{
