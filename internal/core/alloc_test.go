@@ -185,7 +185,10 @@ func TestAddBinaryAllocs(t *testing.T) {
 // SYN/interval the RS({SIP,DIP}) search saturates, and at 50 000 the
 // RS({SIP,Dport}) search does too. Alpha 1 forecasts each interval by
 // the one before, so every flood interval after a quiet one is an
-// onset.
+// onset. The onset's counted work is pinned too: the search nodes and
+// leaves of each rate are what the reverse search has always expanded
+// on this traffic, so a cheaper search kernel must walk the same
+// traversal, and the work stays flat past saturation.
 func TestEndIntervalAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a search that runs into its node cap takes minutes under the race detector")
@@ -236,17 +239,33 @@ func TestEndIntervalAllocs(t *testing.T) {
 		})
 		return allocs, diag
 	}
+	// Search work of each onset, summed over the interval's searches.
+	type work struct{ nodes, leaves int }
+	pinned := map[int]work{
+		2_000:  {11, 2},
+		20_000: {4_006_998, 4_002_288},
+		50_000: {8_000_009, 7_998_957},
+	}
+	checkWork := func(flood int, diag DiagStats) {
+		t.Helper()
+		if got := (work{diag.InferenceNodes, diag.InferenceLeaves}); got != pinned[flood] {
+			t.Errorf("flood %d: search expanded %d nodes and %d leaves, want %d and %d",
+				flood, got.nodes, got.leaves, pinned[flood].nodes, pinned[flood].leaves)
+		}
+	}
 	want, control := onset(2_000)
 	if control.InferenceBudgetHits != 0 || control.FloodCandidates != 1 {
 		t.Fatalf("control flood: %d budget hits, %d flood keys; want 0 and 1",
 			control.InferenceBudgetHits, control.FloodCandidates)
 	}
+	checkWork(2_000, control)
 	rec := d.Recorder()
 	for _, tc := range []struct{ flood, saturated int }{{50_000, 2}, {20_000, 1}} {
 		allocs, diag := onset(tc.flood)
 		if allocs != want {
 			t.Errorf("flood %d: EndInterval allocates %v times, control %v", tc.flood, allocs, want)
 		}
+		checkWork(tc.flood, diag)
 		if diag.InferenceBudgetHits != tc.saturated {
 			t.Errorf("flood %d: %d searches hit their budget, want %d", tc.flood, diag.InferenceBudgetHits, tc.saturated)
 		}

@@ -310,7 +310,7 @@ func (d *Detector) verifierCheck(ver *sketch.Sketch, verErr sketch.Grid) func(ui
 	total := verErr.Sum(0)
 	floor := d.cfg.VerifyFraction * d.cfg.Threshold
 	return func(key uint64, _ float64) bool {
-		return ver.EstimateGrid(verErr, total, key) >= floor
+		return ver.EstimateGridAtLeast(verErr, total, key, floor)
 	}
 }
 

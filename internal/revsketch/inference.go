@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"github.com/hifind/hifind/internal/sketch"
 )
@@ -41,9 +40,11 @@ type InferenceOptions struct {
 	// behind the paper's 46.9-second stress detection times. The budget
 	// makes inference return its best results so far instead of stalling
 	// the pipeline. Units are 64-word bitset operations, which count the
-	// work of inner nodes but not of leaves; MaxNodes bounds those.
-	// Default: 200 000 000. Raise both for offline forensics on heavily
-	// saturated intervals.
+	// work of inner nodes but not of leaves; MaxNodes bounds those. Ops
+	// are charged per live stage and node as if every stage were built,
+	// also where a stage whose buckets carry every chunk skips its
+	// bitset pass. Default: 200 000 000. Raise both for offline forensics
+	// on heavily saturated intervals.
 	MaxOps int64
 	// MaxKeys caps the number of keys returned (largest estimates first).
 	// Default: 4096.
@@ -106,6 +107,9 @@ type InferenceStats struct {
 // re-estimated from the grid; keys whose estimate falls under the threshold
 // (false candidates from chunk collisions) are dropped — the same role the
 // paper's verifier sketches play, which internal/core layers on top.
+// Candidate words are explored best first, which decides what a search
+// cut short by a budget keeps; a node whose leaves no cap can cut emits
+// them in word order instead, as the result does not depend on it.
 //
 // The search state lives in one run per sketch, built on first use and
 // reset by every call, so a warm sketch searches in fixed memory however
@@ -183,7 +187,10 @@ func (s *Sketch) searchRun() *inferenceRun {
 }
 
 // heavyBuckets appends to idx the indices of buckets with value ≥
-// threshold, keeping only the cap largest when more qualify.
+// threshold, keeping only the cap largest when more qualify. Indices are
+// distinct, so value descending, index ascending is a total order: which
+// of several tied buckets survives the cut does not depend on the sort
+// algorithm.
 func heavyBuckets(idx []uint32, row []float64, threshold float64, cap int) []uint32 {
 	for i, v := range row {
 		if v >= threshold {
@@ -191,9 +198,17 @@ func heavyBuckets(idx []uint32, row []float64, threshold float64, cap int) []uin
 		}
 	}
 	if len(idx) > cap {
-		sort.Slice(idx, func(a, b int) bool { return row[idx[a]] > row[idx[b]] })
+		slices.SortFunc(idx, func(a, b uint32) int {
+			switch {
+			case row[a] > row[b]:
+				return -1
+			case row[a] < row[b]:
+				return 1
+			}
+			return cmp.Compare(a, b)
+		})
 		idx = idx[:cap]
-		sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
+		slices.Sort(idx)
 	}
 	return idx
 }
@@ -245,8 +260,7 @@ type inferenceRun struct {
 	opts   InferenceOptions
 	stats  InferenceStats
 
-	totals []float64  // per-stage grid sums for EstimateGrid
-	heavy  [][]uint32 // per-stage heavy buckets: the root's compat sets
+	heavy [][]uint32 // per-stage heavy buckets: the root's compat sets
 	// stageBuf holds, per stage, the bitset of words allowed at the
 	// current position (OR of the allowed chunks' bitsets); planes are the
 	// carry-save counter bit-planes used to find words allowed in at least
@@ -263,6 +277,23 @@ type inferenceRun struct {
 	next  [][][]uint32
 	kept  [][][]uint32
 	out   []KeyEstimate
+
+	// Leaf estimation. EstimateGrid's per-stage estimate is
+	// (c − total/K) / (1 − 1/K); mean holds total/K per stage and denom
+	// 1 − 1/K, so a leaf does the same arithmetic. Each leaf-parent
+	// caches in base the bucket bits its prefix words select in every
+	// stage and in prefixKey their share of the mangled key, so a leaf
+	// reads its buckets with one lookup per stage in leafTab, the last
+	// word's tables, and shifts the chunk and the word into place by
+	// chunkShift and wordShift.
+	mean       []float64
+	denom      float64
+	est        []float64 // per-stage leaf estimates
+	base       []uint32
+	prefixKey  uint64
+	leafTab    [][]uint8
+	chunkShift uint
+	wordShift  uint
 }
 
 func newInferenceRun(s *Sketch) *inferenceRun {
@@ -270,13 +301,16 @@ func newInferenceRun(s *Sketch) *inferenceRun {
 	words64 := (1<<uint(p.wordBits()) + 63) / 64
 	r := &inferenceRun{
 		s:        s,
-		totals:   make([]float64, p.Stages),
 		heavy:    make([][]uint32, p.Stages),
 		stageBuf: make([][]uint64, p.Stages),
 		prefix:   make([]uint32, p.Words),
 		cands:    make([][]scoredWord, p.Words),
 		next:     make([][][]uint32, p.Words),
 		kept:     make([][][]uint32, p.Words),
+		mean:     make([]float64, p.Stages),
+		est:      make([]float64, p.Stages),
+		base:     make([]uint32, p.Stages),
+		leafTab:  make([][]uint8, p.Stages),
 	}
 	for j := range r.stageBuf {
 		r.stageBuf[j] = make([]uint64, words64)
@@ -292,14 +326,20 @@ func newInferenceRun(s *Sketch) *inferenceRun {
 }
 
 // reset binds the run to one call: its grid, threshold and options, the
-// grid's per-stage totals and heavy buckets, and kept arenas large enough
+// grid's per-stage means and heavy buckets, and kept arenas large enough
 // for any narrowing of those buckets.
 func (r *inferenceRun) reset(g sketch.Grid, threshold float64, opts InferenceOptions) {
 	r.grid, r.thresh, r.opts = g, threshold, opts
 	r.stats = InferenceStats{}
 	r.out = r.out[:0]
+	p := r.s.params
+	k := float64(p.Buckets)
+	r.denom = 1 - 1/k
+	r.chunkShift = uint((p.Words - 1) * p.chunkBits())
+	r.wordShift = uint((p.Words - 1) * p.wordBits())
 	for j := range r.heavy {
-		r.totals[j] = g.Sum(j)
+		r.mean[j] = g.Sum(j) / k
+		r.leafTab[j] = r.s.wordTab[j][p.Words-1]
 		r.heavy[j] = heavyBuckets(r.heavy[j][:0], g[j], threshold, opts.MaxHeavyBuckets)
 		for d := range r.kept {
 			r.kept[d][j] = reserve(r.kept[d][j][:0], len(r.heavy[j]))
@@ -329,7 +369,7 @@ func (r *inferenceRun) dfs(depth int, compat [][]uint32) {
 	r.stats.Nodes++
 	p := r.s.params
 	if depth == p.Words {
-		r.emit()
+		r.emit(r.prefix[depth-1])
 		return
 	}
 	cb := uint(p.chunkBits())
@@ -346,7 +386,7 @@ func (r *inferenceRun) dfs(depth int, compat [][]uint32) {
 	var stageSets [16][]uint64 // stages ≤ 8 in practice; 16 is headroom
 	var stageIdx [16]int
 	var chunkVal [16][16]float64
-	nStages := 0
+	nStages, nFull := 0, 0
 	var chunkSeen [16]bool // chunkBits ≤ 4 for all supported geometries
 	var distinct [16]uint32
 	for j := 0; j < p.Stages; j++ {
@@ -367,10 +407,20 @@ func (r *inferenceRun) dfs(depth int, compat [][]uint32) {
 			}
 		}
 		stageIdx[nStages] = j
-		if nDistinct == 1 {
+		switch {
+		case nDistinct == int(chunkMask)+1:
+			// Every chunk is carried, so the stage allows every word:
+			// it adds one to every count, which lowering the quorum by
+			// one does without an OR-build or a carry-save pass. Ops
+			// are charged as if the stage had been built, so MaxOps
+			// cuts the search where it always has.
+			stageSets[nStages] = nil
+			nFull++
+			r.stats.Ops += int64(nDistinct * words64)
+		case nDistinct == 1:
 			// Single chunk: use the precomputed bitset directly.
 			stageSets[nStages] = r.s.revBits[j][depth][distinct[0]]
-		} else {
+		default:
 			buf := r.stageBuf[nStages]
 			first := r.s.revBits[j][depth][distinct[0]]
 			copy(buf, first)
@@ -390,8 +440,10 @@ func (r *inferenceRun) dfs(depth int, compat [][]uint32) {
 	for i := range r.planes {
 		clear(r.planes[i])
 	}
-	for si := 0; si < nStages; si++ {
-		set := stageSets[si]
+	for _, set := range stageSets[:nStages] {
+		if set == nil {
+			continue
+		}
 		p0, p1, p2, p3 := r.planes[0], r.planes[1], r.planes[2], r.planes[3]
 		for k := 0; k < words64; k++ {
 			x := set[k]
@@ -405,13 +457,29 @@ func (r *inferenceRun) dfs(depth int, compat [][]uint32) {
 		}
 	}
 	r.stats.Ops += int64(nStages * words64)
-	// Mask of words with count ≥ Quorum (counts fit in 4 bits; stages ≤ 15).
-	viable := r.stageBuf[0] // reuse as output; stage 0's set is consumed
-	quorumMask(r.planes, r.opts.Quorum, viable)
+	// Mask of words with count ≥ Quorum (counts fit in 4 bits; stages ≤
+	// 15), full stages folded in; stage 0's set is consumed, so its
+	// buffer takes the result.
+	viable := r.stageBuf[0]
+	if q := r.opts.Quorum - nFull; q > 0 {
+		quorumMask(r.planes, q, viable)
+	} else {
+		allWords(viable, 1<<uint(p.wordBits()))
+	}
 
 	nCands := 0
 	for _, v := range viable {
 		nCands += bits.OnesCount64(v)
+	}
+	// A leaf-parent whose leaves fit the node budget, with Ops left,
+	// emits them in word order: no cap but the output cap can bind in
+	// it, and emitLeaves undoes its pass when that one does. Ranking
+	// only decides which leaves a binding cap keeps.
+	if depth == p.Words-1 {
+		r.leafPrefix(depth)
+		if nCands <= r.opts.MaxNodes-r.stats.Nodes && r.stats.Ops < r.opts.MaxOps && r.emitLeaves(viable) {
+			return
+		}
 	}
 	cands := r.cands[depth]
 	if cap(cands) < nCands {
@@ -490,20 +558,85 @@ func (r *inferenceRun) dfs(depth int, compat [][]uint32) {
 	}
 }
 
-// emit reconstructs the key from the completed word prefix, re-estimates
-// its value from the grid, and records it if it clears the threshold.
-// Every leaf is a distinct prefix (siblings differ in their word, and the
-// search never revisits a node), and joining the words and un-mangling
-// are both injective, so each key is emitted at most once.
+// allWords sets in out the bit of every word of a wordSpace-word space.
 //
 //hifind:hot
-func (r *inferenceRun) emit() {
+func allWords(out []uint64, wordSpace int) {
+	for k := range out {
+		out[k] = ^uint64(0)
+	}
+	if rem := uint(wordSpace) & 63; rem != 0 {
+		out[len(out)-1] = 1<<rem - 1
+	}
+}
+
+// leafPrefix caches what the leaves below a leaf-parent at depth last
+// share: per stage, the bucket bits of the prefix words, and the
+// prefix's share of the mangled key.
+//
+//hifind:hot
+func (r *inferenceRun) leafPrefix(last int) {
+	cb := uint(r.s.params.chunkBits())
+	wb := uint(r.s.params.wordBits())
+	r.prefixKey = 0
+	for i, w := range r.prefix[:last] {
+		r.prefixKey |= uint64(w) << (uint(i) * wb)
+	}
+	for j := range r.base {
+		var b uint32
+		for i, w := range r.prefix[:last] {
+			b |= uint32(r.s.wordTab[j][i][w]) << (uint(i) * cb)
+		}
+		r.base[j] = b
+	}
+}
+
+// emitLeaves emits the leaves of a leaf-parent in word order, viable
+// holding their last words. The caller has checked that they fit the
+// node budget and that Ops are left, which leaves never spend, so only
+// the output cap can bind. Once the pass fills it, the pass is undone
+// and emitLeaves reports false: which leaves a ranked pass would have
+// emitted before the cap stopped it depends on the ranking, so the
+// caller ranks them as in any other search.
+//
+//hifind:hot
+func (r *inferenceRun) emitLeaves(viable []uint64) bool {
+	nodes, leaves, n := r.stats.Nodes, r.stats.Leaves, len(r.out)
+	for k, bw := range viable {
+		for bw != 0 {
+			w := uint32(k<<6) + uint32(bits.TrailingZeros64(bw))
+			bw &= bw - 1
+			r.stats.Nodes++
+			r.emit(w)
+			if len(r.out) >= r.opts.MaxKeys*4 {
+				r.stats.Nodes, r.stats.Leaves, r.out = nodes, leaves, r.out[:n]
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// emit completes the prefix with last word w, estimates the key's value
+// from the grid, and records the key if it clears the threshold and
+// Verify. The estimate is EstimateGrid's, bit for bit: the same
+// buckets and arithmetic, with the prefix's share cached by leafPrefix.
+// Every leaf is a distinct prefix (siblings differ in their word, and
+// the search never revisits a node), and joining the words and
+// un-mangling are both injective, so each key is emitted at most once.
+//
+//hifind:hot
+func (r *inferenceRun) emit(w uint32) {
 	r.stats.Leaves++
-	key := r.s.mangler.Unmangle(r.s.joinWords(r.prefix))
-	est := r.s.EstimateGrid(r.grid, r.totals, key)
+	for j, tab := range r.leafTab {
+		c := r.grid[j][r.base[j]|uint32(tab[w])<<r.chunkShift]
+		r.est[j] = (c - r.mean[j]) / r.denom
+	}
+	est := sketch.MedianInPlace(r.est)
 	if est < r.thresh {
 		return
 	}
+	key := r.s.mangler.Unmangle(r.prefixKey | uint64(w)<<r.wordShift)
 	if r.opts.Verify != nil && !r.opts.Verify(key, est) {
 		return
 	}

@@ -40,3 +40,24 @@ func TestEstimateAllocs(t *testing.T) {
 		t.Errorf("Estimate allocates %v times per call, want 0", allocs)
 	}
 }
+
+func TestEstimateGridAtLeastAllocs(t *testing.T) {
+	s, err := New(Params{Stages: 6, Buckets: 1 << 12}, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGrid(6, 1<<12)
+	for i := range g {
+		for b := range g[i] {
+			g[i][b] = float64((i + b) % 9)
+		}
+	}
+	var key uint64
+	allocs := testing.AllocsPerRun(1000, func() {
+		_ = s.EstimateGridAtLeast(g, 3, key, 4)
+		key++
+	})
+	if allocs != 0 {
+		t.Errorf("EstimateGridAtLeast allocates %v times per call, want 0", allocs)
+	}
+}

@@ -118,6 +118,27 @@ func (s *Sketch) EstimateGrid(g Grid, gridTotal float64, key uint64) float64 {
 	return MedianInPlace(est)
 }
 
+// EstimateGridAtLeast reports whether EstimateGrid(g, gridTotal, key)
+// is at least floor, without finishing the estimate once ⌊H/2⌋+1 stages
+// fall below floor. That rejection is exact: the median of H values is
+// then itself below floor, and for even H the mean of the two middle
+// values is at most the upper one, since rounding is monotone.
+func (s *Sketch) EstimateGridAtLeast(g Grid, gridTotal float64, key uint64, floor float64) bool {
+	k := float64(s.params.Buckets)
+	est := s.scratch
+	below, reject := 0, len(s.hash)/2+1
+	for i, h := range s.hash {
+		c := g[i][h.HashRange(key, s.params.Buckets)]
+		est[i] = (c - gridTotal/k) / (1 - 1/k)
+		if est[i] < floor {
+			if below++; below == reject {
+				return false
+			}
+		}
+	}
+	return MedianInPlace(est) >= floor
+}
+
 // Snapshot deep-copies the counter array, e.g. for the forecaster.
 func (s *Sketch) Snapshot() [][]int32 {
 	out := make([][]int32, s.params.Stages)

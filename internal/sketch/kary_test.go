@@ -377,3 +377,45 @@ func TestOccupancy(t *testing.T) {
 		t.Fatal("nil sketch occupancy must be 0")
 	}
 }
+
+// TestEstimateGridAtLeast: the early-rejecting comparison equals
+// EstimateGrid(...) >= floor for every stage count from 1 to 8, on grids
+// whose buckets under the key hold the value that estimates exactly to
+// floor, one ulp either side of it, or something far away — so the
+// per-stage estimates land at, just above and just below floor, and for
+// even H the two middle values straddle it.
+func TestEstimateGridAtLeast(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for h := 1; h <= 8; h++ {
+		s, err := New(Params{Stages: h, Buckets: 16}, uint64(h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := NewGrid(h, 16)
+		for trial := 0; trial < 3000; trial++ {
+			total := rng.Float64() * 1000
+			a := rng.Float64()*200 - 50
+			near := []float64{a, math.Nextafter(a, math.Inf(1)), math.Nextafter(a, math.Inf(-1))}
+			for i := range g {
+				for b := range g[i] {
+					g[i][b] = rng.Float64()*400 - 100
+				}
+			}
+			key := rng.Uint64()
+			for i := 0; i < h; i++ {
+				if rng.Intn(4) > 0 {
+					g[i][s.BucketIndex(i, key)] = near[rng.Intn(len(near))]
+				}
+			}
+			k := float64(s.params.Buckets)
+			at := (a - total/k) / (1 - 1/k)
+			for _, floor := range []float64{at, math.Nextafter(at, math.Inf(1)), math.Nextafter(at, math.Inf(-1))} {
+				want := s.EstimateGrid(g, total, key) >= floor
+				if got := s.EstimateGridAtLeast(g, total, key, floor); got != want {
+					t.Fatalf("H=%d trial %d floor %v: EstimateGridAtLeast %v, EstimateGrid %v",
+						h, trial, floor, got, s.EstimateGrid(g, total, key))
+				}
+			}
+		}
+	}
+}
