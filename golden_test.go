@@ -14,6 +14,12 @@ package hifind_test
 // hashing, plan filling, chunking or rotation that moves both sides
 // together shows up here and nowhere else.
 //
+// It also pins the replay's counted work in <name>.work: packets observed
+// and the reverse-inference counters (nodes, leaves, budget hits, keys
+// recovered) read from the detector's telemetry registry. Counted work
+// repeats exactly from run to run, so a change that claims to leave the
+// recorder and the search untouched can show it without timing anything.
+//
 // Regenerate after an *intentional* behavior change with:
 //
 //	go test -run TestGoldenDetection -update .
@@ -36,6 +42,7 @@ import (
 	hifind "github.com/hifind/hifind"
 	"github.com/hifind/hifind/internal/netmodel"
 	"github.com/hifind/hifind/internal/pcap"
+	"github.com/hifind/hifind/internal/telemetry"
 	"github.com/hifind/hifind/internal/trace"
 )
 
@@ -153,7 +160,8 @@ func TestGoldenDetection(t *testing.T) {
 				t.Fatal(err)
 			}
 			edge := fmt.Sprintf("%s/16", cfg.InternalPrefix)
-			d := newCompact(t, sc.options()...)
+			reg := telemetry.NewRegistry()
+			d := newCompact(t, sc.options(hifind.WithTelemetry(reg))...)
 			results, err := hifind.ReplayPcap(&buf, []string{edge}, d)
 			if err != nil {
 				t.Fatal(err)
@@ -179,6 +187,7 @@ func TestGoldenDetection(t *testing.T) {
 			for _, f := range []struct{ path, got string }{
 				{base + ".golden", formatGolden(results)},
 				{base + ".state.sha256", hex.EncodeToString(sum[:]) + "\n"},
+				{base + ".work", formatWork(reg)},
 			} {
 				if *updateGolden {
 					if err := os.MkdirAll(filepath.Dir(f.path), 0o755); err != nil {
@@ -201,6 +210,26 @@ func TestGoldenDetection(t *testing.T) {
 			}
 		})
 	}
+}
+
+// workCounters are the counted-work series a golden replay pins.
+var workCounters = []string{
+	"hifind_packets_observed_total",
+	"hifind_inference_nodes_total",
+	"hifind_inference_leaves_total",
+	"hifind_inference_budget_hits_total",
+	"hifind_inference_keys_recovered_total",
+}
+
+// formatWork renders the counted-work pin: one "name value" line per
+// workCounters series, in that order.
+func formatWork(reg *telemetry.Registry) string {
+	snap := reg.Snapshot()
+	var b strings.Builder
+	for _, name := range workCounters {
+		fmt.Fprintf(&b, "%s %d\n", name, snap[name])
+	}
+	return b.String()
 }
 
 // formatGolden renders replay results into the canonical golden text: one
