@@ -76,16 +76,3 @@ smoke:
 .PHONY: bench
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-# Performance regression gate: re-measure the flow-cache comparison and
-# compare its *speedups* (machine-independent ratios) against the
-# committed baseline. The gate fails on >10% speedup regression, a
-# Zipf-traffic packet speedup below 1.5x, or a broken byte-identity
-# anchor.
-# Refresh the committed baseline with:
-#   go run ./cmd/benchtables -table cache
-FRESH_CACHE ?= BENCH_cache.fresh.json
-.PHONY: bench-gate
-bench-gate:
-	$(GO) run ./cmd/benchtables -table cache -benchout $(FRESH_CACHE)
-	$(GO) run ./cmd/benchgate -baseline BENCH_cache.json -fresh $(FRESH_CACHE)

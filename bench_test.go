@@ -375,70 +375,6 @@ func BenchmarkRecorderObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkFlowCache measures the flow-aggregation cache against the
-// cache-less recorder on Zipf-skewed traffic, where a handful of elephant
-// connections dominate the packet stream: a cache hit is one probe
-// instead of the full multi-sketch fan-out. Both variants run
-// allocation-reported so the bench doubles as a hot-path alloc pin.
-// `benchtables -table cache` runs the same comparison with a
-// byte-identity check and records it in BENCH_cache.json, which
-// `make bench-gate` enforces.
-func BenchmarkFlowCache(b *testing.B) {
-	// Deterministic skewed workload: Zipf-ranked clients against a small
-	// server set, so the same (sip,dip,dport) tuples recur constantly.
-	rng := rand.New(rand.NewSource(0xcac4e))
-	zipf := rand.NewZipf(rng, 1.2, 1, 1<<14)
-	const n = 1 << 16
-	srcs := make([]netmodel.IPv4, n)
-	dsts := make([]netmodel.IPv4, n)
-	for i := range srcs {
-		srcs[i] = netmodel.IPv4(0x14000000 + uint32(zipf.Uint64())*613)
-		dsts[i] = netmodel.IPv4(0x81690000 + uint32(zipf.Uint64()&0x3f))
-	}
-	for _, entries := range []int{0, 1 << 14} {
-		name := "uncached"
-		if entries > 0 {
-			name = "cached"
-		}
-		newRec := func(b *testing.B) *core.Recorder {
-			cfg := core.TestRecorderConfig(1)
-			cfg.FlowCache = entries
-			rec, err := core.NewRecorder(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return rec
-		}
-		b.Run("packet/"+name, func(b *testing.B) {
-			rec := newRec(b)
-			pkt := netmodel.Packet{
-				SrcPort: 40000, DstPort: 80,
-				Flags: netmodel.FlagSYN, Dir: netmodel.Inbound,
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pkt.SrcIP, pkt.DstIP = srcs[i&(n-1)], dsts[i&(n-1)]
-				rec.Observe(pkt)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/sec")
-		})
-		b.Run("flow/"+name, func(b *testing.B) {
-			rec := newRec(b)
-			recFlow := netmodel.FlowRecord{
-				SrcPort: 40000, DstPort: 80, Dir: netmodel.Inbound, SYNs: 3,
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				recFlow.SrcIP, recFlow.DstIP = srcs[i&(n-1)], dsts[i&(n-1)]
-				rec.ObserveFlow(recFlow)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "recs/sec")
-		})
-	}
-}
-
 func BenchmarkRecorderMarshal(b *testing.B) {
 	rec, err := core.NewRecorder(core.TestRecorderConfig(1))
 	if err != nil {

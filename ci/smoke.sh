@@ -103,61 +103,14 @@ if [ "$rc" -ne 0 ]; then
 fi
 
 # ---------------------------------------------------------------------
-# Flow-cache replay: the same trace again through -flowcache must finish
-# cleanly and actually exercise the cache (nonzero hit counter on
-# /metrics). State identity with the cache-less path is proven by the
-# differential suites; the smoke checks the CLI wiring end to end.
-echo "smoke: replaying with -flowcache 4096"
-"$workdir/hifind" -pcap "$workdir/smoke.pcap" -edge 129.105.0.0/16 \
-    -flowcache 4096 -http 127.0.0.1:0 -linger \
-    >"$workdir/stdout-cache.log" 2>"$workdir/stderr-cache.log" &
-pid=$!
-
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's|^telemetry on http://\([^/]*\)/metrics$|\1|p' "$workdir/stderr-cache.log")
-    [ -n "$addr" ] && break
-    if ! kill -0 "$pid" 2>/dev/null; then
-        echo "smoke: cached hifind exited before serving telemetry" >&2
-        cat "$workdir/stderr-cache.log" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "smoke: cached replay's telemetry address never appeared" >&2
-    exit 1
-fi
-for _ in $(seq 1 100); do
-    grep -q "intervals analyzed" "$workdir/stdout-cache.log" && break
-    sleep 0.1
-done
-
-metrics=$(fetch "http://$addr/metrics")
-echo "$metrics" | grep -q '^hifind_flowcache_hits_total [1-9]' || {
-    echo "smoke: /metrics missing a nonzero hifind_flowcache_hits_total" >&2
-    echo "$metrics" | grep '^hifind_flowcache' >&2
-    exit 1
-}
-
-kill -INT "$pid"
-rc=0
-wait "$pid" || rc=$?
-pid=""
-if [ "$rc" -ne 0 ]; then
-    echo "smoke: cached hifind exited $rc after SIGINT, want 0" >&2
-    cat "$workdir/stderr-cache.log" >&2
-    exit 1
-fi
-echo "smoke: flow cache wired (nonzero hit counter, clean exit)"
-
-# ---------------------------------------------------------------------
 # Flags that went with earlier simplifications must fail at flag parsing
 # (exit status 2), so a stale runbook cannot run in silence: -workers
 # went with the key-sharded pipeline, the burst slot count into
-# -detectors, the live flow queue into a constant, -of into -routers and
-# -inference with the invertible engine (reverse hashing is the only one).
-for gone in "-workers 2" "-burst-slots 8" "-flow-queue 8" "-of 3" "-inference reverse"; do
+# -detectors, the live flow queue into a constant, -of into -routers,
+# -inference with the invertible engine (reverse hashing is the only one)
+# and -flowcache with the flow cache (every update reaches the sketches
+# at observe time).
+for gone in "-workers 2" "-burst-slots 8" "-flow-queue 8" "-of 3" "-inference reverse" "-flowcache 4096"; do
     name=${gone%% *}
     echo "smoke: $name must be rejected"
     rc=0
@@ -171,17 +124,33 @@ for gone in "-workers 2" "-burst-slots 8" "-flow-queue 8" "-of 3" "-inference re
     fi
 done
 
-# The mitigation table went with the mitigation engine: asking for it
-# must fail naming the tables that remain.
-echo "smoke: benchtables -table mit must be rejected"
-go build -o "$workdir/benchtables" ./cmd/benchtables
+# -state checkpoints only in live mode: anywhere else it must fail
+# naming both flags rather than run without checkpointing.
+echo "smoke: -state without -listen must be rejected"
 rc=0
-"$workdir/benchtables" -table mit >"$workdir/stdout-mit.log" 2>"$workdir/stderr-mit.log" || rc=$?
-if [ "$rc" -ne 1 ] || ! grep -q -- '-table must be one of 1, 4, .*ablation, scenarios, all, got "mit"' "$workdir/stderr-mit.log"; then
-    echo "smoke: benchtables -table mit exited $rc, want 1 naming the valid tables" >&2
-    cat "$workdir/stderr-mit.log" >&2
+"$workdir/hifind" -pcap "$workdir/smoke.pcap" -edge 129.105.0.0/16 -state "$workdir/state.bin" \
+    >"$workdir/stdout-state.log" 2>"$workdir/stderr-state.log" || rc=$?
+if [ "$rc" -eq 0 ] || ! grep -q -- '-state requires -listen' "$workdir/stderr-state.log"; then
+    echo "smoke: hifind -pcap ... -state exited $rc, want non-zero with '-state requires -listen'" >&2
+    cat "$workdir/stderr-state.log" >&2
     exit 1
 fi
+
+# The mitigation table went with the mitigation engine and the cache
+# table with the flow cache: asking for either must fail naming the
+# tables that remain.
+go build -o "$workdir/benchtables" ./cmd/benchtables
+tables='1, 4, 5, 6, 7, 9, f4, mr, val, ma, perf, ttd, ablation, scenarios, all'
+for gone in mit cache; do
+    echo "smoke: benchtables -table $gone must be rejected"
+    rc=0
+    "$workdir/benchtables" -table "$gone" >"$workdir/stdout-table.log" 2>"$workdir/stderr-table.log" || rc=$?
+    if [ "$rc" -ne 1 ] || ! grep -qF -- "-table must be one of $tables, got \"$gone\"" "$workdir/stderr-table.log"; then
+        echo "smoke: benchtables -table $gone exited $rc, want 1 naming the valid tables" >&2
+        cat "$workdir/stderr-table.log" >&2
+        exit 1
+    fi
+done
 
 echo "smoke: -detectors bogus must be rejected"
 rc=0

@@ -9,7 +9,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,13 +27,11 @@ func main() {
 
 func run() error {
 	tables := []string{"1", "4", "5", "6", "7", "9", "f4", "mr", "val", "ma", "perf",
-		"cache", "ttd", "ablation", "scenarios", "all"}
+		"ttd", "ablation", "scenarios", "all"}
 	var (
 		table = flag.String("table", "all",
 			"which artifact to regenerate: "+strings.Join(tables, ", "))
-		full     = flag.Bool("full", false, "run at the larger scale")
-		benchout = flag.String("benchout", "",
-			"write the cache benchmark results as JSON to this file (default BENCH_cache.json; only with -table cache)")
+		full = flag.Bool("full", false, "run at the larger scale")
 	)
 	flag.Parse()
 	if !slices.Contains(tables, *table) {
@@ -152,37 +149,6 @@ func run() error {
 		}
 		fmt.Printf("compressed stress (top-100 anomalies): mean %.3fs, max %.3fs\n",
 			st.MeanSec, st.MaxSec)
-	}
-	if want("cache") {
-		section("Flow cache — exact aggregation vs cache-less recorder (Zipf traffic)")
-		packets := 1_000_000
-		flows := 500_000
-		if *full {
-			packets, flows = 4_000_000, 2_000_000
-		}
-		cb, err := experiments.CacheThroughput(packets, flows, 1<<14, 1.5)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatCache(cb))
-		// -table all leaves the committed JSON alone; asking for the
-		// cache table explicitly records it.
-		out := ""
-		if *table == "cache" {
-			if out = *benchout; out == "" {
-				out = "BENCH_cache.json"
-			}
-		}
-		if out != "" {
-			data, err := json.MarshalIndent(cb, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", out)
-		}
 	}
 	if want("ttd") {
 		section("Time to detection (extension; paper §1 motivates early-phase detection)")

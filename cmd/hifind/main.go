@@ -60,15 +60,19 @@ func run() error {
 		alpha     = flag.Float64("alpha", 0.5, "EWMA smoothing constant")
 		compact   = flag.Bool("compact", false, "use compact (≈1.5MB) sketches instead of the paper's 13.2MB set")
 		phases    = flag.Bool("phases", false, "print raw and after-classification alerts too")
-		statePath = flag.String("state", "", "checkpoint file: loaded at start if present, saved after every interval (live mode)")
+		statePath = flag.String("state", "", "checkpoint file: loaded at start if present, saved after every interval (requires -listen)")
 		httpAddr  = flag.String("http", "", "serve /metrics, /healthz, /debug/vars and /debug/pprof on this address (e.g. :9090)")
 		jsonOut   = flag.Bool("json", false, "emit alerts and interval summaries as NDJSON on stdout")
 		linger    = flag.Bool("linger", false, "after an offline replay, keep the -http endpoints up until interrupted")
-		flowCache = flag.Int("flowcache", 0, "entries of the exact flow-aggregation cache in front of the sketches (0 = disabled); state and alerts stay byte-identical, skewed traffic records faster")
 		detectors = flag.String("detectors", "", "comma-separated auxiliary detectors: burst (single-window SYN pulses under the interval threshold), persist (sources probing below the threshold interval after interval), reflection (unsolicited inbound SYN/ACK backscatter)")
 	)
 	af := registerAggregateFlags()
 	flag.Parse()
+	// Only the live loop checkpoints; anywhere else -state would be
+	// silently ignored.
+	if *statePath != "" && *listen == "" {
+		return fmt.Errorf("-state requires -listen: only live mode checkpoints")
+	}
 	auxOpts, auxNames, err := parseDetectors(*detectors)
 	if err != nil {
 		return err
@@ -122,9 +126,6 @@ func run() error {
 	if *compact {
 		opts = append(opts, hifind.WithCompactSketches())
 	}
-	if *flowCache > 0 {
-		opts = append(opts, hifind.WithFlowCache(*flowCache))
-	}
 	opts = append(opts, auxOpts...)
 	reg := telemetry.NewRegistry()
 	health := telemetry.NewHealth()
@@ -163,22 +164,17 @@ func run() error {
 	// process exits; the component exists so /healthz names the source.
 	health.Register("source", func() error { return nil })
 
-	cacheNote := ""
-	if *flowCache > 0 {
-		cacheNote = fmt.Sprintf(", %d-entry flow cache", *flowCache)
-	}
 	auxNote := "none"
 	if len(auxNames) > 0 {
 		auxNote = strings.Join(auxNames, ",")
 	}
-	fmt.Printf("HiFIND: %0.1f MB of sketches, %v intervals, threshold %.1f SYN/s%s, detectors %s\n",
-		float64(det.MemoryBytes())/(1<<20), *interval, *threshold, cacheNote, auxNote)
+	fmt.Printf("HiFIND: %0.1f MB of sketches, %v intervals, threshold %.1f SYN/s, detectors %s\n",
+		float64(det.MemoryBytes())/(1<<20), *interval, *threshold, auxNote)
 	if sink != nil {
 		sink.Emit(telemetry.Event{Time: time.Now(), Kind: "startup", Fields: map[string]any{
-			"memory_bytes":       det.MemoryBytes(),
-			"interval_seconds":   interval.Seconds(),
-			"flow_cache_entries": *flowCache,
-			"detectors":          auxNames,
+			"memory_bytes":     det.MemoryBytes(),
+			"interval_seconds": interval.Seconds(),
+			"detectors":        auxNames,
 		}})
 	}
 	in := bufio.NewReaderSize(f, 1<<20)

@@ -1,7 +1,6 @@
 package hifind_test
 
 import (
-	"bytes"
 	"net/netip"
 	"testing"
 	"time"
@@ -82,15 +81,4 @@ func toPublic(p netmodel.Packet) hifind.Packet {
 func stripTimes(r hifind.Result) hifind.Result {
 	r.DetectionTime = 0
 	return r
-}
-
-// replayGolden replays one capture through d and renders the results in
-// the golden-file format.
-func replayGolden(t *testing.T, capture []byte, edge []string, d hifind.Replayable) string {
-	t.Helper()
-	results, err := hifind.ReplayPcap(bytes.NewReader(capture), edge, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return formatGolden(results)
 }

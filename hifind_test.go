@@ -208,6 +208,65 @@ func TestMergedDetectionAcrossRecorders(t *testing.T) {
 	}
 }
 
+// TestCheckpointRoundTrip saves at an interval boundary and restores
+// into a fresh detector: the continuation must match a never-checkpointed
+// run bit for bit, in every result and in every later checkpoint.
+func TestCheckpointRoundTrip(t *testing.T) {
+	intervals := equivTrace(t)
+	const handoff = 2
+
+	straight := newCompact(t)
+	restarted := newCompact(t)
+	for _, pkts := range intervals[:handoff] {
+		for _, p := range pkts {
+			straight.Observe(toPublic(p))
+			restarted.Observe(toPublic(p))
+		}
+		if _, err := straight.EndInterval(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := restarted.EndInterval(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoint, err := restarted.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := newCompact(t)
+	if err := restored.LoadState(checkpoint); err != nil {
+		t.Fatal(err)
+	}
+	for i, pkts := range intervals[handoff:] {
+		for _, p := range pkts {
+			straight.Observe(toPublic(p))
+			restored.Observe(toPublic(p))
+		}
+		sres, err := straight.EndInterval()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rres, err := restored.EndInterval()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(stripTimes(sres), stripTimes(rres)) {
+			t.Errorf("interval %d after restore: results diverge", handoff+i)
+		}
+		sstate, err := straight.SaveState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rstate, err := restored.SaveState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sstate, rstate) {
+			t.Errorf("interval %d after restore: checkpoints not bit-identical", handoff+i)
+		}
+	}
+}
+
 func TestMergedRejectsGarbageState(t *testing.T) {
 	det := newCompact(t)
 	if _, err := det.EndIntervalMerged([]byte("junk")); err == nil {

@@ -42,12 +42,6 @@ type instruments struct {
 	inferNodes      *telemetry.Counter
 	inferLeaves     *telemetry.Counter
 	inferBudgetHits *telemetry.Counter
-
-	cacheHits      *telemetry.Counter
-	cacheMisses    *telemetry.Counter
-	cacheEvictions *telemetry.Counter
-	cacheOccupancy *telemetry.Gauge
-	cacheFlush     *telemetry.Histogram
 }
 
 // newInstruments registers the hifind_* series on reg. A nil reg yields
@@ -112,17 +106,6 @@ func newInstruments(reg *telemetry.Registry) instruments {
 			"candidate keys the three inference steps' reverse search emitted"),
 		inferBudgetHits: reg.Counter("hifind_inference_budget_hits_total",
 			"inference steps whose node or operation budget cut the search short"),
-
-		cacheHits: reg.Counter("hifind_flowcache_hits_total",
-			"flow-cache probes that found their connection resident"),
-		cacheMisses: reg.Counter("hifind_flowcache_misses_total",
-			"flow-cache probes that had to install their connection"),
-		cacheEvictions: reg.Counter("hifind_flowcache_evictions_total",
-			"flow-cache entries flushed early to make room"),
-		cacheOccupancy: reg.Gauge("hifind_flowcache_occupancy_ratio",
-			"resident fraction of the flow cache sampled before the rotation flush"),
-		cacheFlush: reg.Histogram("hifind_flowcache_flush_seconds",
-			"rotation-time flow-cache drain wall time", telemetry.DefBuckets),
 	}
 }
 
@@ -150,15 +133,6 @@ func (ins *instruments) recordInterval(res core.IntervalResult) {
 		ins.inferNodes.Add(int64(d.InferenceNodes))
 		ins.inferLeaves.Add(int64(d.InferenceLeaves))
 		ins.inferBudgetHits.Add(int64(d.InferenceBudgetHits))
-	}
-	// Cache-less detectors report identically-zero cache diagnostics;
-	// skip them so the series only move when a cache is actually wired.
-	if d.CacheHits > 0 || d.CacheMisses > 0 || d.CacheFlushSeconds > 0 {
-		ins.cacheHits.Add(d.CacheHits)
-		ins.cacheMisses.Add(d.CacheMisses)
-		ins.cacheEvictions.Add(d.CacheEvictions)
-		ins.cacheOccupancy.Set(d.CacheOccupancy)
-		ins.cacheFlush.Observe(d.CacheFlushSeconds)
 	}
 
 	for _, a := range res.Final {

@@ -46,9 +46,8 @@ var telemetryHotFuncs = map[string]bool{
 // AddBinary, which sums serialized state in place), the recorder's
 // per-packet Observe/ObserveFlow and its update internals, or the plan
 // API the recorder fills and applies per packet. EstimateGrid and
-// friends share the Estimate budget, and the recorder's update (also
-// reached from the flow cache's flush sink, not only from Observe)
-// shares Observe's, hence the prefix matches. In internal/telemetry the
+// friends share the Estimate budget, and the recorder's update
+// internals share Observe's, hence the prefix matches. In internal/telemetry the
 // contract covers the sanctioned instrumentation methods instead.
 func hotpathFunc(pkgPath, name string) bool {
 	if pathMatchesAny(pkgPath, telemetryPackage) {

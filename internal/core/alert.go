@@ -194,13 +194,9 @@ type DiagStats struct {
 	OccVerDipDport float64
 	OccVerSipDip   float64
 
-	// Flow-cache traffic for the interval (all zero when the recorder
-	// runs without a cache): hit/miss/eviction counts since the last
-	// rotation, the resident fraction sampled just before the
-	// rotation flush, and that flush's wall time.
-	CacheHits         int64
-	CacheMisses       int64
-	CacheEvictions    int64
-	CacheOccupancy    float64
+	// CacheFlushSeconds is always zero. It was the rotation-time drain
+	// of the flow cache, which the recorder no longer has (every update
+	// reaches the sketches at observe time); the field stays only
+	// because the benchmark's core.cache_flush_ms row still reads it.
 	CacheFlushSeconds float64
 }

@@ -213,19 +213,6 @@ func (d *Detector) EndIntervalWithPartial(partial bool) (IntervalResult, error) 
 	started := time.Now()
 	res := IntervalResult{Interval: d.interval}
 
-	// Materialize any pending flow-cache aggregates before the snapshot
-	// reads below — detection must see the full interval. Occupancy is
-	// sampled first (the flush empties the table) and everything lands
-	// in locals because d.detect rebuilds res wholesale.
-	var cacheOcc, cacheFlushSec float64
-	if rec.Config().FlowCache > 0 {
-		cacheOcc = rec.CacheOccupancy()
-		flushStart := time.Now()
-		rec.FlushCache()
-		cacheFlushSec = time.Since(flushStart).Seconds()
-	}
-	cacheStats := rec.CacheStats()
-
 	// Feed this interval's counters to the forecasters; detection needs
 	// every structure's error grid, or none (first interval).
 	errSipDport, ok1, err := d.fcSipDport.Observe(rec.RSSipDport.Snapshot())
@@ -272,11 +259,6 @@ func (d *Detector) EndIntervalWithPartial(partial bool) (IntervalResult, error) 
 	res.Diag.OccVerSipDport = rec.VerSipDport.Occupancy()
 	res.Diag.OccVerDipDport = rec.VerDipDport.Occupancy()
 	res.Diag.OccVerSipDip = rec.VerSipDip.Occupancy()
-	res.Diag.CacheHits = cacheStats.Hits
-	res.Diag.CacheMisses = cacheStats.Misses
-	res.Diag.CacheEvictions = cacheStats.Evictions
-	res.Diag.CacheOccupancy = cacheOcc
-	res.Diag.CacheFlushSeconds = cacheFlushSec
 	rec.Reset()
 	d.interval++
 	res.DetectionSeconds = time.Since(started).Seconds()

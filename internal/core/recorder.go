@@ -7,7 +7,6 @@ import (
 
 	"github.com/hifind/hifind/internal/bloom"
 	"github.com/hifind/hifind/internal/burst"
-	"github.com/hifind/hifind/internal/flowcache"
 	"github.com/hifind/hifind/internal/netmodel"
 	"github.com/hifind/hifind/internal/revsketch"
 	"github.com/hifind/hifind/internal/sketch"
@@ -46,15 +45,6 @@ type RecorderConfig struct {
 	// (reflected floods) accumulate positive mass while benign round
 	// trips cancel to zero.
 	Reflection bool
-	// FlowCache, when positive, bounds an exact flow-aggregation cache
-	// installed in front of the sketches: per-connection updates
-	// accumulate in the table and flush as weighted updates on eviction
-	// and at rotation, leaving sketch state byte-identical to the
-	// cache-less recorder (internal/flowcache). Zero disables the
-	// cache. The wire format never carries the cache, so cached and
-	// cache-less participants of an aggregated deployment interchange
-	// state freely.
-	FlowCache int
 }
 
 // PaperRecorderConfig returns the configuration of paper §5.1 (13.2 MB).
@@ -115,9 +105,6 @@ type Recorder struct {
 	// Burst is the sub-interval burst monitor over {DIP,Dport} — nil
 	// unless cfg.BurstWindow is positive. Reflect is the reflection
 	// monitor over {DIP, service Sport} — nil unless cfg.Reflection.
-	// Both bypass the flow cache: their updates apply inline at observe
-	// time (the cache drops timestamps the burst monitor needs, and
-	// identity across cache modes falls out for free).
 	Burst   *burst.Array
 	Reflect *revsketch.Sketch
 	// VerReflect is the reflection monitor's verifier: same key and
@@ -138,9 +125,6 @@ type Recorder struct {
 	// blocks lists the structures in wire order (MarshalBinary,
 	// AddBinary).
 	blocks []wireBlock
-	// cache is the optional exact flow-aggregation table in front of
-	// the sketches (nil when cfg.FlowCache is zero).
-	cache *flowcache.Cache
 }
 
 // updatePlans holds one reusable bucket plan per recorder structure.
@@ -213,15 +197,6 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 	}
 	r.plans = r.newPlans()
 	r.blocks = r.newBlocks()
-	if cfg.FlowCache > 0 {
-		// The flush sink is a bound method value: one allocation here,
-		// none per flush.
-		if r.cache, err = flowcache.New(cfg.FlowCache, r.flushFlow); err != nil {
-			return nil, fmt.Errorf("core: flow cache: %w", err)
-		}
-	} else if cfg.FlowCache < 0 {
-		return nil, fmt.Errorf("core: flow cache entries %d < 0", cfg.FlowCache)
-	}
 	return r, nil
 }
 
@@ -252,13 +227,13 @@ func (r *Recorder) Config() RecorderConfig { return r.cfg }
 func (r *Recorder) Observe(pkt netmodel.Packet) {
 	switch {
 	case pkt.Dir == netmodel.Inbound && pkt.Flags.IsSYN():
-		r.record(pkt.SrcIP, pkt.DstIP, pkt.DstPort, 1, 0)
+		r.flushFlow(pkt.SrcIP, pkt.DstIP, pkt.DstPort, 1, 0)
 		if r.Burst != nil {
 			r.burstUpdate(pkt.Timestamp, netmodel.PackDIPDport(pkt.DstIP, pkt.DstPort), +1, 1)
 		}
 	case pkt.Dir == netmodel.Outbound && pkt.Flags.IsSYNACK():
 		// Connection client = pkt.DstIP, server = pkt.SrcIP:pkt.SrcPort.
-		r.record(pkt.DstIP, pkt.SrcIP, pkt.SrcPort, 0, 1)
+		r.flushFlow(pkt.DstIP, pkt.SrcIP, pkt.SrcPort, 0, 1)
 		r.Services.Add(netmodel.PackDIPDport(pkt.SrcIP, pkt.SrcPort))
 		r.memoryAccesses += 7 // k≈7 bit-writes for a 1% Bloom filter
 		if r.Burst != nil {
@@ -283,9 +258,7 @@ func (r *Recorder) Observe(pkt netmodel.Packet) {
 }
 
 // burstUpdate folds one weighted update into the burst monitor's slot
-// for ts, charging the access budget for n collapsed packets. Inline
-// (cache-independent) by design: the slot index needs the packet
-// timestamp, which the flow cache does not carry.
+// for ts, charging the access budget for n collapsed packets.
 func (r *Recorder) burstUpdate(ts time.Time, key uint64, v int32, n int64) {
 	r.Burst.Update(r.Burst.Slot(ts), key, v)
 	r.memoryAccesses += int64(r.Burst.AccessesPerUpdate()) * n
@@ -306,13 +279,11 @@ func (r *Recorder) reflectUpdate(key uint64, v int32, n int64) {
 // replay cost is O(1) per record instead of O(SYNs).
 func (r *Recorder) ObserveFlow(rec netmodel.FlowRecord) {
 	if rec.Dir == netmodel.Inbound && rec.SYNs > 0 {
-		r.record(rec.SrcIP, rec.DstIP, rec.DstPort, int64(rec.SYNs), 0)
+		r.flushFlow(rec.SrcIP, rec.DstIP, rec.DstPort, int64(rec.SYNs), 0)
 		r.packets += int64(rec.SYNs)
 	}
 	if rec.Dir == netmodel.Outbound && rec.SYNACKs > 0 {
-		// The active-service insertion stays at observe time: only
-		// counter updates defer through the cache.
-		r.record(rec.DstIP, rec.SrcIP, rec.SrcPort, 0, int64(rec.SYNACKs))
+		r.flushFlow(rec.DstIP, rec.SrcIP, rec.SrcPort, 0, int64(rec.SYNACKs))
 		r.Services.Add(netmodel.PackDIPDport(rec.SrcIP, rec.SrcPort))
 		r.packets += int64(rec.SYNACKs)
 	}
@@ -372,18 +343,6 @@ func (r *Recorder) reflectFlow(key uint64, count int, sign int32) {
 // inside int32 range.
 const flowChunk = 1 << 30
 
-// record adds syns SYNs and acks SYN/ACKs under connection
-// (sip,dip,dport). With a flow cache installed the counts only touch
-// their cache entry and the sketch fan-out happens when the aggregate
-// flushes; without one they flush straight through.
-func (r *Recorder) record(sip, dip netmodel.IPv4, dport uint16, syns, acks int64) {
-	if r.cache != nil {
-		r.cache.Add(sip, dip, dport, syns, acks)
-		return
-	}
-	r.flushFlow(sip, dip, dport, syns, acks)
-}
-
 // update applies value v to every #SYN−#SYN/ACK structure under
 // connection (sip,dip,dport) and syn to the OS sketch, accounting
 // memory accesses for n collapsed packets. Each key's hash work happens
@@ -441,16 +400,12 @@ func (r *Recorder) update(sip, dip netmodel.IPv4, dport uint16, v, syn int32, n 
 	r.memoryAccesses += acc * n
 }
 
-// flushFlow turns one connection's counts into exact weighted updates,
-// (+syns with the OS sketch fed) then (−acks without it). It is both the
-// uncached path of record and the flow cache's flush sink, so cached and
-// cache-less recorders build the same sketch bytes and the same
-// memory-access budget (acc·n accounting is linear in n and the OS
-// stages are charged exactly on the SYN side). Chunking keeps the int32
-// weight faithful for pathological counts (a count ≡ 0 mod 2^32 must
-// not skip the OS sketch) — one iteration for any realistic record —
-// and chunked updates are exact for the same linearity reason the
-// aggregation is.
+// flushFlow adds syns SYNs and acks SYN/ACKs under connection
+// (sip,dip,dport) as exact weighted updates, (+syns with the OS sketch
+// fed) then (−acks without it). Chunking keeps the int32 weight
+// faithful for pathological counts (a count ≡ 0 mod 2^32 must not skip
+// the OS sketch) — one iteration for any realistic record — and chunked
+// updates are exact by sketch linearity.
 func (r *Recorder) flushFlow(sip, dip netmodel.IPv4, dport uint16, syns, acks int64) {
 	for left := syns; left > 0; {
 		c := left
@@ -468,34 +423,6 @@ func (r *Recorder) flushFlow(sip, dip netmodel.IPv4, dport uint16, syns, acks in
 		r.update(sip, dip, dport, -int32(c), 0, c)
 		left -= c
 	}
-}
-
-// FlushCache materializes every pending flow-cache aggregate into the
-// sketches. A no-op without a cache. Runs automatically before
-// marshaling; the detector flushes before reading interval snapshots.
-func (r *Recorder) FlushCache() {
-	if r.cache == nil {
-		return
-	}
-	r.cache.FlushAll()
-}
-
-// CacheStats returns the flow cache's traffic counters (zero without a
-// cache).
-func (r *Recorder) CacheStats() flowcache.Stats {
-	if r.cache == nil {
-		return flowcache.Stats{}
-	}
-	return r.cache.Stats()
-}
-
-// CacheOccupancy returns the resident fraction of the flow cache (zero
-// without a cache).
-func (r *Recorder) CacheOccupancy() float64 {
-	if r.cache == nil {
-		return 0
-	}
-	return r.cache.Occupancy()
 }
 
 // Packets returns how many packets were observed.
@@ -541,12 +468,6 @@ func (r *Recorder) Reset() {
 		r.Reflect.Reset()
 		r.VerReflect.Reset()
 	}
-	// Pending cache aggregates belong to the interval being discarded;
-	// drop them (and the interval's cache stats) rather than flush them
-	// into the cleared sketches.
-	if r.cache != nil {
-		r.cache.Clear()
-	}
 	r.packets = 0
 }
 
@@ -578,12 +499,8 @@ func (r *Recorder) newBlocks() []wireBlock {
 
 // MarshalBinary serializes every structure for transport to an
 // aggregation site. The encoding is the packet count followed by one
-// length-prefixed block per structure. Pending flow-cache aggregates
-// flush first: the wire format carries fully materialized sketch state,
-// byte-identical to a cache-less recorder's, so cache configuration
-// never leaks into the encoding.
+// length-prefixed block per structure.
 func (r *Recorder) MarshalBinary() ([]byte, error) {
-	r.FlushCache()
 	encoded := make([][]byte, len(r.blocks))
 	size := 8
 	for i, b := range r.blocks {
@@ -611,8 +528,7 @@ func (r *Recorder) MarshalBinary() ([]byte, error) {
 // sum. Every payload is validated (block count for r's structure set,
 // then each block's length, magic, geometry and seed against r's
 // structure) before any is added, so an error leaves r exactly as it
-// was. It allocates nothing; pending flow-cache aggregates stay in the
-// cache and flush into the summed sketches as usual.
+// was. It allocates nothing.
 func (r *Recorder) AddBinary(payloads ...[]byte) error {
 	for _, apply := range [2]bool{false, true} {
 		for i, p := range payloads {

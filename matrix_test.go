@@ -1,11 +1,6 @@
 package hifind_test
 
-// The two facade-level identity statements over the golden corpus.
-//
-// TestFlowCacheIdentityMatrix: every golden trace is replayed with the
-// flow-aggregation cache off and on, and both the rendered per-interval
-// alert output AND the serialized cross-interval state must be
-// byte-identical to the cache-less baseline.
+// The facade-level identity statement over the golden corpus.
 //
 // TestReplicaIngestIdentity: the multi-core ingestion route — a Detector
 // plus one Recorder per extra feeding goroutine, summed at rotation by
@@ -14,56 +9,12 @@ package hifind_test
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"testing"
 
 	hifind "github.com/hifind/hifind"
 	"github.com/hifind/hifind/internal/netmodel"
-	"github.com/hifind/hifind/internal/pcap"
-	"github.com/hifind/hifind/internal/trace"
 )
-
-func TestFlowCacheIdentityMatrix(t *testing.T) {
-	for name, sc := range goldenScenarios() {
-		t.Run(name, func(t *testing.T) {
-			cfg := sc.cfg
-			g, err := trace.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			w := pcap.NewWriter(&buf)
-			if err := g.Stream(w.WritePacket); err != nil {
-				t.Fatal(err)
-			}
-			capture := buf.Bytes()
-			edge := []string{fmt.Sprintf("%s/16", cfg.InternalPrefix)}
-
-			seq := newCompact(t, sc.options()...)
-			wantAlerts := replayGolden(t, capture, edge, seq)
-			wantState, err := seq.SaveState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if name != "benign-only" && wantAlerts == "" {
-				t.Fatal("cache-less baseline produced no output; the matrix would be vacuous")
-			}
-
-			cached := newCompact(t, append(sc.options(), hifind.WithFlowCache(1024))...)
-			if got := replayGolden(t, capture, edge, cached); got != wantAlerts {
-				t.Errorf("cached: alerts diverged from cache-less:\n%s", goldenDiff(wantAlerts, got))
-			}
-			state, err := cached.SaveState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(state, wantState) {
-				t.Error("cached: serialized state not byte-identical to cache-less")
-			}
-		})
-	}
-}
 
 // replicaSite is the multi-core (equally: multi-router) deployment at
 // the facade: a central Detector plus two Recorders built with the same

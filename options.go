@@ -19,7 +19,6 @@ type config struct {
 	thresholdPerSecond float64
 	alpha              float64
 	compact            bool
-	flowCache          int
 	burstMonitor       bool
 	persistScan        bool
 	reflection         bool
@@ -96,29 +95,6 @@ func WithAlpha(a float64) Option {
 func WithCompactSketches() Option {
 	return func(c *config) error {
 		c.compact = true
-		return nil
-	}
-}
-
-// WithFlowCache installs a bounded exact flow-aggregation cache of the
-// given entry count in front of the sketches: per-connection
-// updates accumulate in one table entry and flush into the sketches as
-// exact weighted updates on eviction and at every rotation. Sketch
-// state, alerts, packet counts and the memory-access budget stay
-// byte-identical to the cache-less detector — the differential suite
-// proves it on every golden trace — while skewed (elephant/mice)
-// traffic replaces most per-packet sketch fan-outs with a single cache
-// probe. Entries round up to a power of two.
-//
-// Serialized snapshots are always flushed first, so the wire format is
-// unchanged and snapshots interchange freely with cache-less
-// participants.
-func WithFlowCache(entries int) Option {
-	return func(c *config) error {
-		if entries < 1 {
-			return fmt.Errorf("hifind: flow cache entries %d < 1", entries)
-		}
-		c.flowCache = entries
 		return nil
 	}
 }
@@ -203,7 +179,6 @@ func (c config) build() (core.RecorderConfig, core.DetectorConfig) {
 	if c.compact {
 		rcfg = core.TestRecorderConfig(c.seed)
 	}
-	rcfg.FlowCache = c.flowCache
 	if c.burstMonitor {
 		rcfg.BurstWindow = c.interval / burst.Slots
 	}
