@@ -9,7 +9,8 @@
 # `bash benchmark/run.sh --workload <workload> --trace 0` in each, pairs
 # times, alternating which side runs first. For every end-to-end metric
 # of BENCHMARK.json it prints each side's median and quartiles, how many
-# pairs the change won (ties count for neither side), and two readings:
+# pairs the change won (ties count for neither side), two readings, and
+# then every pair's (base, change) values:
 #
 #   verdict  better when the change wins at least 9 of 10 pairs and its
 #            median beats the base's by more than the base's interquartile
@@ -171,6 +172,15 @@ awk -v pairs="$pairs" '
                 sprintf("%.4g [%.4g, %.4g]", med["base"], q1["base"], q3["base"]),
                 sprintf("%.4g [%.4g, %.4g]", med["change"], q1["change"], q3["change"]),
                 wins, pairs, verdict, reading, pct, 100 * bound[m]
+        }
+        print "\npairs (base, change):"
+        for (k = 1; k <= nm; k++) {
+            m = order[k]
+            if (!stats("base", m) || !stats("change", m)) continue
+            printf "%-14s", m
+            for (p = 1; p <= pairs; p++)
+                printf " (%.4g, %.4g)", val["base", m, p], val["change", m, p]
+            printf "\n"
         }
         exit bad
     }' "$tmp/change/BENCHMARK.json" "$tmp/samples"

@@ -9,10 +9,10 @@ package hifind_test
 //
 // Each scenario also pins hex(sha256(SaveState())) after the replay in
 // <name>.state.sha256 — the absolute anchor for recorded state. Every
-// other state-byte check in the repo is relative (cached vs uncached,
-// replica vs sequential, product path vs test reference), so a change to
-// hashing, plan filling, chunking or rotation that moves both sides
-// together shows up here and nowhere else.
+// other state-byte check in the repo is relative (replica vs sequential,
+// product path vs test reference), so a change to hashing, plan filling,
+// chunking or rotation that moves both sides together shows up here and
+// nowhere else.
 //
 // It also pins the replay's counted work in <name>.work: packets observed
 // and the reverse-inference counters (nodes, leaves, budget hits, keys

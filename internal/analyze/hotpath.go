@@ -47,8 +47,9 @@ var telemetryHotFuncs = map[string]bool{
 // per-packet Observe/ObserveFlow and its update internals, or the plan
 // API the recorder fills and applies per packet. EstimateGrid and
 // friends share the Estimate budget, and the recorder's update
-// internals share Observe's, hence the prefix matches. In internal/telemetry the
-// contract covers the sanctioned instrumentation methods instead.
+// internals share Observe's, hence the prefix matches. In
+// internal/telemetry the contract covers the sanctioned instrumentation
+// methods instead.
 func hotpathFunc(pkgPath, name string) bool {
 	if pathMatchesAny(pkgPath, telemetryPackage) {
 		return telemetryHotFuncs[name]

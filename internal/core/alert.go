@@ -194,9 +194,9 @@ type DiagStats struct {
 	OccVerDipDport float64
 	OccVerSipDip   float64
 
-	// CacheFlushSeconds is always zero. It was the rotation-time drain
-	// of the flow cache, which the recorder no longer has (every update
-	// reaches the sketches at observe time); the field stays only
-	// because the benchmark's core.cache_flush_ms row still reads it.
+	// CacheFlushSeconds is always zero: every update reaches the
+	// sketches at observe time, so rotation has nothing to drain. It
+	// stays only because the benchmark's core.cache_flush_ms row reads
+	// it.
 	CacheFlushSeconds float64
 }

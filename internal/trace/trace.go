@@ -179,8 +179,8 @@ type Config struct {
 	// services from a Zipf distribution with this exponent over a stable
 	// client pool instead of fresh uniform addresses: a handful of
 	// elephant connections then dominate each interval, the flow-level
-	// locality real edge links exhibit (and the regime the flow cache is
-	// built for). 0, the default, keeps the uniform behaviour; values in
+	// locality real edge links exhibit (the benchmark's edge-zipf-*
+	// workloads). 0, the default, keeps the uniform behaviour; values in
 	// (0,1] are invalid — the Zipf exponent must exceed 1.
 	ZipfSkew float64
 	// Attacks is the injected event list.
