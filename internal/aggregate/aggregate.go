@@ -35,6 +35,3 @@ func NewSplitter(n int, seed int64) (*Splitter, error) {
 
 // Route picks the router for one packet.
 func (s *Splitter) Route(netmodel.Packet) int { return s.rng.Intn(s.n) }
-
-// Routers returns n.
-func (s *Splitter) Routers() int { return s.n }

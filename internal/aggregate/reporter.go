@@ -48,7 +48,6 @@ type Reporter struct {
 
 	backoffBase  time.Duration
 	backoffMax   time.Duration
-	writeTimeout time.Duration
 	helloTimeout time.Duration
 	spillLimit   int
 	rng          *rand.Rand // jitter; loop goroutine only
@@ -115,15 +114,6 @@ func WithBackoffSeed(seed int64) ReporterOption {
 	return func(r *Reporter) { r.rng = rand.New(rand.NewSource(seed)) }
 }
 
-// WithWriteTimeout bounds each frame write (default 30s).
-func WithWriteTimeout(d time.Duration) ReporterOption {
-	return func(r *Reporter) {
-		if d > 0 {
-			r.writeTimeout = d
-		}
-	}
-}
-
 // WithSpillLimit bounds the undelivered-interval buffer (default 16
 // intervals; oldest dropped first).
 func WithSpillLimit(n int) ReporterOption {
@@ -157,7 +147,6 @@ func NewReporter(id uint32, addr string, opts ...ReporterOption) *Reporter {
 		addr:         addr,
 		backoffBase:  defaultBackoffBase,
 		backoffMax:   defaultBackoffMax,
-		writeTimeout: defaultWriteTimeout,
 		helloTimeout: defaultHelloTimeout,
 		spillLimit:   defaultSpillLimit,
 		done:         make(chan struct{}),
@@ -351,7 +340,7 @@ func (r *Reporter) loop() {
 		if e.resend {
 			f.Flags |= FlagResend
 		}
-		_ = conn.SetWriteDeadline(time.Now().Add(r.writeTimeout))
+		_ = conn.SetWriteDeadline(time.Now().Add(defaultWriteTimeout))
 		if err := WriteFrame(conn, f); err != nil {
 			//lint:ignore unchecked-close the write already failed; the conn is being abandoned
 			conn.Close()

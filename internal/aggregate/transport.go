@@ -45,16 +45,15 @@ const helloWriteTimeout = 5 * time.Second
 // explicit: NewCollector starts listening, Close stops the accept loop,
 // tears down every router connection, and waits for all goroutines.
 type Collector struct {
-	routers    int
-	ln         net.Listener
-	frames     chan Frame
-	errs       chan error
-	done       chan struct{}
-	wg         sync.WaitGroup
-	closeOnce  sync.Once
-	epoch      atomic.Uint64 // epoch currently being collected (hello value)
-	maxPayload int
-	observer   func(router uint32, epoch uint64)
+	routers   int
+	ln        net.Listener
+	frames    chan Frame
+	errs      chan error
+	done      chan struct{}
+	wg        sync.WaitGroup
+	closeOnce sync.Once
+	epoch     atomic.Uint64 // epoch currently being collected (hello value)
+	observer  func(router uint32, epoch uint64)
 
 	// pending buffers frames for epochs ahead of the one being
 	// collected; touched only by the CollectEpoch goroutine.
@@ -135,16 +134,6 @@ func WithTelemetry(reg *telemetry.Registry) CollectorOption {
 	}
 }
 
-// WithMaxFramePayload caps the per-frame payload size the collector's
-// decoders accept (default DefaultMaxFramePayload).
-func WithMaxFramePayload(n int) CollectorOption {
-	return func(c *Collector) {
-		if n > 0 {
-			c.maxPayload = n
-		}
-	}
-}
-
 // WithFrameObserver registers fn to run (on the CollectEpoch goroutine)
 // for every frame accepted into the current or a buffered future epoch.
 // Deterministic fault tests use it to sequence deadline decisions on
@@ -164,15 +153,14 @@ func NewCollector(routers int, addr string, opts ...CollectorOption) (*Collector
 		return nil, fmt.Errorf("aggregate: listen: %w", err)
 	}
 	c := &Collector{
-		routers:    routers,
-		ln:         ln,
-		frames:     make(chan Frame, routers),
-		errs:       make(chan error, 1),
-		done:       make(chan struct{}),
-		conns:      make(map[net.Conn]struct{}),
-		known:      make(map[uint32]bool),
-		pending:    make(map[uint64]*epochBuf),
-		maxPayload: DefaultMaxFramePayload,
+		routers: routers,
+		ln:      ln,
+		frames:  make(chan Frame, routers),
+		errs:    make(chan error, 1),
+		done:    make(chan struct{}),
+		conns:   make(map[net.Conn]struct{}),
+		known:   make(map[uint32]bool),
+		pending: make(map[uint64]*epochBuf),
 	}
 	for _, o := range opts {
 		o(c)
@@ -184,9 +172,6 @@ func NewCollector(routers int, addr string, opts ...CollectorOption) (*Collector
 
 // Addr returns the listening address for routers to dial.
 func (c *Collector) Addr() string { return c.ln.Addr().String() }
-
-// Routers returns the expected router count.
-func (c *Collector) Routers() int { return c.routers }
 
 // register tracks an accepted connection for teardown; it refuses new
 // connections once Close has begun so shutdown cannot race the accept
@@ -258,7 +243,7 @@ func (c *Collector) readLoop(conn net.Conn) {
 	}
 	_ = conn.SetWriteDeadline(time.Time{})
 
-	dec := NewDecoder(conn, WithMaxPayload(c.maxPayload))
+	dec := NewDecoder(conn)
 	var counted int64
 	routerKnown := false
 	for {
