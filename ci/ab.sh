@@ -22,8 +22,11 @@
 #            the bound and not every change run beats every base run;
 #            within otherwise.
 #
-# Exits 1 when any metric reads worse or over. Run from anywhere inside
-# the repository.
+# Exits 1 when any metric reads worse or over. Exits 1 at once, naming
+# the side and the pair, when a run fails or prints "correct":false: with
+# --workload the benchmark exits 0 on a run that failed its output check,
+# and such a run's timings say nothing about the change. Run from
+# anywhere inside the repository.
 set -eu
 
 usage() {
@@ -61,8 +64,12 @@ run_side() {
         tail -n 20 "$log" >&2
         exit 1
     fi
+    if tail -n 1 "$log" | grep -q '"correct":false'; then
+        echo "ab: $1 run of pair $2 failed its correctness check:" >&2
+        tail -n 20 "$log" >&2
+        exit 1
+    fi
     tail -n 1 "$log" | awk -v side="$1" -v pair="$2" '
-        /"correct":false/ { print "ab: " side " run of pair " pair " failed its correctness check" > "/dev/stderr" }
         {
             s = $0
             while (match(s, /"[A-Za-z0-9_]+":\{"value":[^,}]*/)) {
