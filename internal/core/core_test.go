@@ -643,6 +643,34 @@ func TestMemoryAccessesPerPacketConstant(t *testing.T) {
 	}
 }
 
+// TestFlowRecordChargesAsPacket holds the §5.5.2 yardstick to one
+// figure whichever input carries the traffic: a count-1 SYN/ACK flow
+// record and the outbound SYN/ACK packet it stands for make the same
+// counter writes and the same Bloom insert, so they charge the same
+// accesses (46 counter writes plus 7 Bloom bits).
+func TestFlowRecordChargesAsPacket(t *testing.T) {
+	pktRec, err := NewRecorder(TestRecorderConfig(0x9a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flowRec, err := NewRecorder(TestRecorderConfig(0x9a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, client := netmodel.IPv4(0x81690001), netmodel.IPv4(0x0a000002)
+	pktRec.Observe(netmodel.Packet{
+		SrcIP: server, DstIP: client, SrcPort: 80, DstPort: 40000,
+		Flags: netmodel.FlagSYN | netmodel.FlagACK, Dir: netmodel.Outbound,
+	})
+	flowRec.ObserveFlow(netmodel.FlowRecord{
+		SrcIP: server, DstIP: client, SrcPort: 80, DstPort: 40000,
+		SYNACKs: 1, Dir: netmodel.Outbound,
+	})
+	if got, want := flowRec.MemoryAccesses(), pktRec.MemoryAccesses(); got != want || want != 53 {
+		t.Errorf("flow record charges %d accesses, packet %d; want 53 each", got, want)
+	}
+}
+
 func TestAlertStringsAndKeys(t *testing.T) {
 	alerts := []Alert{
 		{Type: AlertSYNFlood, DIP: 5, Port: 80, Spoofed: true, Estimate: 100},

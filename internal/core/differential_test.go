@@ -56,6 +56,7 @@ func refObserveFlow(r *Recorder, rec netmodel.FlowRecord) {
 			r.packets++
 		}
 		r.Services.Add(netmodel.PackDIPDport(rec.SrcIP, rec.SrcPort))
+		r.memoryAccesses += 7
 	}
 }
 
