@@ -172,7 +172,7 @@ func (s *Sketch) InferenceCounts(threshold float64, opts InferenceOptions) ([]Ke
 		r.counts = sketch.NewGrid(s.params.Stages, s.params.Buckets)
 	}
 	r.counts.Zero()
-	if err := r.counts.AddCounts(s.counts, 1); err != nil {
+	if err := r.counts.AddCounts(s.Counts, 1); err != nil {
 		return nil, err
 	}
 	return s.Inference(r.counts, threshold, opts)

@@ -66,7 +66,7 @@ func TestInferenceReuse(t *testing.T) {
 			src.Update(uint64(rng.Intn(1<<p.KeyBits)), 400)
 		}
 		g := sketch.NewGrid(p.Stages, p.Buckets)
-		if err := g.AddCounts(src.counts, 1); err != nil {
+		if err := g.AddCounts(src.Counts, 1); err != nil {
 			t.Fatal(err)
 		}
 		return g

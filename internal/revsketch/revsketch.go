@@ -10,7 +10,6 @@
 package revsketch
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"github.com/hifind/hifind/internal/sketch"
@@ -72,13 +71,12 @@ func (p Params) chunkBits() int { return sketch.Log2(p.Buckets) / p.Words }
 // Sketch is a reversible sketch. It is not safe for concurrent use; the
 // HiFIND pipeline owns one per monitored key type and serializes access.
 type Sketch struct {
-	params  Params
-	seed    uint64
-	mangler sketch.Mangler
+	sketch.Table // H rows of K counters and their total
+	params       Params
+	seed         uint64
+	mangler      sketch.Mangler
 	// wordTab[stage][word][w] is the chunk the w-th word value hashes to.
 	wordTab [][][]uint8
-	counts  [][]int32
-	total   int64
 	scratch []float64 // per-stage estimates, reused across Estimate calls
 	// revBits[stage][word][chunk] is the bitset of word values hashing to
 	// chunk (bit w set ⇔ wordTab[stage][word][w] == chunk); built lazily
@@ -106,11 +104,11 @@ func New(params Params, seed uint64) (*Sketch, error) {
 		return nil, fmt.Errorf("revsketch: %w", err)
 	}
 	s := &Sketch{
+		Table:   sketch.NewTable(params.Stages, params.Buckets),
 		params:  params,
 		seed:    seed,
 		mangler: m,
 		wordTab: make([][][]uint8, params.Stages),
-		counts:  newCounts(params),
 		scratch: make([]float64, params.Stages),
 	}
 	wordSpace := 1 << uint(params.wordBits())
@@ -139,25 +137,15 @@ func New(params Params, seed uint64) (*Sketch, error) {
 //hifind:cold
 func (s *Sketch) Sibling() *Sketch {
 	return &Sketch{
+		Table:   sketch.NewTable(s.params.Stages, s.params.Buckets),
 		params:  s.params,
 		seed:    s.seed,
 		mangler: s.mangler,
 		wordTab: s.wordTab,
 		revBits: s.reverseTables(),
 		run:     s.searchRun(),
-		counts:  newCounts(s.params),
 		scratch: make([]float64, s.params.Stages),
 	}
-}
-
-// newCounts allocates one stage-major counter array.
-func newCounts(p Params) [][]int32 {
-	counts := make([][]int32, p.Stages)
-	backing := make([]int32, p.Stages*p.Buckets)
-	for j := range counts {
-		counts[j] = backing[j*p.Buckets : (j+1)*p.Buckets : (j+1)*p.Buckets]
-	}
-	return counts
 }
 
 // Params returns the sketch geometry.
@@ -210,9 +198,9 @@ func (s *Sketch) BucketIndex(stage int, key uint64) int {
 func (s *Sketch) Update(key uint64, v int32) {
 	words := s.splitWords(s.mangler.Mangle(key))
 	for j := 0; j < s.params.Stages; j++ {
-		s.counts[j][s.bucketIndex(j, words)] += v
+		s.Counts[j][s.bucketIndex(j, words)] += v
 	}
-	s.total += int64(v)
+	s.Sum += int64(v)
 }
 
 // Plan caches the per-stage bucket indices of one key: the mangling,
@@ -242,9 +230,9 @@ func (s *Sketch) FillPlan(key uint64, p *Plan) {
 // the hashing already paid for.
 func (s *Sketch) UpdateAt(p *Plan, v int32) {
 	for j, ix := range p.idx {
-		s.counts[j][ix] += v
+		s.Counts[j][ix] += v
 	}
-	s.total += int64(v)
+	s.Sum += int64(v)
 }
 
 // Estimate reconstructs the key's value with the k-ary mean-corrected
@@ -254,8 +242,8 @@ func (s *Sketch) Estimate(key uint64) float64 {
 	k := float64(s.params.Buckets)
 	est := s.scratch
 	for j := 0; j < s.params.Stages; j++ {
-		c := float64(s.counts[j][s.bucketIndex(j, words)])
-		est[j] = (c - float64(s.total)/k) / (1 - 1/k)
+		c := float64(s.Counts[j][s.bucketIndex(j, words)])
+		est[j] = (c - float64(s.Sum)/k) / (1 - 1/k)
 	}
 	return sketch.MedianInPlace(est)
 }
@@ -274,80 +262,24 @@ func (s *Sketch) EstimateGrid(g sketch.Grid, totals []float64, key uint64) float
 	return sketch.MedianInPlace(est)
 }
 
-// Snapshot deep-copies the counters.
-func (s *Sketch) Snapshot() [][]int32 {
-	out := make([][]int32, s.params.Stages)
-	backing := make([]int32, s.params.Stages*s.params.Buckets)
-	for j := range s.counts {
-		row := backing[j*s.params.Buckets : (j+1)*s.params.Buckets : (j+1)*s.params.Buckets]
-		copy(row, s.counts[j])
-		out[j] = row
-	}
-	return out
-}
-
-// Total returns the sum of all update values.
-func (s *Sketch) Total() int64 { return s.total }
-
-// Occupancy returns the fraction of nonzero counters averaged over all
-// stages — the saturation gauge sampled at rotation by the telemetry
-// layer. High occupancy on a reversible sketch warns that reverse
-// inference will surface many spurious candidate keys.
+// Occupancy is Table.Occupancy, and 0 for a nil sketch. High occupancy
+// on a reversible sketch warns that reverse inference will surface many
+// spurious candidate keys.
 func (s *Sketch) Occupancy() float64 {
 	if s == nil {
 		return 0
 	}
-	var nonzero, total int
-	for j := range s.counts {
-		row := s.counts[j]
-		total += len(row)
-		for _, v := range row {
-			if v != 0 {
-				nonzero++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(nonzero) / float64(total)
-}
-
-// Reset zeroes the counters for the next interval, keeping the hashing.
-func (s *Sketch) Reset() {
-	for j := range s.counts {
-		row := s.counts[j]
-		for i := range row {
-			row[i] = 0
-		}
-	}
-	s.total = 0
-}
-
-// MemoryBytes returns the counter footprint (word tables are shared
-// read-only hash state, counted separately by callers that care).
-func (s *Sketch) MemoryBytes() int {
-	return s.params.Stages * s.params.Buckets * 4
+	return s.Table.Occupancy()
 }
 
 const sketchMagic = uint32(0x48695253) // "HiRS"
 
-// MarshalBinary serializes counters plus identifying parameters.
+// MarshalBinary serializes the counters under magic "HiRS" with
+// geometry words key bits, words, stages and buckets.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 36+4*s.params.Stages*s.params.Buckets)
-	buf = binary.LittleEndian.AppendUint32(buf, sketchMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.params.KeyBits))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.params.Words))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.params.Stages))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.params.Buckets))
-	buf = binary.LittleEndian.AppendUint64(buf, s.seed)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.total))
-	for j := range s.counts {
-		for _, c := range s.counts[j] {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
-		}
-	}
-	return buf, nil
+	p := s.params
+	return s.MarshalBlock(sketchMagic, s.seed,
+		uint32(p.KeyBits), uint32(p.Words), uint32(p.Stages), uint32(p.Buckets)), nil
 }
 
 // AddBinary adds a MarshalBinary encoding into s (COMBINE with unit
@@ -357,38 +289,7 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 // only validates. The word tables are never rebuilt: equal params and
 // seed already mean identical hashing.
 func (s *Sketch) AddBinary(data []byte, apply bool) error {
-	if len(data) < 36 {
-		return fmt.Errorf("revsketch: truncated header (%d bytes)", len(data))
-	}
-	if m := binary.LittleEndian.Uint32(data); m != sketchMagic {
-		return fmt.Errorf("revsketch: bad magic %#x", m)
-	}
-	params := Params{
-		KeyBits: int(binary.LittleEndian.Uint32(data[4:])),
-		Words:   int(binary.LittleEndian.Uint32(data[8:])),
-		Stages:  int(binary.LittleEndian.Uint32(data[12:])),
-		Buckets: int(binary.LittleEndian.Uint32(data[16:])),
-	}
-	if params != s.params {
-		return fmt.Errorf("revsketch: geometry %+v, want %+v", params, s.params)
-	}
-	if seed := binary.LittleEndian.Uint64(data[20:]); seed != s.seed {
-		return fmt.Errorf("revsketch: seed %d, want %d", seed, s.seed)
-	}
-	if want := 36 + 4*s.params.Stages*s.params.Buckets; len(data) != want {
-		return fmt.Errorf("revsketch: body length %d, want %d", len(data), want)
-	}
-	if !apply {
-		return nil
-	}
-	s.total += int64(binary.LittleEndian.Uint64(data[28:]))
-	off := 36
-	for j := range s.counts {
-		row := s.counts[j]
-		for i := range row {
-			row[i] += int32(binary.LittleEndian.Uint32(data[off:]))
-			off += 4
-		}
-	}
-	return nil
+	p := s.params
+	return s.AddBlock(data, apply, sketchMagic, s.seed,
+		uint32(p.KeyBits), uint32(p.Words), uint32(p.Stages), uint32(p.Buckets))
 }

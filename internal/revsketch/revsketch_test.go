@@ -212,7 +212,7 @@ func TestInferenceQuorumToleratesOneBadStage(t *testing.T) {
 	const key = uint64(0xabcdef) & (1<<24 - 1)
 	s.Update(key, 1000)
 	// Sabotage stage 0: cancel the key's bucket so it is not heavy there.
-	s.counts[0][s.BucketIndex(0, key)] = 0
+	s.Counts[0][s.BucketIndex(0, key)] = 0
 	got, err := s.InferenceCounts(500, InferenceOptions{Quorum: 5})
 	if err != nil {
 		t.Fatal(err)

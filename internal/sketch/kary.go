@@ -1,9 +1,6 @@
 package sketch
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Params configures a k-ary sketch.
 type Params struct {
@@ -35,11 +32,10 @@ func (p Params) Validate() error {
 // use: Update mutates counters and Estimate reuses a scratch buffer that
 // keeps the per-key estimate allocation-free.
 type Sketch struct {
+	Table   // H rows of K counters and their total, for the k-ary estimator
 	params  Params
 	seed    uint64
 	hash    []Poly4
-	counts  [][]int32
-	total   int64     // sum of all update values, for the k-ary estimator
 	scratch []float64 // per-stage estimates, reused across Estimate calls
 }
 
@@ -53,17 +49,15 @@ func New(params Params, seed uint64) (*Sketch, error) {
 		return nil, err
 	}
 	s := &Sketch{
+		Table:   NewTable(params.Stages, params.Buckets),
 		params:  params,
 		seed:    seed,
 		hash:    make([]Poly4, params.Stages),
-		counts:  make([][]int32, params.Stages),
 		scratch: make([]float64, params.Stages),
 	}
 	state := seed
-	backing := make([]int32, params.Stages*params.Buckets)
-	for i := 0; i < params.Stages; i++ {
+	for i := range s.hash {
 		s.hash[i] = NewPoly4(&state)
-		s.counts[i] = backing[i*params.Buckets : (i+1)*params.Buckets : (i+1)*params.Buckets]
 	}
 	return s, nil
 }
@@ -77,9 +71,9 @@ func (s *Sketch) Seed() uint64 { return s.seed }
 // Update adds v to the key's counter in every stage (paper Table 2 UPDATE).
 func (s *Sketch) Update(key uint64, v int32) {
 	for i, h := range s.hash {
-		s.counts[i][h.HashRange(key, s.params.Buckets)] += v
+		s.Counts[i][h.HashRange(key, s.params.Buckets)] += v
 	}
-	s.total += int64(v)
+	s.Sum += int64(v)
 }
 
 // BucketIndex returns the bucket the key maps to in one stage. Exposed so
@@ -98,8 +92,8 @@ func (s *Sketch) Estimate(key uint64) float64 {
 	k := float64(s.params.Buckets)
 	est := s.scratch
 	for i, h := range s.hash {
-		c := float64(s.counts[i][h.HashRange(key, s.params.Buckets)])
-		est[i] = (c - float64(s.total)/k) / (1 - 1/k)
+		c := float64(s.Counts[i][h.HashRange(key, s.params.Buckets)])
+		est[i] = (c - float64(s.Sum)/k) / (1 - 1/k)
 	}
 	return MedianInPlace(est)
 }
@@ -139,84 +133,21 @@ func (s *Sketch) EstimateGridAtLeast(g Grid, gridTotal float64, key uint64, floo
 	return MedianInPlace(est) >= floor
 }
 
-// Snapshot deep-copies the counter array, e.g. for the forecaster.
-func (s *Sketch) Snapshot() [][]int32 {
-	out := make([][]int32, s.params.Stages)
-	backing := make([]int32, s.params.Stages*s.params.Buckets)
-	for i := range s.counts {
-		row := backing[i*s.params.Buckets : (i+1)*s.params.Buckets : (i+1)*s.params.Buckets]
-		copy(row, s.counts[i])
-		out[i] = row
-	}
-	return out
-}
-
-// Total returns the sum of all values updated into the sketch.
-func (s *Sketch) Total() int64 { return s.total }
-
-// Occupancy returns the fraction of counters holding a nonzero value,
-// averaged over all stages. Sampled at interval rotation it is the
-// saturation signal the telemetry layer exposes: as occupancy
-// approaches 1 the k-ary estimates lose the sparsity their variance
-// bound assumes, which is exactly the condition a DoS against the
-// monitor itself would induce.
+// Occupancy is Table.Occupancy, and 0 for a nil sketch.
 func (s *Sketch) Occupancy() float64 {
 	if s == nil {
 		return 0
 	}
-	var nonzero, total int
-	for i := range s.counts {
-		row := s.counts[i]
-		total += len(row)
-		for _, v := range row {
-			if v != 0 {
-				nonzero++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(nonzero) / float64(total)
+	return s.Table.Occupancy()
 }
 
-// Reset zeroes the counters for the next measurement interval. The hash
-// functions are kept, so estimates remain comparable across intervals.
-func (s *Sketch) Reset() {
-	for i := range s.counts {
-		row := s.counts[i]
-		for j := range row {
-			row[j] = 0
-		}
-	}
-	s.total = 0
-}
-
-// MemoryBytes returns the counter memory footprint, the number the paper's
-// Table 9 compares against per-flow tables.
-func (s *Sketch) MemoryBytes() int {
-	return s.params.Stages * s.params.Buckets * 4
-}
-
-// marshal layout: stages, buckets (uint32 each), seed, total, counters.
 const sketchMagic = uint32(0x48694b53) // "HiKS"
 
 // MarshalBinary serializes the sketch so routers can ship it to the
-// aggregation site. Counters dominate; the encoding is fixed-width
-// little-endian with a magic/version header.
+// aggregation site: the table's wire block under magic "HiKS" with
+// geometry words stages and buckets.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 4+4+4+8+8+4*s.params.Stages*s.params.Buckets)
-	buf = binary.LittleEndian.AppendUint32(buf, sketchMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.params.Stages))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.params.Buckets))
-	buf = binary.LittleEndian.AppendUint64(buf, s.seed)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.total))
-	for i := range s.counts {
-		for _, c := range s.counts[i] {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
-		}
-	}
-	return buf, nil
+	return s.MarshalBlock(sketchMagic, s.seed, uint32(s.params.Stages), uint32(s.params.Buckets)), nil
 }
 
 // AddBinary adds a MarshalBinary encoding into s: COMBINE (paper Table
@@ -228,36 +159,5 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 // s is unchanged. With apply false it only validates, so a caller
 // adding several encodings can check them all before changing anything.
 func (s *Sketch) AddBinary(data []byte, apply bool) error {
-	if len(data) < 28 {
-		return fmt.Errorf("sketch: truncated header (%d bytes)", len(data))
-	}
-	if m := binary.LittleEndian.Uint32(data); m != sketchMagic {
-		return fmt.Errorf("sketch: bad magic %#x", m)
-	}
-	params := Params{
-		Stages:  int(binary.LittleEndian.Uint32(data[4:])),
-		Buckets: int(binary.LittleEndian.Uint32(data[8:])),
-	}
-	if params != s.params {
-		return fmt.Errorf("sketch: geometry %+v, want %+v", params, s.params)
-	}
-	if seed := binary.LittleEndian.Uint64(data[12:]); seed != s.seed {
-		return fmt.Errorf("sketch: seed %d, want %d", seed, s.seed)
-	}
-	if want := 28 + 4*s.params.Stages*s.params.Buckets; len(data) != want {
-		return fmt.Errorf("sketch: body length %d, want %d", len(data), want)
-	}
-	if !apply {
-		return nil
-	}
-	s.total += int64(binary.LittleEndian.Uint64(data[20:]))
-	off := 28
-	for i := range s.counts {
-		row := s.counts[i]
-		for j := range row {
-			row[j] += int32(binary.LittleEndian.Uint32(data[off:]))
-			off += 4
-		}
-	}
-	return nil
+	return s.AddBlock(data, apply, sketchMagic, s.seed, uint32(s.params.Stages), uint32(s.params.Buckets))
 }

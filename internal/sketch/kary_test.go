@@ -81,7 +81,7 @@ func TestUpdateAccumulatesPerStage(t *testing.T) {
 	s.Update(5, 4)
 	for stage := 0; stage < 4; stage++ {
 		idx := s.BucketIndex(stage, 5)
-		if got := s.counts[stage][idx]; got != 7 {
+		if got := s.Counts[stage][idx]; got != 7 {
 			t.Errorf("stage %d bucket = %d, want 7", stage, got)
 		}
 	}
@@ -109,10 +109,10 @@ func TestCombineIsLinear(t *testing.T) {
 	}
 	got := mustNew(t, p, seed)
 	addAll(t, got, a, a, b, b, b)
-	for i := range got.counts {
-		for j := range got.counts[i] {
-			if got.counts[i][j] != ref.counts[i][j] {
-				t.Fatalf("combined bucket [%d][%d] = %d, want %d", i, j, got.counts[i][j], ref.counts[i][j])
+	for i := range got.Counts {
+		for j := range got.Counts[i] {
+			if got.Counts[i][j] != ref.Counts[i][j] {
+				t.Fatalf("combined bucket [%d][%d] = %d, want %d", i, j, got.Counts[i][j], ref.Counts[i][j])
 			}
 		}
 	}
@@ -136,9 +136,9 @@ func TestCombineAggregationEquivalence(t *testing.T) {
 	}
 	agg := mustNew(t, p, seed)
 	addAll(t, agg, routers...)
-	for i := range agg.counts {
-		for j := range agg.counts[i] {
-			if agg.counts[i][j] != single.counts[i][j] {
+	for i := range agg.Counts {
+		for j := range agg.Counts[i] {
+			if agg.Counts[i][j] != single.Counts[i][j] {
 				t.Fatal("aggregated sketch differs from single-router sketch")
 			}
 		}
@@ -213,9 +213,9 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if back.Total() != s.Total() {
 		t.Fatal("round-tripped sketch metadata differs")
 	}
-	for i := range s.counts {
-		for j := range s.counts[i] {
-			if s.counts[i][j] != back.counts[i][j] {
+	for i := range s.Counts {
+		for j := range s.Counts[i] {
+			if s.Counts[i][j] != back.Counts[i][j] {
 				t.Fatal("round-tripped counters differ")
 			}
 		}

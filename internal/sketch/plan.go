@@ -37,7 +37,7 @@ func (s *Sketch) FillPlan(kp KeyPowers, p *Plan) {
 // the hashing already paid for.
 func (s *Sketch) UpdateAt(p *Plan, v int32) {
 	for i, ix := range p.idx {
-		s.counts[i][ix] += v
+		s.Counts[i][ix] += v
 	}
-	s.total += int64(v)
+	s.Sum += int64(v)
 }

@@ -9,7 +9,6 @@
 package sketch2d
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -42,14 +41,13 @@ func (p Params) Validate() error {
 }
 
 // Sketch is a two-dimensional k-ary sketch. Matrices are stored row-major
-// per stage: bucket (x,y) lives at counts[stage][x*YBuckets+y].
+// per stage: bucket (x,y) lives at Counts[stage][x*YBuckets+y].
 type Sketch struct {
-	params Params
-	seed   uint64
-	xHash  []sketch.Poly4
-	yHash  []sketch.Poly4
-	counts [][]int32
-	total  int64
+	sketch.Table // H rows of Kx×Ky counters and their total
+	params       Params
+	seed         uint64
+	xHash        []sketch.Poly4
+	yHash        []sketch.Poly4
 }
 
 // New builds an empty 2D sketch; equal params and seed ⇒ combinable.
@@ -62,19 +60,16 @@ func New(params Params, seed uint64) (*Sketch, error) {
 		return nil, err
 	}
 	s := &Sketch{
+		Table:  sketch.NewTable(params.Stages, params.XBuckets*params.YBuckets),
 		params: params,
 		seed:   seed,
 		xHash:  make([]sketch.Poly4, params.Stages),
 		yHash:  make([]sketch.Poly4, params.Stages),
-		counts: make([][]int32, params.Stages),
 	}
 	state := seed
-	per := params.XBuckets * params.YBuckets
-	backing := make([]int32, params.Stages*per)
 	for j := 0; j < params.Stages; j++ {
 		s.xHash[j] = sketch.NewPoly4(&state)
 		s.yHash[j] = sketch.NewPoly4(&state)
-		s.counts[j] = backing[j*per : (j+1)*per : (j+1)*per]
 	}
 	return s, nil
 }
@@ -91,9 +86,9 @@ func (s *Sketch) Update(xKey, yKey uint64, v int32) {
 	for j := 0; j < s.params.Stages; j++ {
 		x := int(s.xHash[j].HashRange(xKey, s.params.XBuckets))
 		y := int(s.yHash[j].HashRange(yKey, s.params.YBuckets))
-		s.counts[j][x*s.params.YBuckets+y] += v
+		s.Counts[j][x*s.params.YBuckets+y] += v
 	}
-	s.total += int64(v)
+	s.Sum += int64(v)
 }
 
 // Plan caches the flattened (x,y) offset one (xKey,yKey) pair selects
@@ -123,9 +118,9 @@ func (s *Sketch) FillPlan(xkp, ykp sketch.KeyPowers, p *Plan) {
 // the hashing already paid for.
 func (s *Sketch) UpdateAt(p *Plan, v int32) {
 	for j, ix := range p.idx {
-		s.counts[j][ix] += v
+		s.Counts[j][ix] += v
 	}
-	s.total += int64(v)
+	s.Sum += int64(v)
 }
 
 // Column returns a copy of the y-distribution column selected by xKey in
@@ -133,7 +128,7 @@ func (s *Sketch) UpdateAt(p *Plan, v int32) {
 func (s *Sketch) Column(stage int, xKey uint64) []int32 {
 	x := int(s.xHash[stage].HashRange(xKey, s.params.XBuckets))
 	col := make([]int32, s.params.YBuckets)
-	copy(col, s.counts[stage][x*s.params.YBuckets:(x+1)*s.params.YBuckets])
+	copy(col, s.Counts[stage][x*s.params.YBuckets:(x+1)*s.params.YBuckets])
 	return col
 }
 
@@ -168,7 +163,7 @@ func (s *Sketch) Concentrated(xKey uint64, p int, phi float64) ConcentrationResu
 	col := make([]float64, s.params.YBuckets)
 	for j := 0; j < s.params.Stages; j++ {
 		x := int(s.xHash[j].HashRange(xKey, s.params.XBuckets))
-		row := s.counts[j][x*s.params.YBuckets : (x+1)*s.params.YBuckets]
+		row := s.Counts[j][x*s.params.YBuckets : (x+1)*s.params.YBuckets]
 		var b float64
 		for i, v := range row {
 			if v > 0 {
@@ -199,7 +194,7 @@ func (s *Sketch) DistinctYEstimate(xKey uint64, minMass int32) int {
 	counts := make([]int, 0, s.params.Stages)
 	for j := 0; j < s.params.Stages; j++ {
 		x := int(s.xHash[j].HashRange(xKey, s.params.XBuckets))
-		row := s.counts[j][x*s.params.YBuckets : (x+1)*s.params.YBuckets]
+		row := s.Counts[j][x*s.params.YBuckets : (x+1)*s.params.YBuckets]
 		n := 0
 		for _, v := range row {
 			if v >= minMass {
@@ -242,43 +237,15 @@ func topSum(col []float64, p int) float64 {
 	return s
 }
 
-// Reset zeroes the counters for the next interval.
-func (s *Sketch) Reset() {
-	for j := range s.counts {
-		row := s.counts[j]
-		for i := range row {
-			row[i] = 0
-		}
-	}
-	s.total = 0
-}
-
-// Total returns the sum of all update values.
-func (s *Sketch) Total() int64 { return s.total }
-
-// MemoryBytes returns the counter footprint.
-func (s *Sketch) MemoryBytes() int {
-	return s.params.Stages * s.params.XBuckets * s.params.YBuckets * 4
-}
-
 const sketchMagic = uint32(0x48693244) // "Hi2D"
 
-// MarshalBinary serializes the sketch for shipping to an aggregation site.
+// MarshalBinary serializes the sketch for shipping to an aggregation
+// site: the table's wire block under magic "Hi2D" with geometry words
+// stages, x buckets and y buckets.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	per := s.params.XBuckets * s.params.YBuckets
-	buf := make([]byte, 0, 32+4*s.params.Stages*per)
-	buf = binary.LittleEndian.AppendUint32(buf, sketchMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.params.Stages))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.params.XBuckets))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.params.YBuckets))
-	buf = binary.LittleEndian.AppendUint64(buf, s.seed)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.total))
-	for j := range s.counts {
-		for _, c := range s.counts[j] {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
-		}
-	}
-	return buf, nil
+	p := s.params
+	return s.MarshalBlock(sketchMagic, s.seed,
+		uint32(p.Stages), uint32(p.XBuckets), uint32(p.YBuckets)), nil
 }
 
 // AddBinary adds a MarshalBinary encoding into s, the aggregation path
@@ -287,37 +254,7 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 // geometry and seed at exactly its length; otherwise AddBinary returns
 // an error and s is unchanged. With apply false it only validates.
 func (s *Sketch) AddBinary(data []byte, apply bool) error {
-	if len(data) < 32 {
-		return fmt.Errorf("sketch2d: truncated header (%d bytes)", len(data))
-	}
-	if m := binary.LittleEndian.Uint32(data); m != sketchMagic {
-		return fmt.Errorf("sketch2d: bad magic %#x", m)
-	}
-	params := Params{
-		Stages:   int(binary.LittleEndian.Uint32(data[4:])),
-		XBuckets: int(binary.LittleEndian.Uint32(data[8:])),
-		YBuckets: int(binary.LittleEndian.Uint32(data[12:])),
-	}
-	if params != s.params {
-		return fmt.Errorf("sketch2d: geometry %+v, want %+v", params, s.params)
-	}
-	if seed := binary.LittleEndian.Uint64(data[16:]); seed != s.seed {
-		return fmt.Errorf("sketch2d: seed %d, want %d", seed, s.seed)
-	}
-	if want := 32 + 4*s.params.Stages*s.params.XBuckets*s.params.YBuckets; len(data) != want {
-		return fmt.Errorf("sketch2d: body length %d, want %d", len(data), want)
-	}
-	if !apply {
-		return nil
-	}
-	s.total += int64(binary.LittleEndian.Uint64(data[24:]))
-	off := 32
-	for j := range s.counts {
-		row := s.counts[j]
-		for i := range row {
-			row[i] += int32(binary.LittleEndian.Uint32(data[off:]))
-			off += 4
-		}
-	}
-	return nil
+	p := s.params
+	return s.AddBlock(data, apply, sketchMagic, s.seed,
+		uint32(p.Stages), uint32(p.XBuckets), uint32(p.YBuckets))
 }
