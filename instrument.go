@@ -26,16 +26,13 @@ type instruments struct {
 	alertPersist *telemetry.Counter
 	alertReflect *telemetry.Counter
 
-	occRSSipDport  *telemetry.Gauge
-	occRSDipDport  *telemetry.Gauge
-	occRSSipDip    *telemetry.Gauge
-	occVerSipDport *telemetry.Gauge
-	occVerDipDport *telemetry.Gauge
-	occVerSipDip   *telemetry.Gauge
+	// Occupancy of each detection lane's reversible sketch and
+	// verifier, indexed like core.LaneNames.
+	occRS, occVer [len(core.LaneNames)]*telemetry.Gauge
 
-	candFlood  *telemetry.Gauge
-	candPair   *telemetry.Gauge
-	candSource *telemetry.Gauge
+	// Candidate keys of each inference step and auxiliary detector,
+	// indexed like candidateSteps.
+	cand [len(candidateSteps)]*telemetry.Gauge
 
 	inferSeconds    *telemetry.Histogram
 	inferKeys       *telemetry.Counter
@@ -61,10 +58,10 @@ func newInstruments(reg *telemetry.Registry) instruments {
 	}
 	cand := func(step string) *telemetry.Gauge {
 		return reg.Gauge("hifind_inference_candidates",
-			"candidate keys surfaced by each reverse-inference step last interval",
+			"candidate keys surfaced last interval by each inference step and auxiliary detector",
 			telemetry.Label{Name: "step", Value: step})
 	}
-	return instruments{
+	ins := instruments{
 		packets: reg.Counter("hifind_packets_observed_total",
 			"packets recorded into the sketches"),
 		flows: reg.Counter("hifind_flows_observed_total",
@@ -84,30 +81,31 @@ func newInstruments(reg *telemetry.Registry) instruments {
 		alertPersist: alert(PersistentScan.String()),
 		alertReflect: alert(Reflection.String()),
 
-		occRSSipDport:  occ("rs_sip_dport"),
-		occRSDipDport:  occ("rs_dip_dport"),
-		occRSSipDip:    occ("rs_sip_dip"),
-		occVerSipDport: occ("ver_sip_dport"),
-		occVerDipDport: occ("ver_dip_dport"),
-		occVerSipDip:   occ("ver_sip_dip"),
-
-		candFlood:  cand("flood"),
-		candPair:   cand("pair"),
-		candSource: cand("source"),
-
 		inferSeconds: reg.Histogram("hifind_inference_decode_seconds",
-			"per-interval offender-key recovery wall time (all three steps)",
+			"per-interval offender-key recovery wall time (the three steps and the auxiliary detectors)",
 			telemetry.DefBuckets),
 		inferKeys: reg.Counter("hifind_inference_keys_recovered_total",
 			"verified offender keys recovered across all inference steps"),
 		inferNodes: reg.Counter("hifind_inference_nodes_total",
-			"reverse-search nodes expanded by the three inference steps"),
+			"reverse-search nodes expanded by every search: the three steps, each burst slot, persistence and reflection"),
 		inferLeaves: reg.Counter("hifind_inference_leaves_total",
-			"candidate keys the three inference steps' reverse search emitted"),
+			"candidate keys emitted by every reverse search: the three steps, each burst slot, persistence and reflection"),
 		inferBudgetHits: reg.Counter("hifind_inference_budget_hits_total",
-			"inference steps whose node or operation budget cut the search short"),
+			"reverse searches, of the three steps or the auxiliary detectors, whose node or operation budget cut them short"),
 	}
+	for i, lane := range core.LaneNames {
+		ins.occRS[i] = occ("rs_" + lane)
+		ins.occVer[i] = occ("ver_" + lane)
+	}
+	for i, step := range candidateSteps {
+		ins.cand[i] = cand(step)
+	}
+	return ins
 }
+
+// candidateSteps labels hifind_inference_candidates: the three steps,
+// then the auxiliary detectors, in recordInterval's order.
+var candidateSteps = [...]string{"flood", "pair", "source", "burst", "persist", "reflection"}
 
 // recordInterval publishes one interval's diagnostics and alerts. Runs
 // once per rotation, never per packet.
@@ -116,15 +114,16 @@ func (ins *instruments) recordInterval(res core.IntervalResult) {
 	ins.detection.Observe(res.DetectionSeconds)
 
 	d := res.Diag
-	ins.occRSSipDport.Set(d.OccRSSipDport)
-	ins.occRSDipDport.Set(d.OccRSDipDport)
-	ins.occRSSipDip.Set(d.OccRSSipDip)
-	ins.occVerSipDport.Set(d.OccVerSipDport)
-	ins.occVerDipDport.Set(d.OccVerDipDport)
-	ins.occVerSipDip.Set(d.OccVerSipDip)
-	ins.candFlood.Set(float64(d.FloodCandidates))
-	ins.candPair.Set(float64(d.PairCandidates))
-	ins.candSource.Set(float64(d.SourceCandidates))
+	for i := range d.OccRS {
+		ins.occRS[i].Set(d.OccRS[i])
+		ins.occVer[i].Set(d.OccVer[i])
+	}
+	for i, n := range [len(candidateSteps)]int{
+		d.FloodCandidates, d.PairCandidates, d.SourceCandidates,
+		d.BurstCandidates, d.PersistCandidates, d.ReflectionCandidates,
+	} {
+		ins.cand[i].Set(float64(n))
+	}
 	// Warm-up intervals never ran inference; observing their zero would
 	// drag the latency histogram below what recovery actually costs.
 	if d.InferenceSeconds > 0 || d.KeysRecovered > 0 {

@@ -187,12 +187,9 @@ type DiagStats struct {
 	InferenceLeaves     int
 	InferenceBudgetHits int
 
-	OccRSSipDport  float64
-	OccRSDipDport  float64
-	OccRSSipDip    float64
-	OccVerSipDport float64
-	OccVerDipDport float64
-	OccVerSipDip   float64
+	// OccRS and OccVer are the occupancies of each detection lane's
+	// reversible sketch and verifier, indexed like LaneNames.
+	OccRS, OccVer [numLanes]float64
 
 	// CacheFlushSeconds is always zero: every update reaches the
 	// sketches at observe time, so rotation has nothing to drain. It

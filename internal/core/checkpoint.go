@@ -23,13 +23,17 @@ const checkpointMagic = uint32(0x48694350) // "HiCP"
 
 // MarshalState serializes the detector's cross-interval state.
 func (d *Detector) MarshalState() ([]byte, error) {
-	blocks := make([][]byte, 0, 9)
-	for _, fc := range d.forecasters() {
-		b, err := fc.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint forecaster: %w", err)
+	blocks := make([][]byte, 0, 2*numLanes+4)
+	// Every lane's reversible-sketch forecaster, then every lane's
+	// verifier forecaster.
+	for k := range 2 {
+		for _, l := range d.lanes {
+			b, err := l.fc[k].MarshalBinary()
+			if err != nil {
+				return nil, fmt.Errorf("core: checkpoint forecaster: %w", err)
+			}
+			blocks = append(blocks, b)
 		}
-		blocks = append(blocks, b)
 	}
 	svc, err := d.rec.Services.MarshalBinary()
 	if err != nil {
@@ -88,13 +92,15 @@ func (d *Detector) RestoreState(data []byte) error {
 		data = data[n:]
 		return b, nil
 	}
-	for i, fc := range d.forecasters() {
-		b, err := next()
-		if err != nil {
-			return err
-		}
-		if err := fc.UnmarshalBinary(b); err != nil {
-			return fmt.Errorf("core: checkpoint forecaster %d: %w", i, err)
+	for k := range 2 {
+		for i, l := range d.lanes {
+			b, err := next()
+			if err != nil {
+				return err
+			}
+			if err := l.fc[k].UnmarshalBinary(b); err != nil {
+				return fmt.Errorf("core: checkpoint forecaster %d: %w", k*numLanes+i, err)
+			}
 		}
 	}
 	b, err := next()
@@ -133,20 +139,6 @@ func (d *Detector) RestoreState(data []byte) error {
 	}
 	d.interval = interval
 	return nil
-}
-
-// forecasters lists the detector's EWMA instances in a fixed order.
-func (d *Detector) forecasters() []forecaster {
-	return []forecaster{
-		d.fcSipDport, d.fcDipDport, d.fcSipDip,
-		d.fcVSipDport, d.fcVDipDport, d.fcVSipDip,
-	}
-}
-
-// forecaster is the serializable surface of timeseries.EWMA used here.
-type forecaster interface {
-	MarshalBinary() ([]byte, error)
-	UnmarshalBinary([]byte) error
 }
 
 // marshalIPMap serializes in sorted key order: checkpoints taken from

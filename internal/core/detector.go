@@ -92,15 +92,9 @@ func (c DetectorConfig) Validate() error {
 // add their MarshalBinary states into Recorder() with AddBinary, and call
 // EndInterval (or EndIntervalWithPartial when routers are missing).
 type Detector struct {
-	cfg DetectorConfig
-	rec *Recorder
-
-	fcSipDport  *timeseries.EWMA
-	fcDipDport  *timeseries.EWMA
-	fcSipDip    *timeseries.EWMA
-	fcVSipDport *timeseries.EWMA
-	fcVDipDport *timeseries.EWMA
-	fcVSipDip   *timeseries.EWMA
+	cfg   DetectorConfig
+	rec   *Recorder
+	lanes [numLanes]lane
 
 	interval int
 	// streaks tracks consecutive anomalous intervals per flooding victim
@@ -116,6 +110,32 @@ type Detector struct {
 	// persist tracks sub-threshold band streaks for the persistent-and-
 	// sparse flow detector — nil unless PersistScan is on.
 	persist *persist.Tracker
+}
+
+// The detection lanes of paper §3.3, in the order of LaneNames and of
+// the checkpoint's forecaster blocks.
+const (
+	laneSipDport = iota // RS({SIP,Dport}): step 3, scanning sources
+	laneDipDport        // RS({DIP,Dport}): step 1, flooding victims
+	laneSipDip          // RS({SIP,DIP}): step 2, attacker→victim pairs
+	numLanes
+)
+
+// LaneNames names the detection lanes by key pair; it indexes
+// DiagStats.OccRS and OccVer.
+var LaneNames = [numLanes]string{"sip_dport", "dip_dport", "sip_dip"}
+
+// lane is one detection lane: a reversible sketch over one key pair,
+// the verifier sketch that screens its reverse-hashing aliases, and an
+// EWMA forecaster for each.
+type lane struct {
+	rs  *revsketch.Sketch
+	ver *sketch.Sketch
+	// fc forecasts rs (fc[0]) and ver (fc[1]). errs holds their
+	// forecast-error grids for the interval being closed, nil until the
+	// forecasts have history.
+	fc   [2]*timeseries.EWMA
+	errs [2]sketch.Grid
 }
 
 // The persistent-and-sparse detector alerts once a key has sat in the
@@ -139,34 +159,32 @@ func NewDetector(rcfg RecorderConfig, dcfg DetectorConfig) (*Detector, error) {
 		return nil, err
 	}
 	d := &Detector{
-		cfg:           dcfg,
-		rec:           rec,
+		cfg: dcfg,
+		rec: rec,
+		lanes: [numLanes]lane{
+			laneSipDport: {rs: rec.RSSipDport, ver: rec.VerSipDport},
+			laneDipDport: {rs: rec.RSDipDport, ver: rec.VerDipDport},
+			laneSipDip:   {rs: rec.RSSipDip, ver: rec.VerSipDip},
+		},
 		streaks:       make(map[uint64]int),
 		blockScanners: make(map[netmodel.IPv4]int),
 	}
-	mk := func(p revsketch.Params) (*timeseries.EWMA, error) {
-		return timeseries.NewEWMA(dcfg.Alpha, p.Stages, p.Buckets)
+	// Every lane's reversible-sketch forecaster first, then the
+	// verifiers', here and at each interval's end: interleaving the
+	// differently sized grids and snapshots leaves the heap laid out so
+	// that the per-interval snapshots more often take fresh pages, about
+	// 1.4 MiB more peak RSS at paper geometry.
+	for i := range d.lanes {
+		p := d.lanes[i].rs.Params()
+		if d.lanes[i].fc[0], err = timeseries.NewEWMA(dcfg.Alpha, p.Stages, p.Buckets); err != nil {
+			return nil, err
+		}
 	}
-	mkK := func(p sketch.Params) (*timeseries.EWMA, error) {
-		return timeseries.NewEWMA(dcfg.Alpha, p.Stages, p.Buckets)
-	}
-	if d.fcSipDport, err = mk(rcfg.RS48); err != nil {
-		return nil, err
-	}
-	if d.fcDipDport, err = mk(rcfg.RS48); err != nil {
-		return nil, err
-	}
-	if d.fcSipDip, err = mk(rcfg.RS64); err != nil {
-		return nil, err
-	}
-	if d.fcVSipDport, err = mkK(rcfg.Verifier); err != nil {
-		return nil, err
-	}
-	if d.fcVDipDport, err = mkK(rcfg.Verifier); err != nil {
-		return nil, err
-	}
-	if d.fcVSipDip, err = mkK(rcfg.Verifier); err != nil {
-		return nil, err
+	for i := range d.lanes {
+		p := d.lanes[i].ver.Params()
+		if d.lanes[i].fc[1], err = timeseries.NewEWMA(dcfg.Alpha, p.Stages, p.Buckets); err != nil {
+			return nil, err
+		}
 	}
 	if dcfg.PersistScan {
 		d.persist, err = persist.NewTracker(persist.Config{
@@ -213,38 +231,28 @@ func (d *Detector) EndIntervalWithPartial(partial bool) (IntervalResult, error) 
 	started := time.Now()
 	res := IntervalResult{Interval: d.interval}
 
-	// Feed this interval's counters to the forecasters; detection needs
-	// every structure's error grid, or none (first interval).
-	errSipDport, ok1, err := d.fcSipDport.Observe(rec.RSSipDport.Snapshot())
-	if err != nil {
-		return IntervalResult{}, err
+	// Feed this interval's counters to the forecasters, in NewDetector's
+	// order; detection needs every lane's error grids, or none (first
+	// interval).
+	ready := true
+	for i := range d.lanes {
+		l := &d.lanes[i]
+		var err error
+		if l.errs[0], _, err = l.fc[0].Observe(l.rs.Snapshot()); err != nil {
+			return IntervalResult{}, err
+		}
+		ready = ready && l.errs[0] != nil
 	}
-	errDipDport, ok2, err := d.fcDipDport.Observe(rec.RSDipDport.Snapshot())
-	if err != nil {
-		return IntervalResult{}, err
+	for i := range d.lanes {
+		l := &d.lanes[i]
+		var err error
+		if l.errs[1], _, err = l.fc[1].Observe(l.ver.Snapshot()); err != nil {
+			return IntervalResult{}, err
+		}
 	}
-	errSipDip, ok3, err := d.fcSipDip.Observe(rec.RSSipDip.Snapshot())
-	if err != nil {
-		return IntervalResult{}, err
-	}
-	errVSipDport, _, err := d.fcVSipDport.Observe(rec.VerSipDport.Snapshot())
-	if err != nil {
-		return IntervalResult{}, err
-	}
-	errVDipDport, _, err := d.fcVDipDport.Observe(rec.VerDipDport.Snapshot())
-	if err != nil {
-		return IntervalResult{}, err
-	}
-	errVSipDip, _, err := d.fcVSipDip.Observe(rec.VerSipDip.Snapshot())
-	if err != nil {
-		return IntervalResult{}, err
-	}
-	if ok1 && ok2 && ok3 {
-		res, err = d.detect(rec, errGrids{
-			sipDport: errSipDport, dipDport: errDipDport, sipDip: errSipDip,
-			vSipDport: errVSipDport, vDipDport: errVDipDport, vSipDip: errVSipDip,
-		})
-		if err != nil {
+	if ready {
+		var err error
+		if res, err = d.detect(rec); err != nil {
 			return IntervalResult{}, err
 		}
 		res.Interval = d.interval
@@ -253,12 +261,10 @@ func (d *Detector) EndIntervalWithPartial(partial bool) (IntervalResult, error) 
 		}
 	}
 	// Sample structure saturation before the reset wipes it.
-	res.Diag.OccRSSipDport = rec.RSSipDport.Occupancy()
-	res.Diag.OccRSDipDport = rec.RSDipDport.Occupancy()
-	res.Diag.OccRSSipDip = rec.RSSipDip.Occupancy()
-	res.Diag.OccVerSipDport = rec.VerSipDport.Occupancy()
-	res.Diag.OccVerDipDport = rec.VerDipDport.Occupancy()
-	res.Diag.OccVerSipDip = rec.VerSipDip.Occupancy()
+	for i, l := range d.lanes {
+		res.Diag.OccRS[i] = l.rs.Occupancy()
+		res.Diag.OccVer[i] = l.ver.Occupancy()
+	}
 	rec.Reset()
 	d.interval++
 	res.DetectionSeconds = time.Since(started).Seconds()
@@ -271,12 +277,6 @@ func (d *Detector) EndIntervalWithPartial(partial bool) (IntervalResult, error) 
 		}
 	}
 	return res, nil
-}
-
-// errGrids bundles the forecast-error grids of one interval.
-type errGrids struct {
-	sipDport, dipDport, sipDip    sketch.Grid
-	vSipDport, vDipDport, vSipDip sketch.Grid
 }
 
 // verifierCheck builds the inference Verify callback for one reversible
@@ -321,6 +321,37 @@ func (d *DiagStats) addSearch(st revsketch.InferenceStats) {
 	}
 }
 
+// book adds one key recovery begun at start, a step of the three-step
+// algorithm or an auxiliary detector, to d: its wall time, the keys it
+// recovered and the work of the searches it ran. A detector that
+// reports its searches' work through addSearch as they finish passes
+// none here.
+func (d *DiagStats) book(start time.Time, recovered int, searches ...revsketch.InferenceStats) {
+	d.InferenceSeconds += time.Since(start).Seconds()
+	d.KeysRecovered += recovered
+	for _, st := range searches {
+		d.addSearch(st)
+	}
+}
+
+// step runs one step of the three-step algorithm on lane l: the reverse
+// search of its forecast errors at the threshold, every candidate
+// screened by the lane's verifier inside the search.
+func (d *Detector) step(l *lane, diag *DiagStats) ([]revsketch.KeyEstimate, error) {
+	opts := revsketch.InferenceOptions{
+		Quorum:  d.cfg.Quorum,
+		MaxKeys: d.cfg.MaxKeysPerStep,
+		Verify:  d.verifierCheck(l.ver, l.errs[1]),
+	}
+	start := time.Now()
+	keys, err := l.rs.Inference(l.errs[0], d.cfg.Threshold, opts)
+	if err != nil {
+		return nil, err
+	}
+	diag.book(start, len(keys), l.rs.LastInference())
+	return keys, nil
+}
+
 // Phase 3's congestion filter (§3.4) passes a flooding victim only once
 // it has stayed anomalous for minPersistIntervals consecutive intervals
 // ("attacks last some time") and its SYNs outnumber its SYN/ACKs by
@@ -333,21 +364,14 @@ const (
 
 // detect runs the three-step algorithm of paper §3.3 plus the Phase 2/3
 // false-positive reduction.
-func (d *Detector) detect(rec *Recorder, g errGrids) (IntervalResult, error) {
+func (d *Detector) detect(rec *Recorder) (IntervalResult, error) {
 	res := IntervalResult{}
-	opts := revsketch.InferenceOptions{Quorum: d.cfg.Quorum, MaxKeys: d.cfg.MaxKeysPerStep}
 
 	// Step 1 — RS({DIP,Dport}): SYN flooding victims.
-	stepOpts := opts
-	stepOpts.Verify = d.verifierCheck(rec.VerDipDport, g.vDipDport)
-	stepStart := time.Now()
-	floodKeys, err := rec.RSDipDport.Inference(g.dipDport, d.cfg.Threshold, stepOpts)
+	floodKeys, err := d.step(&d.lanes[laneDipDport], &res.Diag)
 	if err != nil {
 		return res, err
 	}
-	res.Diag.InferenceSeconds += time.Since(stepStart).Seconds()
-	res.Diag.addSearch(rec.RSDipDport.LastInference())
-	res.Diag.KeysRecovered += len(floodKeys)
 	res.Diag.FloodCandidates = len(floodKeys)
 	floodingDIPs := make(map[netmodel.IPv4]bool, len(floodKeys))
 	type floodCand struct {
@@ -365,15 +389,10 @@ func (d *Detector) detect(rec *Recorder, g errGrids) (IntervalResult, error) {
 	// Step 2 — RS({SIP,DIP}): attacker→victim pairs. Pairs whose victim is
 	// already a flooding victim identify (non-spoofed) flooding sources;
 	// the rest are vertical-scan candidates.
-	stepOpts.Verify = d.verifierCheck(rec.VerSipDip, g.vSipDip)
-	stepStart = time.Now()
-	pairKeys, err := rec.RSSipDip.Inference(g.sipDip, d.cfg.Threshold, stepOpts)
+	pairKeys, err := d.step(&d.lanes[laneSipDip], &res.Diag)
 	if err != nil {
 		return res, err
 	}
-	res.Diag.InferenceSeconds += time.Since(stepStart).Seconds()
-	res.Diag.addSearch(rec.RSSipDip.LastInference())
-	res.Diag.KeysRecovered += len(pairKeys)
 	res.Diag.PairCandidates = len(pairKeys)
 	floodingSIPs := make(map[netmodel.IPv4]bool)
 	attackerOf := make(map[netmodel.IPv4]netmodel.IPv4) // flooding DIP → identified SIP
@@ -396,15 +415,10 @@ func (d *Detector) detect(rec *Recorder, g errGrids) (IntervalResult, error) {
 	// Step 3 — RS({SIP,Dport}): sources with many unanswered SYNs to one
 	// port. Known flooding sources are floods; the rest are horizontal-
 	// scan candidates.
-	stepOpts.Verify = d.verifierCheck(rec.VerSipDport, g.vSipDport)
-	stepStart = time.Now()
-	srcKeys, err := rec.RSSipDport.Inference(g.sipDport, d.cfg.Threshold, stepOpts)
+	srcKeys, err := d.step(&d.lanes[laneSipDport], &res.Diag)
 	if err != nil {
 		return res, err
 	}
-	res.Diag.InferenceSeconds += time.Since(stepStart).Seconds()
-	res.Diag.addSearch(rec.RSSipDport.LastInference())
-	res.Diag.KeysRecovered += len(srcKeys)
 	res.Diag.SourceCandidates = len(srcKeys)
 	type hscanCand struct {
 		sip  netmodel.IPv4
@@ -507,21 +521,15 @@ func (d *Detector) detect(rec *Recorder, g errGrids) (IntervalResult, error) {
 // rides through all phases unchanged.
 func (d *Detector) detectScenarios(rec *Recorder, res *IntervalResult) error {
 	var extra []Alert
-	burstAlerts, err := d.detectBursts(rec, &res.Diag)
-	if err != nil {
-		return err
+	for _, detect := range [...]func(*Recorder, *DiagStats) ([]Alert, error){
+		d.detectBursts, d.detectPersistent, d.detectReflection,
+	} {
+		alerts, err := detect(rec, &res.Diag)
+		if err != nil {
+			return err
+		}
+		extra = append(extra, alerts...)
 	}
-	extra = append(extra, burstAlerts...)
-	persistAlerts, err := d.detectPersistent(rec, &res.Diag)
-	if err != nil {
-		return err
-	}
-	extra = append(extra, persistAlerts...)
-	reflectAlerts, err := d.detectReflection(rec, &res.Diag)
-	if err != nil {
-		return err
-	}
-	extra = append(extra, reflectAlerts...)
 	if len(extra) == 0 {
 		return nil
 	}
@@ -555,9 +563,8 @@ func (d *Detector) detectBursts(rec *Recorder, diag *DiagStats) ([]Alert, error)
 	if err != nil {
 		return nil, err
 	}
-	diag.InferenceSeconds += time.Since(start).Seconds()
+	diag.book(start, len(findings))
 	diag.BurstCandidates = len(findings)
-	diag.KeysRecovered += len(findings)
 	alerts := make([]Alert, 0, len(findings))
 	for _, f := range findings {
 		dip, port := netmodel.UnpackIPPort(f.Key)
@@ -586,8 +593,6 @@ func (d *Detector) detectPersistent(rec *Recorder, diag *DiagStats) ([]Alert, er
 	if err != nil {
 		return nil, err
 	}
-	diag.InferenceSeconds += time.Since(start).Seconds()
-	diag.addSearch(rec.RSSipDport.LastInference())
 	// Keep only the sub-threshold band: anything at or above Threshold
 	// is a fast attack and belongs to the main three-step pipeline.
 	obs := make([]persist.Observation, 0, len(band))
@@ -599,7 +604,7 @@ func (d *Detector) detectPersistent(rec *Recorder, diag *DiagStats) ([]Alert, er
 	}
 	diag.PersistCandidates = len(obs)
 	findings := d.persist.Advance(uint64(d.interval), obs)
-	diag.KeysRecovered += len(findings)
+	diag.book(start, len(findings), rec.RSSipDport.LastInference())
 	alerts := make([]Alert, 0, len(findings))
 	for _, f := range findings {
 		sip, port := netmodel.UnpackIPPort(f.Key)
@@ -625,10 +630,8 @@ func (d *Detector) detectReflection(rec *Recorder, diag *DiagStats) ([]Alert, er
 	if err != nil {
 		return nil, err
 	}
-	diag.InferenceSeconds += time.Since(start).Seconds()
-	diag.addSearch(rec.Reflect.LastInference())
+	diag.book(start, len(keys), rec.Reflect.LastInference())
 	diag.ReflectionCandidates = len(keys)
-	diag.KeysRecovered += len(keys)
 	alerts := make([]Alert, 0, len(keys))
 	for _, ke := range keys {
 		dip, port := netmodel.UnpackIPPort(ke.Key)

@@ -25,7 +25,8 @@ func TestDetectorTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var events []telemetry.Event
 	sink := sinkFunc(func(ev telemetry.Event) { events = append(events, ev) })
-	det, err := New(WithCompactSketches(), WithTelemetry(reg), WithAlertSink(sink))
+	det, err := New(WithCompactSketches(), WithTelemetry(reg), WithAlertSink(sink),
+		WithBurstDetection(), WithPersistentFlowDetection(), WithReflectionDetection())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,6 +66,40 @@ func TestDetectorTelemetry(t *testing.T) {
 	}
 	if len(events) == 0 || events[len(events)-1].Kind != "interval" {
 		t.Fatalf("sink must end with an interval summary, got %+v", events)
+	}
+
+	// The second interval runs detection. 40 SYNs from one source in one
+	// burst slot are a burst-flood candidate (a slot past Threshold/2, an
+	// interval under Threshold) and a persistence-band key; 80 inbound
+	// SYN/ACKs nobody asked for are a reflection candidate. Each
+	// auxiliary detector publishes its count on the candidates family.
+	scanner := netip.MustParseAddr("10.9.9.9")
+	for i := 0; i < 40; i++ {
+		det.Observe(synPacket(scanner, dst, 443))
+	}
+	reflector, victim := netip.MustParseAddr("172.16.5.5"), netip.MustParseAddr("192.168.0.44")
+	for i := 0; i < 80; i++ {
+		det.Observe(Packet{Timestamp: time.Unix(0, 0), SrcIP: reflector, DstIP: victim,
+			SrcPort: 53, DstPort: 33000, SYN: true, ACK: true, Dir: Inbound})
+	}
+	if _, err := det.EndInterval(); err != nil {
+		t.Fatal(err)
+	}
+	b.Reset()
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out = b.String()
+	for _, step := range []string{"burst", "persist", "reflection"} {
+		series := `hifind_inference_candidates{step="` + step + `"} `
+		i := strings.Index(out, series)
+		if i < 0 {
+			t.Errorf("exposition missing %s\n%s", series, out)
+			continue
+		}
+		if strings.HasPrefix(out[i+len(series):], "0\n") {
+			t.Errorf("%s stayed zero after an interval with %s traffic", series, step)
+		}
 	}
 }
 
