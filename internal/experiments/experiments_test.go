@@ -306,6 +306,20 @@ func TestTable9MemoryOrdering(t *testing.T) {
 	}
 }
 
+// TestTable9MeasuredFlowTable pins the per-flow side of Table 9's
+// measured point: 10 000 spoofed SYNs from distinct sources leave 20 001
+// exact-table entries (one {SIP,Dport} and one {SIP,DIP} key each, plus
+// the victim's single {DIP,Dport} key) at 48 bytes apiece.
+func TestTable9MeasuredFlowTable(t *testing.T) {
+	m, err := Table9Measured(10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.FlowTable != 960048 {
+		t.Errorf("Table9Measured(10000).FlowTable = %d, want 960048", m.FlowTable)
+	}
+}
+
 func TestMemoryAccessesReport(t *testing.T) {
 	r, err := MemoryAccesses()
 	if err != nil {
