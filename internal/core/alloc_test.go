@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -100,6 +101,47 @@ func TestAddBinaryAllocs(t *testing.T) {
 				t.Errorf("AddBinary of two payloads allocates %v times per call, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestEndIntervalBytes pins what a warm detector allocates to close a
+// quiet interval. The forecasters read every lane's live counters before
+// the reset, so no interval copies a counter table: a warm close must
+// allocate less than one RS48 table (6 stages × 4 096 buckets × 4 B =
+// 96 KiB at this geometry), a twentieth of what snapshotting all six
+// lane tables would cost.
+func TestEndIntervalBytes(t *testing.T) {
+	d, err := NewDetector(TestRecorderConfig(0xa110c), DetectorConfig{Threshold: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet := func() {
+		for i := uint32(0); i < 200; i++ {
+			client := netmodel.IPv4(0x0a000000 | i*7919)
+			server := netmodel.IPv4(0x81690000 | i%40)
+			d.Observe(netmodel.Packet{SrcIP: client, DstIP: server, SrcPort: uint16(30000 + i), DstPort: 80,
+				Flags: netmodel.FlagSYN, Dir: netmodel.Inbound})
+			d.Observe(netmodel.Packet{SrcIP: server, DstIP: client, SrcPort: 80, DstPort: uint16(30000 + i),
+				Flags: netmodel.FlagSYN | netmodel.FlagACK, Dir: netmodel.Outbound})
+		}
+		if _, err := d.EndInterval(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	quiet() // seeds the forecasts
+	quiet() // the first detecting close grows the search buffers
+	const intervals = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < intervals; i++ {
+		quiet()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / intervals
+	mallocs := (after.Mallocs - before.Mallocs) / intervals
+	t.Logf("warm quiet EndInterval: %d bytes in %d allocations per interval", bytes, mallocs)
+	if table := uint64(d.Recorder().RSSipDport.MemoryBytes()); bytes >= table {
+		t.Errorf("warm quiet EndInterval allocates %d bytes per interval, want under one RS48 table (%d)", bytes, table)
 	}
 }
 

@@ -169,20 +169,13 @@ func NewDetector(rcfg RecorderConfig, dcfg DetectorConfig) (*Detector, error) {
 		streaks:       make(map[uint64]int),
 		blockScanners: make(map[netmodel.IPv4]int),
 	}
-	// Every lane's reversible-sketch forecaster first, then the
-	// verifiers', here and at each interval's end: interleaving the
-	// differently sized grids and snapshots leaves the heap laid out so
-	// that the per-interval snapshots more often take fresh pages, about
-	// 1.4 MiB more peak RSS at paper geometry.
 	for i := range d.lanes {
-		p := d.lanes[i].rs.Params()
-		if d.lanes[i].fc[0], err = timeseries.NewEWMA(dcfg.Alpha, p.Stages, p.Buckets); err != nil {
+		l := &d.lanes[i]
+		rp, vp := l.rs.Params(), l.ver.Params()
+		if l.fc[0], err = timeseries.NewEWMA(dcfg.Alpha, rp.Stages, rp.Buckets); err != nil {
 			return nil, err
 		}
-	}
-	for i := range d.lanes {
-		p := d.lanes[i].ver.Params()
-		if d.lanes[i].fc[1], err = timeseries.NewEWMA(dcfg.Alpha, p.Stages, p.Buckets); err != nil {
+		if l.fc[1], err = timeseries.NewEWMA(dcfg.Alpha, vp.Stages, vp.Buckets); err != nil {
 			return nil, err
 		}
 	}
@@ -198,9 +191,6 @@ func NewDetector(rcfg RecorderConfig, dcfg DetectorConfig) (*Detector, error) {
 	}
 	return d, nil
 }
-
-// Config returns the detection configuration (defaults applied).
-func (d *Detector) Config() DetectorConfig { return d.cfg }
 
 // Recorder exposes the detector's own recorder (for inspection and for
 // serializing state to an aggregation site).
@@ -231,24 +221,20 @@ func (d *Detector) EndIntervalWithPartial(partial bool) (IntervalResult, error) 
 	started := time.Now()
 	res := IntervalResult{Interval: d.interval}
 
-	// Feed this interval's counters to the forecasters, in NewDetector's
-	// order; detection needs every lane's error grids, or none (first
-	// interval).
+	// Feed this interval's live counters to the forecasters, which only
+	// read them before the reset below; detection needs every lane's
+	// error grids, or none (first interval).
 	ready := true
 	for i := range d.lanes {
 		l := &d.lanes[i]
 		var err error
-		if l.errs[0], _, err = l.fc[0].Observe(l.rs.Snapshot()); err != nil {
+		if l.errs[0], _, err = l.fc[0].Observe(l.rs.Counts); err != nil {
+			return IntervalResult{}, err
+		}
+		if l.errs[1], _, err = l.fc[1].Observe(l.ver.Counts); err != nil {
 			return IntervalResult{}, err
 		}
 		ready = ready && l.errs[0] != nil
-	}
-	for i := range d.lanes {
-		l := &d.lanes[i]
-		var err error
-		if l.errs[1], _, err = l.fc[1].Observe(l.ver.Snapshot()); err != nil {
-			return IntervalResult{}, err
-		}
 	}
 	if ready {
 		var err error

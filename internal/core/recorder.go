@@ -79,10 +79,10 @@ func TestRecorderConfig(seed uint64) RecorderConfig {
 // Recorder is the streaming data-recording front end of HiFIND: the three
 // reversible sketches, their verifiers, the original sketch, the two 2D
 // sketches and the active-service Bloom filter (paper §5.1). A Recorder
-// holds one interval's traffic; detection snapshots it and Reset starts
-// the next interval. Recorders are the unit of multi-router aggregation:
-// AddBinary sums serialized recorder states into a live one by sketch
-// linearity.
+// holds one interval's traffic; detection reads it in place and Reset
+// starts the next interval. Recorders are the unit of multi-router
+// aggregation: AddBinary sums serialized recorder states into a live one
+// by sketch linearity.
 //
 // Recorder methods are not safe for concurrent use.
 type Recorder struct {
@@ -216,9 +216,6 @@ func (r *Recorder) newPlans() updatePlans {
 		twoDSipDipXDport: r.TwoDSipDipXDport.NewPlan(),
 	}
 }
-
-// Config returns the recorder configuration.
-func (r *Recorder) Config() RecorderConfig { return r.cfg }
 
 // Observe records one packet. Only two packet classes matter to the
 // #SYN−#SYN/ACK signal (paper §3.3): connection-opening SYNs crossing the

@@ -60,7 +60,7 @@ func TestRecorderWireDigest(t *testing.T) {
 		for _, p := range pkts {
 			rec.Observe(p)
 		}
-		if i > 0 && rec.Reflect.Total() <= 0 {
+		if i > 0 && rec.Reflect.Sum <= 0 {
 			t.Fatalf("interval %d: the reflection monitor recorded no unsolicited SYN/ACKs", i)
 		}
 		data, err := rec.MarshalBinary()

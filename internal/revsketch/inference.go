@@ -278,7 +278,7 @@ type inferenceRun struct {
 	kept  [][][]uint32
 	out   []KeyEstimate
 
-	// Leaf estimation. EstimateGrid's per-stage estimate is
+	// Leaf estimation. Estimate's per-stage estimate, read from the grid, is
 	// (c − total/K) / (1 − 1/K); mean holds total/K per stage and denom
 	// 1 − 1/K, so a leaf does the same arithmetic. Each leaf-parent
 	// caches in base the bucket bits its prefix words select in every
@@ -619,8 +619,8 @@ func (r *inferenceRun) emitLeaves(viable []uint64) bool {
 
 // emit completes the prefix with last word w, estimates the key's value
 // from the grid, and records the key if it clears the threshold and
-// Verify. The estimate is EstimateGrid's, bit for bit: the same
-// buckets and arithmetic, with the prefix's share cached by leafPrefix.
+// Verify. The estimate is Estimate's k-ary median read from the grid,
+// bit for bit: the same buckets and arithmetic, with the prefix's share cached by leafPrefix.
 // Every leaf is a distinct prefix (siblings differ in their word, and
 // the search never revisits a node), and joining the words and
 // un-mangling are both injective, so each key is emitted at most once.

@@ -15,7 +15,7 @@ import (
 // The reference search is Inference's kernel as it was before leaves
 // were estimated from their prefix, emitted unranked where no cap binds
 // and full stages were folded into the quorum: every node ranks its
-// candidate words, and every leaf re-mangles its key for EstimateGrid.
+// candidate words, and every leaf re-mangles its key for estimateGrid.
 // TestInferenceMatchesReference and FuzzInference hold Inference to it:
 // the same keys with bit-identical estimates and the same
 // InferenceStats, so the cheaper kernel walks the same traversal.
@@ -51,7 +51,7 @@ type refRun struct {
 	opts   InferenceOptions
 	stats  InferenceStats
 
-	totals []float64  // per-stage grid sums for EstimateGrid
+	totals []float64  // per-stage grid sums for estimateGrid
 	heavy  [][]uint32 // per-stage heavy buckets: the root's compat sets
 	// stageBuf holds, per stage, the bitset of words allowed at the
 	// current position (OR of the allowed chunks' bitsets); planes are the
@@ -284,6 +284,20 @@ func (r *refRun) dfs(depth int, compat [][]uint32) {
 	}
 }
 
+// estimateGrid is the k-ary estimator of Estimate applied to an external
+// grid that shares s's geometry, such as a forecast-error grid, given
+// each stage's total (Grid.Sum).
+func estimateGrid(s *Sketch, g sketch.Grid, totals []float64, key uint64) float64 {
+	words := s.splitWords(s.mangler.Mangle(key))
+	k := float64(s.params.Buckets)
+	est := s.scratch
+	for j := 0; j < s.params.Stages; j++ {
+		c := g[j][s.bucketIndex(j, words)]
+		est[j] = (c - totals[j]/k) / (1 - 1/k)
+	}
+	return sketch.MedianInPlace(est)
+}
+
 // emit reconstructs the key from the completed word prefix, re-estimates
 // its value from the grid, and records it if it clears the threshold.
 // Every leaf is a distinct prefix (siblings differ in their word, and the
@@ -292,7 +306,7 @@ func (r *refRun) dfs(depth int, compat [][]uint32) {
 func (r *refRun) emit() {
 	r.stats.Leaves++
 	key := r.s.mangler.Unmangle(r.s.joinWords(r.prefix))
-	est := r.s.EstimateGrid(r.grid, r.totals, key)
+	est := estimateGrid(r.s, r.grid, r.totals, key)
 	if est < r.thresh {
 		return
 	}

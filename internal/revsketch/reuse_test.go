@@ -130,7 +130,7 @@ func TestSiblingHashesLikeItsSource(t *testing.T) {
 	if !slices.Equal(sibBytes, freshBytes) {
 		t.Fatal("sibling counters differ from a fresh sketch's under the same updates")
 	}
-	if src.Total() != 0 || src.Occupancy() != 0 {
+	if src.Sum != 0 || src.Occupancy() != 0 {
 		t.Fatal("updating a sibling wrote into its source")
 	}
 	got, err := sib.InferenceCounts(200, InferenceOptions{})

@@ -151,9 +151,6 @@ func (s *Sketch) Sibling() *Sketch {
 // Params returns the sketch geometry.
 func (s *Sketch) Params() Params { return s.params }
 
-// Seed returns the hash seed.
-func (s *Sketch) Seed() uint64 { return s.seed }
-
 // splitWords decomposes a mangled key into its q words, least significant
 // word first.
 func (s *Sketch) splitWords(mangled uint64) [8]uint32 {
@@ -185,12 +182,6 @@ func (s *Sketch) bucketIndex(stage int, words [8]uint32) int {
 		idx |= int(s.wordTab[stage][i][words[i]]) << (uint(i) * cb)
 	}
 	return idx
-}
-
-// BucketIndex returns the bucket a key maps to in one stage (for tests
-// and for reading derived grids).
-func (s *Sketch) BucketIndex(stage int, key uint64) int {
-	return s.bucketIndex(stage, s.splitWords(s.mangler.Mangle(key)))
 }
 
 // Update adds v to the key's bucket in every stage (UPDATE). One counter
@@ -246,30 +237,6 @@ func (s *Sketch) Estimate(key uint64) float64 {
 		est[j] = (c - float64(s.Sum)/k) / (1 - 1/k)
 	}
 	return sketch.MedianInPlace(est)
-}
-
-// EstimateGrid estimates a key's value from an external grid sharing this
-// sketch's geometry (e.g. a forecast-error grid). Per-stage totals
-// (Grid.Sum) are computed by the caller to avoid rescanning.
-func (s *Sketch) EstimateGrid(g sketch.Grid, totals []float64, key uint64) float64 {
-	words := s.splitWords(s.mangler.Mangle(key))
-	k := float64(s.params.Buckets)
-	est := s.scratch
-	for j := 0; j < s.params.Stages; j++ {
-		c := g[j][s.bucketIndex(j, words)]
-		est[j] = (c - totals[j]/k) / (1 - 1/k)
-	}
-	return sketch.MedianInPlace(est)
-}
-
-// Occupancy is Table.Occupancy, and 0 for a nil sketch. High occupancy
-// on a reversible sketch warns that reverse inference will surface many
-// spurious candidate keys.
-func (s *Sketch) Occupancy() float64 {
-	if s == nil {
-		return 0
-	}
-	return s.Table.Occupancy()
 }
 
 const sketchMagic = uint32(0x48695253) // "HiRS"

@@ -30,15 +30,6 @@ func (g Grid) Buckets() int {
 	return len(g[0])
 }
 
-// Clone deep-copies the grid.
-func (g Grid) Clone() Grid {
-	out := NewGrid(g.Stages(), g.Buckets())
-	for i := range g {
-		copy(out[i], g[i])
-	}
-	return out
-}
-
 // Zero resets every value in place.
 func (g Grid) Zero() {
 	for i := range g {

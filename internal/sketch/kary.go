@@ -65,21 +65,12 @@ func New(params Params, seed uint64) (*Sketch, error) {
 // Params returns the sketch geometry.
 func (s *Sketch) Params() Params { return s.params }
 
-// Seed returns the hash seed.
-func (s *Sketch) Seed() uint64 { return s.seed }
-
 // Update adds v to the key's counter in every stage (paper Table 2 UPDATE).
 func (s *Sketch) Update(key uint64, v int32) {
 	for i, h := range s.hash {
 		s.Counts[i][h.HashRange(key, s.params.Buckets)] += v
 	}
 	s.Sum += int64(v)
-}
-
-// BucketIndex returns the bucket the key maps to in one stage. Exposed so
-// derived structures (EWMA error grids) can be read for a specific key.
-func (s *Sketch) BucketIndex(stage int, key uint64) int {
-	return int(s.hash[stage].HashRange(key, s.params.Buckets))
 }
 
 // Estimate reconstructs the key's value (paper Table 2 ESTIMATE) using the
@@ -131,14 +122,6 @@ func (s *Sketch) EstimateGridAtLeast(g Grid, gridTotal float64, key uint64, floo
 		}
 	}
 	return MedianInPlace(est) >= floor
-}
-
-// Occupancy is Table.Occupancy, and 0 for a nil sketch.
-func (s *Sketch) Occupancy() float64 {
-	if s == nil {
-		return 0
-	}
-	return s.Table.Occupancy()
 }
 
 const sketchMagic = uint32(0x48694b53) // "HiKS"

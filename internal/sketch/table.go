@@ -41,9 +41,6 @@ func (t *Table) Snapshot() [][]int32 {
 	return out.Counts
 }
 
-// Total returns the sum of all values added into the table.
-func (t *Table) Total() int64 { return t.Sum }
-
 // Occupancy returns the fraction of counters holding a nonzero value,
 // averaged over all stages. Sampled at interval rotation it is the
 // saturation signal the telemetry layer exposes: as occupancy

@@ -77,9 +77,6 @@ func New(params Params, seed uint64) (*Sketch, error) {
 // Params returns the sketch geometry.
 func (s *Sketch) Params() Params { return s.params }
 
-// Seed returns the hash seed.
-func (s *Sketch) Seed() uint64 { return s.seed }
-
 // Update adds v to bucket (hx(xKey), hy(yKey)) in every stage — one memory
 // access per matrix, the "5 accesses per packet" of paper §5.5.2.
 func (s *Sketch) Update(xKey, yKey uint64, v int32) {
@@ -123,13 +120,11 @@ func (s *Sketch) UpdateAt(p *Plan, v int32) {
 	s.Sum += int64(v)
 }
 
-// Column returns a copy of the y-distribution column selected by xKey in
-// one stage.
-func (s *Sketch) Column(stage int, xKey uint64) []int32 {
+// column is the y-distribution column xKey selects in one stage, read
+// in place.
+func (s *Sketch) column(stage int, xKey uint64) []int32 {
 	x := int(s.xHash[stage].HashRange(xKey, s.params.XBuckets))
-	col := make([]int32, s.params.YBuckets)
-	copy(col, s.Counts[stage][x*s.params.YBuckets:(x+1)*s.params.YBuckets])
-	return col
+	return s.Counts[stage][x*s.params.YBuckets : (x+1)*s.params.YBuckets]
 }
 
 // ConcentrationResult reports the per-stage outcome of the top-p test.
@@ -162,10 +157,8 @@ func (s *Sketch) Concentrated(xKey uint64, p int, phi float64) ConcentrationResu
 	var res ConcentrationResult
 	col := make([]float64, s.params.YBuckets)
 	for j := 0; j < s.params.Stages; j++ {
-		x := int(s.xHash[j].HashRange(xKey, s.params.XBuckets))
-		row := s.Counts[j][x*s.params.YBuckets : (x+1)*s.params.YBuckets]
 		var b float64
-		for i, v := range row {
+		for i, v := range s.column(j, xKey) {
 			if v > 0 {
 				col[i] = float64(v)
 				b += float64(v)
@@ -193,10 +186,8 @@ func (s *Sketch) Concentrated(xKey uint64, p int, phi float64) ConcentrationResu
 func (s *Sketch) DistinctYEstimate(xKey uint64, minMass int32) int {
 	counts := make([]int, 0, s.params.Stages)
 	for j := 0; j < s.params.Stages; j++ {
-		x := int(s.xHash[j].HashRange(xKey, s.params.XBuckets))
-		row := s.Counts[j][x*s.params.YBuckets : (x+1)*s.params.YBuckets]
 		n := 0
-		for _, v := range row {
+		for _, v := range s.column(j, xKey) {
 			if v >= minMass {
 				n++
 			}

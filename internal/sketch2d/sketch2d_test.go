@@ -45,7 +45,7 @@ func TestUpdateAndColumn(t *testing.T) {
 	s.Update(x, 80, 5)
 	s.Update(x, 443, 3)
 	for stage := 0; stage < 5; stage++ {
-		col := s.Column(stage, x)
+		col := s.column(stage, x)
 		var sum int32
 		for _, v := range col {
 			sum += v
@@ -54,8 +54,8 @@ func TestUpdateAndColumn(t *testing.T) {
 			t.Errorf("stage %d column mass = %d, want 18", stage, sum)
 		}
 	}
-	if s.Total() != 18 {
-		t.Errorf("Total = %d", s.Total())
+	if s.Sum != 18 {
+		t.Errorf("Total = %d", s.Sum)
 	}
 }
 
@@ -200,7 +200,7 @@ func TestCombineMatchesSingleSketch(t *testing.T) {
 			}
 		}
 	}
-	if agg.Total() != single.Total() {
+	if agg.Sum != single.Sum {
 		t.Error("combined total differs")
 	}
 }
@@ -237,10 +237,10 @@ func TestResetClears(t *testing.T) {
 	s := mustNew(t, testParams(), 10)
 	s.Update(1, 2, 50)
 	s.Reset()
-	if s.Total() != 0 {
+	if s.Sum != 0 {
 		t.Error("Total nonzero after Reset")
 	}
-	for _, v := range s.Column(0, 1) {
+	for _, v := range s.column(0, 1) {
 		if v != 0 {
 			t.Fatal("column not cleared")
 		}
@@ -257,11 +257,11 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := mustNew(t, s.Params(), s.Seed())
+	back := mustNew(t, s.Params(), s.seed)
 	if err := back.AddBinary(data, true); err != nil {
 		t.Fatal(err)
 	}
-	if back.Total() != s.Total() {
+	if back.Sum != s.Sum {
 		t.Fatal("metadata differs")
 	}
 	for j := range s.Counts {
@@ -271,7 +271,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	corrupt := mustNew(t, s.Params(), s.Seed())
+	corrupt := mustNew(t, s.Params(), s.seed)
 	if err := corrupt.AddBinary(data[:16], true); err == nil {
 		t.Error("truncated accepted")
 	}
@@ -316,7 +316,7 @@ func TestColumnStableUnderSeed(t *testing.T) {
 		a.Update(x, y, int32(v))
 		b.Update(x, y, int32(v))
 		for stage := 0; stage < 5; stage++ {
-			ca, cb := a.Column(stage, x), b.Column(stage, x)
+			ca, cb := a.column(stage, x), b.column(stage, x)
 			for i := range ca {
 				if ca[i] != cb[i] {
 					return false

@@ -1,5 +1,5 @@
 // Package timeseries implements the forecast models HiFIND applies to
-// whole sketches (paper §3.1, §3.3). The forecaster consumes the sketch
+// whole sketches (paper §3.1, §3.3). The forecaster reads the sketch
 // counters observed in each interval and produces a forecast-error grid
 //
 //	e(t) = M0(t) − Mf(t)
@@ -56,17 +56,15 @@ func NewEWMA(alpha float64, stages, buckets int) (*EWMA, error) {
 // none is configured.
 const DefaultAlpha = 0.5
 
-// Alpha returns the smoothing constant.
-func (e *EWMA) Alpha() float64 { return e.alpha }
-
 // Intervals returns how many intervals have been observed.
 func (e *EWMA) Intervals() int { return e.t }
 
 // Observe feeds the counters recorded in the interval that just ended and
 // returns the forecast-error grid e(t) = M0(t) − Mf(t), or (nil, false)
-// for the first interval, which has no forecast yet. The returned grid is
-// reused by the next Observe call; callers needing to retain it must
-// Clone.
+// for the first interval, which has no forecast yet. counts is only read
+// during the call and not retained, so a caller may pass a sketch's live
+// counters and reset them afterwards. The returned grid is reused by the
+// next Observe call; callers needing to retain it must copy it.
 func (e *EWMA) Observe(counts [][]int32) (sketch.Grid, bool, error) {
 	if len(counts) != e.stages {
 		return nil, false, fmt.Errorf("timeseries: %d stages, want %d", len(counts), e.stages)
@@ -100,12 +98,6 @@ func (e *EWMA) Observe(counts [][]int32) (sketch.Grid, bool, error) {
 		}
 	}
 	return e.err, true, nil
-}
-
-// ForecastSnapshot returns a copy of the standing forecast Mf(t+1), mainly
-// for inspection and tests.
-func (e *EWMA) ForecastSnapshot() sketch.Grid {
-	return e.forecast.Clone()
 }
 
 // Reset returns the forecaster to its initial state.

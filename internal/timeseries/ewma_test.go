@@ -84,9 +84,14 @@ func TestEWMARecursion(t *testing.T) {
 	if math.Abs(g[0][0]-0) > 1e-9 { // 150 − 150
 		t.Errorf("e(3) = %v, want 0", g[0][0])
 	}
-	// Forecast rolled to 0.5·150 + 0.5·150 = 150.
-	if f := e.ForecastSnapshot(); math.Abs(f[0][0]-150) > 1e-9 {
-		t.Errorf("Mf(4) = %v, want 150", f[0][0])
+	// Forecast rolled to 0.5·150 + 0.5·150 = 150, so a silent interval
+	// reads e(4) = 0 − 150.
+	g, _, err = e.Observe(counts(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(g[0][0]+150) > 1e-9 {
+		t.Errorf("e(4) = %v, want −150 (Mf(4) = 150)", g[0][0])
 	}
 }
 
@@ -171,16 +176,16 @@ func TestErrorGridIsReused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := g1[0][0]
-	keep := g1.Clone()
-	if _, _, err := e.Observe(counts(500)); err != nil {
+	if g1[0][0] != 10 {
+		t.Fatalf("e(2) = %v, want 10", g1[0][0])
+	}
+	g2, _, err := e.Observe(counts(500))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if g1[0][0] == v1 {
-		t.Log("note: buffer happened to keep its value; reuse contract still documented")
-	}
-	if keep[0][0] != v1 {
-		t.Error("Clone did not preserve the error value")
+	// Mf(3) = 0.5·10 + 0.5·0 = 5, so e(3) = 495, written into g1's buffer.
+	if &g2[0][0] != &g1[0][0] || g1[0][0] != 495 {
+		t.Errorf("second error grid not written in place: g1 = %v, g2 = %v", g1[0][0], g2[0][0])
 	}
 }
 
@@ -199,12 +204,6 @@ func TestReset(t *testing.T) {
 	}
 	if ok || g != nil {
 		t.Error("after Reset the first interval must again produce no error")
-	}
-}
-
-func TestAlphaAccessor(t *testing.T) {
-	if mustEWMA(t, 0.25, 1, 1).Alpha() != 0.25 {
-		t.Error("Alpha accessor wrong")
 	}
 }
 
@@ -260,5 +259,24 @@ func TestMarshalRoundTrip(t *testing.T) {
 	bad[0] ^= 1
 	if err := restored.UnmarshalBinary(bad); err == nil {
 		t.Error("bad magic accepted")
+	}
+}
+
+// TestObserveDoesNotRetainCounts: the detector passes a sketch's live
+// counters and resets them right after, so Observe must have taken all
+// it needs from counts by the time it returns.
+func TestObserveDoesNotRetainCounts(t *testing.T) {
+	e := mustEWMA(t, 0.5, 1, 2)
+	live := [][]int32{{40, 8}}
+	if _, _, err := e.Observe(live); err != nil {
+		t.Fatal(err)
+	}
+	clear(live[0])
+	g, _, err := e.Observe([][]int32{{40, 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g[0][0] != 0 || g[0][1] != 0 {
+		t.Errorf("e(2) = %v, want [0 0]: the forecast followed the cleared counters", g[0])
 	}
 }
