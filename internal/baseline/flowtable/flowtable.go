@@ -1,155 +1,55 @@
-// Package flowtable is the paper's "non-sketch method" (§5.2): the same
-// three-step detection algorithm as HiFIND, but recording traffic in exact
-// per-key hash tables instead of sketches. It serves two purposes in the
-// evaluation: confirming that sketches lose no detections (the accuracy
-// comparison of §5.2) and quantifying the memory a per-flow approach needs
-// (Table 9) — which is also why it is *not* DoS resilient: a spoofed flood
-// inserts one entry per forged source.
+// Package flowtable is the per-flow memory model of the paper's Table 9:
+// exact per-key hash tables for the three HiFIND keys, holding an entry
+// for every key the recorder's sketches are updated for, so the state a
+// per-flow approach keeps can be measured against HiFIND's fixed
+// sketches. It is *not* DoS resilient: a spoofed flood inserts one entry
+// per forged source. It counts entries; it runs no detection.
 package flowtable
 
-import (
-	"fmt"
-	"sort"
+import "github.com/hifind/hifind/internal/netmodel"
 
-	"github.com/hifind/hifind/internal/netmodel"
-)
-
-// Config tunes the exact detector to mirror a HiFIND configuration.
-type Config struct {
-	// Threshold is the forecast-error alarm level per interval.
-	Threshold float64
-	// Alpha is the EWMA smoothing constant (same role as HiFIND's).
-	Alpha float64
+// Table holds the {SIP,Dport}, {DIP,Dport} and {SIP,DIP} keys seen so
+// far. Not safe for concurrent use.
+type Table struct {
+	sipDport map[uint64]struct{}
+	dipDport map[uint64]struct{}
+	sipDip   map[uint64]struct{}
 }
 
-// DefaultConfig matches the HiFIND defaults (60 unresponded SYNs/min).
-func DefaultConfig() Config { return Config{Threshold: 60, Alpha: 0.5} }
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Threshold <= 0 {
-		return fmt.Errorf("flowtable: threshold %v must be positive", c.Threshold)
+// New builds an empty table.
+func New() *Table {
+	return &Table{
+		sipDport: make(map[uint64]struct{}),
+		dipDport: make(map[uint64]struct{}),
+		sipDip:   make(map[uint64]struct{}),
 	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		return fmt.Errorf("flowtable: alpha %v out of (0,1]", c.Alpha)
-	}
-	return nil
 }
 
-// keyState carries the exact counter and EWMA forecast for one key. Keys
-// first seen after the initial interval implicitly carry a zero forecast
-// (their history really was zero), matching the sketch pipeline where
-// every bucket has a forecast from the first interval on.
-type keyState struct {
-	current  int64
-	forecast float64
-}
-
-// Detection is one exact-detection result.
-type Detection struct {
-	Key   uint64
-	Kind  netmodel.KeyKind
-	Error float64
-}
-
-// Detector keeps exact per-key tables for the three HiFIND keys.
-// Not safe for concurrent use.
-type Detector struct {
-	cfg      Config
-	sipDport map[uint64]*keyState
-	dipDport map[uint64]*keyState
-	sipDip   map[uint64]*keyState
-	interval int
-}
-
-// New builds a detector.
-func New(cfg Config) (*Detector, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Detector{
-		cfg:      cfg,
-		sipDport: make(map[uint64]*keyState),
-		dipDport: make(map[uint64]*keyState),
-		sipDip:   make(map[uint64]*keyState),
-	}, nil
-}
-
-// Observe feeds one packet, applying the identical ±1 accounting HiFIND's
-// recorder uses.
-func (d *Detector) Observe(pkt netmodel.Packet) {
+// Observe feeds one packet: an inbound SYN or an outbound SYN/ACK, the
+// two classes HiFIND's recorder counts (+1 and −1), inserts the keys of
+// its connection as seen from the client side.
+func (t *Table) Observe(pkt netmodel.Packet) {
 	switch {
 	case pkt.Dir == netmodel.Inbound && pkt.Flags.IsSYN():
-		d.bump(pkt.SrcIP, pkt.DstIP, pkt.DstPort, +1)
+		t.add(pkt.SrcIP, pkt.DstIP, pkt.DstPort)
 	case pkt.Dir == netmodel.Outbound && pkt.Flags.IsSYNACK():
-		d.bump(pkt.DstIP, pkt.SrcIP, pkt.SrcPort, -1)
+		t.add(pkt.DstIP, pkt.SrcIP, pkt.SrcPort)
 	}
 }
 
-func (d *Detector) bump(sip, dip netmodel.IPv4, dport uint16, v int64) {
-	add := func(m map[uint64]*keyState, k uint64) {
-		st := m[k]
-		if st == nil {
-			st = &keyState{}
-			m[k] = st
-		}
-		st.current += v
-	}
-	add(d.sipDport, netmodel.PackSIPDport(sip, dport))
-	add(d.dipDport, netmodel.PackDIPDport(dip, dport))
-	add(d.sipDip, netmodel.PackSIPDIP(sip, dip))
-}
-
-// EndInterval rolls every key's EWMA forward and returns the keys whose
-// forecast error cleared the threshold, grouped by key kind and sorted by
-// error (largest first).
-func (d *Detector) EndInterval() []Detection {
-	first := d.interval == 0
-	d.interval++
-	out := make([]Detection, 0, 16)
-	roll := func(m map[uint64]*keyState, kind netmodel.KeyKind) {
-		for k, st := range m {
-			if first {
-				st.forecast = float64(st.current) // Mf(2) = M0(1), eq. (1)
-			} else {
-				e := float64(st.current) - st.forecast
-				if e >= d.cfg.Threshold {
-					out = append(out, Detection{Key: k, Kind: kind, Error: e})
-				}
-				st.forecast = d.cfg.Alpha*float64(st.current) + (1-d.cfg.Alpha)*st.forecast
-			}
-			st.current = 0
-			// Exact tables grow without bound unless idle keys are
-			// dropped; mirror NetFlow-style expiry of keys whose forecast
-			// has decayed to noise (they reappear with forecast 0, which
-			// is also what their absence means).
-			if !first && st.forecast < 2 {
-				delete(m, k)
-			}
-		}
-	}
-	roll(d.sipDport, netmodel.KeySIPDport)
-	roll(d.dipDport, netmodel.KeyDIPDport)
-	roll(d.sipDip, netmodel.KeySIPDIP)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Error > out[j].Error {
-			return true
-		}
-		if out[i].Error < out[j].Error {
-			return false
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
+func (t *Table) add(sip, dip netmodel.IPv4, dport uint16) {
+	t.sipDport[netmodel.PackSIPDport(sip, dport)] = struct{}{}
+	t.dipDport[netmodel.PackDIPDport(dip, dport)] = struct{}{}
+	t.sipDip[netmodel.PackSIPDIP(sip, dip)] = struct{}{}
 }
 
 // Entries returns the live key count across all three tables — the state
 // a spoofed flood inflates (Table 9's 10s-of-GB column comes from exactly
 // this growth at line rate).
-func (d *Detector) Entries() int {
-	return len(d.sipDport) + len(d.dipDport) + len(d.sipDip)
+func (t *Table) Entries() int {
+	return len(t.sipDport) + len(t.dipDport) + len(t.sipDip)
 }
 
 // MemoryBytes estimates table memory at 48 bytes per entry (key, counter,
 // forecast, map overhead) — the accounting used for Table 9.
-func (d *Detector) MemoryBytes() int { return 48 * d.Entries() }
+func (t *Table) MemoryBytes() int { return 48 * t.Entries() }

@@ -31,10 +31,7 @@ func Table9Measured(n int) (MeasuredMemory, error) {
 	if err != nil {
 		return MeasuredMemory{}, err
 	}
-	ft, err := flowtable.New(flowtable.DefaultConfig())
-	if err != nil {
-		return MeasuredMemory{}, err
-	}
+	ft := flowtable.New()
 	td, err := trw.New(trw.DefaultConfig())
 	if err != nil {
 		return MeasuredMemory{}, err
