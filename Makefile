@@ -47,6 +47,7 @@ FUZZTIME ?= 10s
 .PHONY: fuzz-short
 fuzz-short:
 	$(GO) test -fuzz FuzzReadPacket -fuzztime $(FUZZTIME) ./internal/pcap
+	$(GO) test -fuzz FuzzReader -fuzztime $(FUZZTIME) ./internal/netflow
 	$(GO) test -fuzz FuzzInference -fuzztime $(FUZZTIME) ./internal/revsketch
 	$(GO) test -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME) ./internal/aggregate
 	$(GO) test -fuzz FuzzObserve -fuzztime $(FUZZTIME) ./internal/core

@@ -479,10 +479,11 @@ func BenchmarkNetFlowDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	dst := make([]netflow.Record, 0, netflow.MaxRecordsPerPacket)
 	b.SetBytes(int64(len(pkt)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := netflow.Unmarshal(pkt); err != nil {
+		if _, _, err := netflow.Unmarshal(pkt, dst[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -103,6 +103,26 @@ if [ "$rc" -ne 0 ]; then
 fi
 
 # ---------------------------------------------------------------------
+# NetFlow replay, the paper's own input: the same preset exported as v5
+# records must replay to a clean exit with at least one alert event.
+echo "smoke: NetFlow replay"
+"$workdir/tracegen" -preset nu -format netflow -intervals 5 -out "$workdir/smoke.nf" >/dev/null
+rc=0
+"$workdir/hifind" -netflow "$workdir/smoke.nf" -edge 129.105.0.0/16 -json \
+    >"$workdir/stdout-nf.log" 2>"$workdir/stderr-nf.log" || rc=$?
+if [ "$rc" -ne 0 ]; then
+    echo "smoke: hifind -netflow exited $rc, want 0" >&2
+    cat "$workdir/stderr-nf.log" >&2
+    exit 1
+fi
+grep -qF '"kind":"alert"' "$workdir/stdout-nf.log" || {
+    echo "smoke: NetFlow replay produced no alert event" >&2
+    head -20 "$workdir/stdout-nf.log" >&2
+    exit 1
+}
+echo "smoke: NetFlow alert observed"
+
+# ---------------------------------------------------------------------
 # Flags that went with earlier simplifications must fail at flag parsing
 # (exit status 2), so a stale runbook cannot run in silence: -workers
 # went with the key-sharded pipeline, the burst slot count into

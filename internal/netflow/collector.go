@@ -89,7 +89,11 @@ func (c *Collector) Addr() string { return c.conn.LocalAddr().String() }
 
 func (c *Collector) receiveLoop() {
 	defer c.wg.Done()
-	buf := make([]byte, 65536)
+	// A datagram longer than the largest legal frame is cut to it, which
+	// decodes exactly as the whole datagram would: Unmarshal reads no
+	// further than the records the header counts, at most 30.
+	buf := make([]byte, maxFrameLen)
+	recs := make([]Record, 0, MaxRecordsPerPacket)
 	for {
 		n, _, err := c.conn.ReadFromUDP(buf)
 		if err != nil {
@@ -103,7 +107,7 @@ func (c *Collector) receiveLoop() {
 			}
 			continue // transient receive error; keep collecting
 		}
-		hdr, records, err := Unmarshal(buf[:n])
+		hdr, records, err := Unmarshal(buf[:n], recs[:0])
 		c.mu.Lock()
 		c.packets++
 		c.mDatagrams.Inc()

@@ -251,3 +251,66 @@ func TestLivePipeline(t *testing.T) {
 		return syns == 50
 	})
 }
+
+// TestCollectorReusesBuffersSafely sends datagrams of 30 records, 1, a
+// malformed one (a 30-record frame cut after 10 records) and 5: the
+// collector decodes each into the same buffers, so the handler must see
+// exactly the 36 valid records in order, none of an earlier datagram's.
+func TestCollectorReusesBuffersSafely(t *testing.T) {
+	c, got := collectAll(t)
+	e, err := NewExporter(c.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var want []Record
+	// datagram encodes n records numbered after the ones already sent.
+	datagram := func(n int) ([]byte, []Record) {
+		recs := make([]Record, n)
+		for i := range recs {
+			recs[i] = Record{
+				SrcAddr: netmodel.IPv4(0x08000000 + uint32(len(want)+i)), DstAddr: netmodel.MustParseIPv4("129.105.1.1"),
+				SrcPort: uint16(1000 + i), DstPort: uint16(n), Packets: uint32(1 + i), Octets: 40,
+				TCPFlags: uint8(netmodel.FlagSYN), Protocol: 6,
+			}
+		}
+		d, err := Marshal(Header{UnixSecs: 1115700000}, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, recs
+	}
+	send := func(d []byte) {
+		t.Helper()
+		if _, err := e.conn.Write(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sendValid := func(n int) {
+		t.Helper()
+		d, recs := datagram(n)
+		send(d)
+		want = append(want, recs...)
+	}
+	sendValid(30)
+	sendValid(1)
+	cut, _ := datagram(30)
+	send(cut[:HeaderLen+10*RecordLen])
+	sendValid(5)
+
+	waitFor(t, func() bool { pkts, _, _ := c.Stats(); return pkts == 4 })
+	c.Close() // waits for the receive loop, so every handler call is done
+	pkts, nrecs, malformed := c.Stats()
+	if pkts != 4 || nrecs != int64(len(want)) || malformed != 1 {
+		t.Errorf("Stats = %d/%d/%d, want 4/%d/1", pkts, nrecs, malformed, len(want))
+	}
+	recs := got()
+	if len(recs) != len(want) {
+		t.Fatalf("handler saw %d records, want %d", len(recs), len(want))
+	}
+	for i := range want {
+		if recs[i] != want[i] {
+			t.Fatalf("record %d: %+v, want %+v", i, recs[i], want[i])
+		}
+	}
+}

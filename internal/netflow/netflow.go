@@ -94,14 +94,16 @@ func Marshal(hdr Header, records []Record) ([]byte, error) {
 	return buf, nil
 }
 
-// Unmarshal decodes one export packet.
-func Unmarshal(data []byte) (Header, []Record, error) {
+// Unmarshal decodes one export packet, appending its records to dst and
+// returning the extended slice; pass dst[:0] to reuse a buffer. On error
+// dst comes back unchanged.
+func Unmarshal(data []byte, dst []Record) (Header, []Record, error) {
 	if len(data) < HeaderLen {
-		return Header{}, nil, fmt.Errorf("netflow: packet of %d bytes shorter than header", len(data))
+		return Header{}, dst, fmt.Errorf("netflow: packet of %d bytes shorter than header", len(data))
 	}
 	be := binary.BigEndian
 	if v := be.Uint16(data[0:]); v != Version {
-		return Header{}, nil, fmt.Errorf("netflow: version %d, want %d", v, Version)
+		return Header{}, dst, fmt.Errorf("netflow: version %d, want %d", v, Version)
 	}
 	hdr := Header{
 		Count:        be.Uint16(data[2:]),
@@ -114,17 +116,15 @@ func Unmarshal(data []byte) (Header, []Record, error) {
 		SamplingInfo: be.Uint16(data[22:]),
 	}
 	if int(hdr.Count) > MaxRecordsPerPacket {
-		return Header{}, nil, fmt.Errorf("netflow: header claims %d records", hdr.Count)
+		return Header{}, dst, fmt.Errorf("netflow: header claims %d records", hdr.Count)
 	}
 	want := HeaderLen + RecordLen*int(hdr.Count)
 	if len(data) < want {
-		return Header{}, nil, fmt.Errorf("netflow: %d bytes for %d records (want %d)",
+		return Header{}, dst, fmt.Errorf("netflow: %d bytes for %d records (want %d)",
 			len(data), hdr.Count, want)
 	}
-	records := make([]Record, hdr.Count)
-	for i := range records {
-		off := HeaderLen + i*RecordLen
-		records[i] = Record{
+	for off := HeaderLen; off < want; off += RecordLen {
+		dst = append(dst, Record{
 			SrcAddr:  netmodel.IPv4(be.Uint32(data[off+0:])),
 			DstAddr:  netmodel.IPv4(be.Uint32(data[off+4:])),
 			Packets:  be.Uint32(data[off+16:]),
@@ -136,9 +136,9 @@ func Unmarshal(data []byte) (Header, []Record, error) {
 			TCPFlags: data[off+37],
 			Protocol: data[off+38],
 			Tos:      data[off+39],
-		}
+		})
 	}
-	return hdr, records, nil
+	return hdr, dst, nil
 }
 
 // Writer streams flow records as length-delimited v5 export packets to an
@@ -196,43 +196,54 @@ func (nw *Writer) Flush() error {
 	return nil
 }
 
+// maxFrameLen is the largest legal export packet: a header and 30 records.
+const maxFrameLen = HeaderLen + RecordLen*MaxRecordsPerPacket
+
 // Reader streams flow records back from a length-delimited export file.
+// It decodes every frame into the same frame buffer and record slice, so
+// a warm stream allocates nothing.
 type Reader struct {
 	r       io.Reader
+	frame   [maxFrameLen]byte
 	queue   []Record
 	hdr     Header
 	nextIdx int
 }
 
 // NewReader wraps r.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+func NewReader(r io.Reader) *Reader {
+	return &Reader{r: r, queue: make([]Record, 0, MaxRecordsPerPacket)}
+}
 
 // Next returns the next record and the export header it arrived under, or
 // io.EOF at end of stream.
 func (nr *Reader) Next() (Record, Header, error) {
 	for nr.nextIdx >= len(nr.queue) {
-		var lenPrefix [4]byte
-		if _, err := io.ReadFull(nr.r, lenPrefix[:]); err != nil {
+		// The length prefix is read into the frame buffer, which the body
+		// then overwrites.
+		if _, err := io.ReadFull(nr.r, nr.frame[:4]); err != nil {
 			if err == io.EOF {
 				return Record{}, Header{}, io.EOF
 			}
 			return Record{}, Header{}, fmt.Errorf("netflow: frame length: %w", err)
 		}
-		n := binary.BigEndian.Uint32(lenPrefix[:])
-		if n < HeaderLen || n > HeaderLen+RecordLen*MaxRecordsPerPacket {
+		n := binary.BigEndian.Uint32(nr.frame[:4])
+		if n < HeaderLen || n > maxFrameLen {
 			return Record{}, Header{}, fmt.Errorf("netflow: implausible frame of %d bytes", n)
 		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(nr.r, buf); err != nil {
+		if _, err := io.ReadFull(nr.r, nr.frame[:n]); err != nil {
+			if err == io.EOF {
+				// A stream cut after a length prefix is truncated, not ended.
+				err = io.ErrUnexpectedEOF
+			}
 			return Record{}, Header{}, fmt.Errorf("netflow: frame body: %w", err)
 		}
-		hdr, records, err := Unmarshal(buf)
+		hdr, records, err := Unmarshal(nr.frame[:n], nr.queue[:0])
+		nr.queue, nr.nextIdx = records, 0
 		if err != nil {
 			return Record{}, Header{}, err
 		}
 		nr.hdr = hdr
-		nr.queue = records
-		nr.nextIdx = 0
 	}
 	rec := nr.queue[nr.nextIdx]
 	nr.nextIdx++

@@ -53,7 +53,7 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	if len(data) != HeaderLen+RecordLen*len(recs) {
 		t.Fatalf("packet length %d", len(data))
 	}
-	gotHdr, gotRecs, err := Unmarshal(data)
+	gotHdr, gotRecs, err := Unmarshal(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,20 +85,20 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Unmarshal(data[:10]); err == nil {
+	if _, _, err := Unmarshal(data[:10], nil); err == nil {
 		t.Error("truncated header accepted")
 	}
-	if _, _, err := Unmarshal(data[:HeaderLen+5]); err == nil {
+	if _, _, err := Unmarshal(data[:HeaderLen+5], nil); err == nil {
 		t.Error("truncated records accepted")
 	}
 	bad := append([]byte(nil), data...)
 	bad[0], bad[1] = 0, 9 // version 9
-	if _, _, err := Unmarshal(bad); err == nil {
+	if _, _, err := Unmarshal(bad, nil); err == nil {
 		t.Error("wrong version accepted")
 	}
 	bad = append([]byte(nil), data...)
 	bad[2], bad[3] = 0xff, 0xff // absurd count
-	if _, _, err := Unmarshal(bad); err == nil {
+	if _, _, err := Unmarshal(bad, nil); err == nil {
 		t.Error("absurd count accepted")
 	}
 }
@@ -148,6 +148,12 @@ func TestReaderRejectsGarbage(t *testing.T) {
 	r = NewReader(bytes.NewReader([]byte{0, 0, 0, 100, 1, 2, 3}))
 	if _, _, err := r.Next(); err == nil {
 		t.Error("truncated frame accepted")
+	}
+	// A stream cut right after a length prefix is truncated, not ended:
+	// replay loops stop at errors.Is(err, io.EOF).
+	r = NewReader(bytes.NewReader([]byte{0, 0, 0, 100}))
+	if _, _, err := r.Next(); err == nil || errors.Is(err, io.EOF) {
+		t.Errorf("frame cut after its length prefix read as %v, want a non-EOF error", err)
 	}
 }
 
@@ -308,7 +314,7 @@ func TestEndToEndWithRecorder(t *testing.T) {
 
 func TestUnmarshalNeverPanicsOnRandomBytes(t *testing.T) {
 	f := func(data []byte) bool {
-		_, _, _ = Unmarshal(data) // must not panic
+		_, _, _ = Unmarshal(data, nil) // must not panic
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -327,7 +333,7 @@ func TestMarshalUnmarshalProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		hdr, recs, err := Unmarshal(data)
+		hdr, recs, err := Unmarshal(data, nil)
 		if err != nil || len(recs) != 1 {
 			return false
 		}

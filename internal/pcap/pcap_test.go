@@ -331,3 +331,37 @@ func TestZeroLengthPrefixMatchesAll(t *testing.T) {
 		t.Error("/0 should match everything")
 	}
 }
+
+// TestReaderNextAllocs pins the reader to its record buffer: once warm,
+// decoding edge-crossing TCP frames allocates nothing per Next.
+func TestReaderNextAllocs(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	want := samplePackets()
+	for _, p := range want {
+		if err := w.WritePacket(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	records := buf.Bytes()[globalHeaderLen:]
+	src := bytes.NewReader(buf.Bytes())
+	r, err := NewReader(src, testEdge(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		src.Reset(records)
+		for i := range want {
+			if got, err := r.Next(); err != nil || got.SrcIP != want[i].SrcIP {
+				bad++
+			}
+		}
+	})
+	if bad != 0 {
+		t.Fatalf("%d packets misread", bad)
+	}
+	if allocs != 0 {
+		t.Errorf("decoding %d packets allocates %v times, want 0 per Next", len(want), allocs)
+	}
+}
