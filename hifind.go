@@ -28,6 +28,7 @@
 package hifind
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"sync/atomic"
@@ -64,12 +65,22 @@ type Packet struct {
 	Dir       Direction
 }
 
+// ipv4Pair converts a source and destination address; ok is false
+// unless both are IPv4.
+func ipv4Pair(src, dst netip.Addr) (s, d netmodel.IPv4, ok bool) {
+	if !src.Is4() || !dst.Is4() {
+		return 0, 0, false
+	}
+	s4, d4 := src.As4(), dst.As4()
+	return netmodel.IPv4(binary.BigEndian.Uint32(s4[:])), netmodel.IPv4(binary.BigEndian.Uint32(d4[:])), true
+}
+
 // toInternal converts the public packet; non-IPv4 addresses report ok=false.
 func (p Packet) toInternal() (netmodel.Packet, bool) {
-	if !p.SrcIP.Is4() || !p.DstIP.Is4() {
+	src, dst, ok := ipv4Pair(p.SrcIP, p.DstIP)
+	if !ok {
 		return netmodel.Packet{}, false
 	}
-	src, dst := p.SrcIP.As4(), p.DstIP.As4()
 	var flags netmodel.TCPFlags
 	if p.SYN {
 		flags |= netmodel.FlagSYN
@@ -85,8 +96,8 @@ func (p Packet) toInternal() (netmodel.Packet, bool) {
 	}
 	return netmodel.Packet{
 		Timestamp: p.Timestamp,
-		SrcIP:     netmodel.IPv4(uint32(src[0])<<24 | uint32(src[1])<<16 | uint32(src[2])<<8 | uint32(src[3])),
-		DstIP:     netmodel.IPv4(uint32(dst[0])<<24 | uint32(dst[1])<<16 | uint32(dst[2])<<8 | uint32(dst[3])),
+		SrcIP:     src,
+		DstIP:     dst,
 		SrcPort:   p.SrcPort,
 		DstPort:   p.DstPort,
 		Flags:     flags,
@@ -275,8 +286,7 @@ func (d *Detector) Observe(p Packet) {
 		d.ins.dropped.Inc()
 		return
 	}
-	d.det.Observe(ip)
-	d.ins.packets.Inc()
+	d.observeInternal(ip)
 }
 
 // Flow is a NetFlow-style unidirectional flow summary, the alternative
@@ -295,13 +305,13 @@ type Flow struct {
 
 // toInternal converts the public flow; non-IPv4 addresses report ok=false.
 func (f Flow) toInternal() (netmodel.FlowRecord, bool) {
-	if !f.SrcIP.Is4() || !f.DstIP.Is4() {
+	src, dst, ok := ipv4Pair(f.SrcIP, f.DstIP)
+	if !ok {
 		return netmodel.FlowRecord{}, false
 	}
-	src, dst := f.SrcIP.As4(), f.DstIP.As4()
 	return netmodel.FlowRecord{
-		SrcIP:   netmodel.IPv4(uint32(src[0])<<24 | uint32(src[1])<<16 | uint32(src[2])<<8 | uint32(src[3])),
-		DstIP:   netmodel.IPv4(uint32(dst[0])<<24 | uint32(dst[1])<<16 | uint32(dst[2])<<8 | uint32(dst[3])),
+		SrcIP:   src,
+		DstIP:   dst,
 		SrcPort: f.SrcPort,
 		DstPort: f.DstPort,
 		Dir:     netmodel.Direction(f.Dir),
@@ -322,21 +332,22 @@ func (d *Detector) ObserveFlow(f Flow) {
 		d.ins.dropped.Inc()
 		return
 	}
-	d.det.ObserveFlow(fr)
-	d.ins.flows.Inc()
+	d.observeFlowInternal(fr)
 }
 
 // Dropped returns how many packets were ignored as non-IPv4. Safe to
 // call concurrently with ingestion.
 func (d *Detector) Dropped() int64 { return d.dropped.Load() }
 
-// observeInternal feeds a pre-converted packet (replay path).
+// observeInternal feeds a converted packet: Observe's tail and the
+// replay path's entry.
 func (d *Detector) observeInternal(pkt netmodel.Packet) {
 	d.det.Observe(pkt)
 	d.ins.packets.Inc()
 }
 
-// observeFlowInternal feeds a pre-converted flow record (replay path).
+// observeFlowInternal feeds a converted flow record: ObserveFlow's tail
+// and the replay path's entry.
 func (d *Detector) observeFlowInternal(fr netmodel.FlowRecord) {
 	d.det.ObserveFlow(fr)
 	d.ins.flows.Inc()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	hifind "github.com/hifind/hifind"
 	"github.com/hifind/hifind/internal/netflow"
+	"github.com/hifind/hifind/internal/netmodel"
 	"github.com/hifind/hifind/internal/pcap"
 	"github.com/hifind/hifind/internal/trace"
 )
@@ -595,5 +597,38 @@ func TestReplayPcapContextCancel(t *testing.T) {
 	}
 	if len(full) <= len(results) {
 		t.Fatalf("full replay yielded %d intervals, canceled %d — cancellation had no effect", len(full), len(results))
+	}
+}
+
+// TestReplayPcapTruncatedCaptureFails: a capture cut right after a
+// record (or pcapng block) header has lost data, so the replay must
+// return an error rather than end as if the capture were complete.
+func TestReplayPcapTruncatedCaptureFails(t *testing.T) {
+	pkt := netmodel.Packet{
+		Timestamp: time.Date(2005, 5, 10, 0, 0, 0, 0, time.UTC),
+		SrcIP:     netmodel.MustParseIPv4("8.8.8.8"), DstIP: netmodel.MustParseIPv4("129.105.1.1"),
+		SrcPort: 40000, DstPort: 80, Flags: netmodel.FlagSYN,
+	}
+	for _, c := range []struct {
+		name      string
+		write     func(w io.Writer) func(netmodel.Packet) error
+		headerLen int
+	}{
+		{"pcap", func(w io.Writer) func(netmodel.Packet) error { return pcap.NewWriter(w).WritePacket }, 16},
+		{"pcapng", func(w io.Writer) func(netmodel.Packet) error { return pcap.NewNGWriter(w).WritePacket }, 8},
+	} {
+		var buf bytes.Buffer
+		write := c.write(&buf)
+		if err := write(pkt); err != nil {
+			t.Fatal(err)
+		}
+		cut := buf.Len() + c.headerLen
+		if err := write(pkt); err != nil {
+			t.Fatal(err)
+		}
+		_, err := hifind.ReplayPcap(bytes.NewReader(buf.Bytes()[:cut]), []string{"129.105.0.0/16"}, newCompact(t))
+		if err == nil {
+			t.Errorf("%s: capture cut after a record header replayed without error", c.name)
+		}
 	}
 }

@@ -3,7 +3,8 @@ package core
 // Differential harness for the recorder's update path: every test drives
 // Observe/ObserveFlow and the reference below with identical input and
 // requires the complete serialized recorder state — every sketch
-// counter, every Bloom bit, every total — to match byte for byte. The
+// counter, every Bloom bit, every burst-slot and reflection counter,
+// every total — to match byte for byte. The
 // reference is written independently of the product path: its own
 // packet and flow-record classification, one Update call per structure
 // (each re-hashing its key), one ±1 per synthetic SYN of a flow record,
@@ -21,10 +22,8 @@ import (
 	"github.com/hifind/hifind/internal/trace"
 )
 
-// refObserve is the reference's Observe. The burst and reflection
-// monitors are out of its scope: they apply inline in Observe, outside
-// the update path under test, and no differential configuration
-// enables them.
+// refObserve is the reference's Observe: one packet, classified by its
+// flag bits and direction into the four handshake classes.
 func refObserve(r *Recorder, pkt netmodel.Packet) {
 	r.packets++
 	if pkt.Flags&netmodel.FlagSYN == 0 {
@@ -32,40 +31,57 @@ func refObserve(r *Recorder, pkt netmodel.Packet) {
 	}
 	switch ack := pkt.Flags&netmodel.FlagACK != 0; {
 	case pkt.Dir == netmodel.Inbound && !ack:
-		refUpdate(r, pkt.SrcIP, pkt.DstIP, pkt.DstPort, +1)
+		refUpdate(r, pkt.SrcIP, pkt.DstIP, pkt.DstPort, +1, pkt.Timestamp)
 	case pkt.Dir == netmodel.Outbound && ack:
 		// The connection's client is the packet destination.
-		refUpdate(r, pkt.DstIP, pkt.SrcIP, pkt.SrcPort, -1)
+		refUpdate(r, pkt.DstIP, pkt.SrcIP, pkt.SrcPort, -1, pkt.Timestamp)
 		r.Services.Add(netmodel.PackDIPDport(pkt.SrcIP, pkt.SrcPort))
 		r.memoryAccesses += 7
+	case pkt.Dir == netmodel.Outbound && !ack:
+		refReflect(r, netmodel.PackDIPDport(pkt.SrcIP, pkt.DstPort), -1)
+	case pkt.Dir == netmodel.Inbound && ack:
+		refReflect(r, netmodel.PackDIPDport(pkt.DstIP, pkt.SrcPort), +1)
 	}
 }
 
 // refObserveFlow is the reference's ObserveFlow: a record replays as
-// that many single packets' worth of ±1 updates.
+// that many single packets' worth of ±1 updates, all in the burst slot
+// of its start time, with one Bloom insert per record. Only the SYNs of
+// an inbound record and the SYN/ACKs of an outbound one count as
+// packets.
 func refObserveFlow(r *Recorder, rec netmodel.FlowRecord) {
-	if rec.Dir == netmodel.Inbound {
+	switch rec.Dir {
+	case netmodel.Inbound:
 		for i := 0; i < rec.SYNs; i++ {
-			refUpdate(r, rec.SrcIP, rec.DstIP, rec.DstPort, +1)
+			refUpdate(r, rec.SrcIP, rec.DstIP, rec.DstPort, +1, rec.Start)
 			r.packets++
 		}
-	}
-	if rec.Dir == netmodel.Outbound && rec.SYNACKs > 0 {
 		for i := 0; i < rec.SYNACKs; i++ {
-			refUpdate(r, rec.DstIP, rec.SrcIP, rec.SrcPort, -1)
+			refReflect(r, netmodel.PackDIPDport(rec.DstIP, rec.SrcPort), +1)
+		}
+	case netmodel.Outbound:
+		for i := 0; i < rec.SYNACKs; i++ {
+			refUpdate(r, rec.DstIP, rec.SrcIP, rec.SrcPort, -1, rec.Start)
 			r.packets++
 		}
-		r.Services.Add(netmodel.PackDIPDport(rec.SrcIP, rec.SrcPort))
-		r.memoryAccesses += 7
+		if rec.SYNACKs > 0 {
+			r.Services.Add(netmodel.PackDIPDport(rec.SrcIP, rec.SrcPort))
+			r.memoryAccesses += 7
+		}
+		for i := 0; i < rec.SYNs; i++ {
+			refReflect(r, netmodel.PackDIPDport(rec.SrcIP, rec.DstPort), -1)
+		}
 	}
 }
 
 // refUpdate applies one SYN (v=+1) or SYN/ACK (v=−1) of connection
-// (sip,dip,dport): each structure mangles and hashes its key
-// independently through its own Update. The tally is the paper's fixed
-// per-packet budget (§5.5.2) — Stages counter writes per reversible,
-// verifier and 2D sketch, and the OS sketch's Stages on SYNs only.
-func refUpdate(r *Recorder, sip, dip netmodel.IPv4, dport uint16, v int32) {
+// (sip,dip,dport) seen at ts: each structure mangles and hashes its key
+// independently through its own Update, and the burst monitor, when on,
+// takes v under {dip,dport} in ts's slot. The tally is the paper's fixed
+// per-packet budget (§5.5.2) — Stages counter writes per reversible
+// sketch at its own geometry, per verifier, per 2D sketch and per burst
+// slot, and the OS sketch's Stages on SYNs only.
+func refUpdate(r *Recorder, sip, dip netmodel.IPv4, dport uint16, v int32, ts time.Time) {
 	kSipDport := netmodel.PackSIPDport(sip, dport)
 	kDipDport := netmodel.PackDIPDport(dip, dport)
 	kSipDip := netmodel.PackSIPDIP(sip, dip)
@@ -83,7 +99,22 @@ func refUpdate(r *Recorder, sip, dip netmodel.IPv4, dport uint16, v int32) {
 		r.OSDipDport.Update(kDipDport, 1)
 		acc += r.cfg.Original.Stages
 	}
+	if r.Burst != nil {
+		r.Burst.Update(r.Burst.Slot(ts), kDipDport, v)
+		acc += r.cfg.RS48.Stages
+	}
 	r.memoryAccesses += int64(acc)
+}
+
+// refReflect applies one outbound SYN (v=−1) or inbound SYN/ACK (v=+1)
+// to the reflection monitor and its verifier, when on.
+func refReflect(r *Recorder, key uint64, v int32) {
+	if r.Reflect == nil {
+		return
+	}
+	r.Reflect.Update(key, v)
+	r.VerReflect.Update(key, v)
+	r.memoryAccesses += int64(r.cfg.RS48.Stages + r.cfg.Verifier.Stages)
 }
 
 // diffRecorders builds two recorders on the same configuration: got is
@@ -108,43 +139,53 @@ type diffEvent struct {
 }
 
 // diffStream generates a deterministic mixed stream of packets and flow
-// records: inbound SYNs, outbound SYN/ACKs, ignorable noise, and flow
-// records with a spread of SYN/SYNACK counts including the corners the
-// weighted path collapses (0 and 1 and large).
+// records: all four handshake classes (inbound and outbound SYNs and
+// SYN/ACKs), ignorable noise, and flow records of either direction
+// carrying a spread of SYN and SYN/ACK counts — each 0, 1 or large, so
+// some records carry both — including the corners the weighted path
+// collapses. Timestamps spread over one minute, across every burst
+// slot.
 func diffStream(seed int64, n int) []diffEvent {
 	rng := rand.New(rand.NewSource(seed))
 	flowCounts := []int{0, 1, 2, 3, 7, 64, 1000}
+	count := func() int { return flowCounts[rng.Intn(len(flowCounts))] }
+	base := time.Date(2005, 5, 10, 0, 0, 0, 0, time.UTC)
 	events := make([]diffEvent, 0, n)
 	for i := 0; i < n; i++ {
 		sip := netmodel.IPv4(rng.Uint32())
 		dip := netmodel.IPv4(0x81690000 | rng.Uint32()&0xffff)
 		sport := uint16(1024 + rng.Intn(60000))
 		dport := uint16(rng.Intn(1 << 16))
-		switch rng.Intn(5) {
+		ts := base.Add(time.Duration(rng.Int63n(int64(time.Minute))))
+		// in is an external client's packet to an internal server; out is
+		// the server's answer.
+		in := netmodel.Packet{Timestamp: ts, SrcIP: sip, DstIP: dip, SrcPort: sport, DstPort: dport, Dir: netmodel.Inbound}
+		out := netmodel.Packet{Timestamp: ts, SrcIP: dip, DstIP: sip, SrcPort: dport, DstPort: sport, Dir: netmodel.Outbound}
+		switch rng.Intn(7) {
 		case 0: // inbound SYN
-			events = append(events, diffEvent{pkt: netmodel.Packet{
-				SrcIP: sip, DstIP: dip, SrcPort: sport, DstPort: dport,
-				Flags: netmodel.FlagSYN, Dir: netmodel.Inbound,
-			}})
+			in.Flags = netmodel.FlagSYN
+			events = append(events, diffEvent{pkt: in})
 		case 1: // outbound SYN/ACK
-			events = append(events, diffEvent{pkt: netmodel.Packet{
-				SrcIP: dip, DstIP: sip, SrcPort: dport, DstPort: sport,
-				Flags: netmodel.FlagSYN | netmodel.FlagACK, Dir: netmodel.Outbound,
-			}})
+			out.Flags = netmodel.FlagSYN | netmodel.FlagACK
+			events = append(events, diffEvent{pkt: out})
 		case 2: // noise the recorder must ignore identically
-			events = append(events, diffEvent{pkt: netmodel.Packet{
-				SrcIP: sip, DstIP: dip, SrcPort: sport, DstPort: dport,
-				Flags: netmodel.FlagACK, Dir: netmodel.Inbound,
-			}})
-		case 3: // inbound flow record (weighted SYN replay)
+			in.Flags = netmodel.FlagACK
+			events = append(events, diffEvent{pkt: in})
+		case 3: // outbound SYN: an internal client opening a connection
+			out.Flags = netmodel.FlagSYN
+			events = append(events, diffEvent{pkt: out})
+		case 4: // inbound SYN/ACK: an answer entering the edge
+			in.Flags = netmodel.FlagSYN | netmodel.FlagACK
+			events = append(events, diffEvent{pkt: in})
+		case 5: // inbound flow record (weighted replay)
 			events = append(events, diffEvent{isFlow: true, flow: netmodel.FlowRecord{
-				SrcIP: sip, DstIP: dip, SrcPort: sport, DstPort: dport,
-				Dir: netmodel.Inbound, SYNs: flowCounts[rng.Intn(len(flowCounts))],
+				Start: ts, End: ts, SrcIP: sip, DstIP: dip, SrcPort: sport, DstPort: dport,
+				Dir: netmodel.Inbound, SYNs: count(), SYNACKs: count(),
 			}})
-		case 4: // outbound flow record (weighted SYN/ACK replay)
+		case 6: // outbound flow record (weighted replay)
 			events = append(events, diffEvent{isFlow: true, flow: netmodel.FlowRecord{
-				SrcIP: dip, DstIP: sip, SrcPort: dport, DstPort: sport,
-				Dir: netmodel.Outbound, SYNACKs: flowCounts[rng.Intn(len(flowCounts))],
+				Start: ts, End: ts, SrcIP: dip, DstIP: sip, SrcPort: dport, DstPort: sport,
+				Dir: netmodel.Outbound, SYNs: count(), SYNACKs: count(),
 			}})
 		}
 	}
@@ -195,28 +236,45 @@ func requireIdentical(t *testing.T, got, ref *Recorder, label string) {
 	}
 }
 
+// diffConfigs are the recorder configurations the differential suite
+// runs on: the compact set; the RS64 sketch at a stage count of its own,
+// so a tally charging it at the RS48 geometry shows; and the burst and
+// reflection monitors on.
+func diffConfigs(seed uint64) map[string]RecorderConfig {
+	compact := TestRecorderConfig(seed)
+	rs64 := compact
+	rs64.RS64.Stages = 5
+	monitors := compact
+	monitors.BurstWindow = 7500 * time.Millisecond
+	monitors.Reflection = true
+	return map[string]RecorderConfig{"compact": compact, "rs64-stages": rs64, "monitors": monitors}
+}
+
 // TestDifferentialSequential drives both sides with identical mixed
-// packet/flow streams across several seeds and requires byte-identical
-// state.
+// packet/flow streams across several seeds and every differential
+// configuration and requires byte-identical state.
 func TestDifferentialSequential(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3, 42} {
-		events := diffStream(seed, 4000)
-		got, ref := diffRecorders(t, TestRecorderConfig(0xd1ff))
-		feed(got, events)
-		feedRef(ref, events)
-		requireIdentical(t, got, ref, "sequential")
+	for name, cfg := range diffConfigs(0xd1ff) {
+		for _, seed := range []int64{1, 2, 3, 42} {
+			events := diffStream(seed, 4000)
+			got, ref := diffRecorders(t, cfg)
+			feed(got, events)
+			feedRef(ref, events)
+			requireIdentical(t, got, ref, name)
+		}
 	}
 }
 
 // TestDifferentialCombine splits one stream across three "routers" per
 // side, merges each side's routers with COMBINE, and requires the
-// aggregates to be byte-identical — the multi-router path.
+// aggregates to be byte-identical — the multi-router path, with the
+// burst and reflection monitors on.
 func TestDifferentialCombine(t *testing.T) {
 	const routers = 3
 	events := diffStream(7, 6000)
 	var gotR, refR []*Recorder
 	for i := 0; i < routers; i++ {
-		g, r := diffRecorders(t, TestRecorderConfig(0xc0fe))
+		g, r := diffRecorders(t, diffConfigs(0xc0fe)["monitors"])
 		gotR, refR = append(gotR, g), append(refR, r)
 	}
 	shares := make([][]diffEvent, routers)

@@ -217,145 +217,117 @@ func (r *Recorder) newPlans() updatePlans {
 	}
 }
 
-// Observe records one packet. Only two packet classes matter to the
-// #SYN−#SYN/ACK signal (paper §3.3): connection-opening SYNs crossing the
-// edge inbound add one under the connection keys, and the answering
-// outbound SYN/ACKs subtract one under the same keys (for a SYN/ACK the
-// connection's client is the packet destination). Everything else is
-// ignored.
+// Observe records one packet: a flow record of weight one. A SYN or a
+// SYN/ACK (paper §3.3) goes to record with a count of 1; every other
+// packet is only counted.
 func (r *Recorder) Observe(pkt netmodel.Packet) {
-	switch {
-	case pkt.Dir == netmodel.Inbound && pkt.Flags.IsSYN():
-		r.flushFlow(pkt.SrcIP, pkt.DstIP, pkt.DstPort, 1, 0)
-		if r.Burst != nil {
-			r.burstUpdate(pkt.Timestamp, netmodel.PackDIPDport(pkt.DstIP, pkt.DstPort), +1, 1)
-		}
-	case pkt.Dir == netmodel.Outbound && pkt.Flags.IsSYNACK():
-		// Connection client = pkt.DstIP, server = pkt.SrcIP:pkt.SrcPort.
-		r.flushFlow(pkt.DstIP, pkt.SrcIP, pkt.SrcPort, 0, 1)
-		r.Services.Add(netmodel.PackDIPDport(pkt.SrcIP, pkt.SrcPort))
-		r.memoryAccesses += 7 // k≈7 bit-writes for a 1% Bloom filter
-		if r.Burst != nil {
-			r.burstUpdate(pkt.Timestamp, netmodel.PackDIPDport(pkt.SrcIP, pkt.SrcPort), -1, 1)
-		}
-	case pkt.Dir == netmodel.Outbound && pkt.Flags.IsSYN():
-		// Outbound connection attempt: subtract under {requester, service
-		// port} so the answering SYN/ACK below nets a benign round trip
-		// to zero. Ignored unless the reflection monitor is on.
-		if r.Reflect != nil {
-			r.reflectUpdate(netmodel.PackDIPDport(pkt.SrcIP, pkt.DstPort), -1, 1)
-		}
-	case pkt.Dir == netmodel.Inbound && pkt.Flags.IsSYNACK():
-		// Handshake response entering the edge: add under {destination,
-		// responding service port}. Unsolicited ones — reflected floods —
-		// have no outbound SYN to cancel against and accumulate.
-		if r.Reflect != nil {
-			r.reflectUpdate(netmodel.PackDIPDport(pkt.DstIP, pkt.SrcPort), +1, 1)
-		}
-	}
 	r.packets++
-}
-
-// burstUpdate folds one weighted update into the burst monitor's slot
-// for ts, charging the access budget for n collapsed packets.
-func (r *Recorder) burstUpdate(ts time.Time, key uint64, v int32, n int64) {
-	r.Burst.Update(r.Burst.Slot(ts), key, v)
-	r.memoryAccesses += int64(r.Burst.AccessesPerUpdate()) * n
-}
-
-// reflectUpdate folds one weighted update into the reflection monitor
-// and its verifier.
-func (r *Recorder) reflectUpdate(key uint64, v int32, n int64) {
-	r.Reflect.Update(key, v)
-	r.VerReflect.Update(key, v)
-	r.memoryAccesses += int64(r.cfg.RS48.Stages+r.cfg.Verifier.Stages) * n
+	switch {
+	case pkt.Flags.IsSYN():
+		r.record(pkt.Dir, pkt.SrcIP, pkt.DstIP, pkt.SrcPort, pkt.DstPort, 1, 0, pkt.Timestamp)
+	case pkt.Flags.IsSYNACK():
+		r.record(pkt.Dir, pkt.SrcIP, pkt.DstIP, pkt.SrcPort, pkt.DstPort, 0, 1, pkt.Timestamp)
+	}
 }
 
 // ObserveFlow records a NetFlow-style flow record (the evaluation traces
-// in the paper are NetFlow exports). Each record is one exact weighted
-// update per direction — sketch linearity makes Update(k, v·c) identical
-// to c repeated Update(k, v), including under int32 wraparound — so
-// replay cost is O(1) per record instead of O(SYNs).
+// in the paper are NetFlow exports) with one weighted update per
+// structure, whatever its counts: sketch linearity makes Update(k, v·c)
+// identical to c repeated Update(k, v), including under int32
+// wraparound. Only the record's inbound SYNs or
+// outbound SYN/ACKs count as packets; the burst monitor takes the
+// record's start slot, the finest timing the export format carries.
 func (r *Recorder) ObserveFlow(rec netmodel.FlowRecord) {
-	if rec.Dir == netmodel.Inbound && rec.SYNs > 0 {
-		r.flushFlow(rec.SrcIP, rec.DstIP, rec.DstPort, int64(rec.SYNs), 0)
-		r.packets += int64(rec.SYNs)
+	syns, acks := max(int64(rec.SYNs), 0), max(int64(rec.SYNACKs), 0)
+	switch rec.Dir {
+	case netmodel.Inbound:
+		r.packets += syns
+	case netmodel.Outbound:
+		r.packets += acks
 	}
-	if rec.Dir == netmodel.Outbound && rec.SYNACKs > 0 {
-		r.flushFlow(rec.DstIP, rec.SrcIP, rec.SrcPort, 0, int64(rec.SYNACKs))
-		r.Services.Add(netmodel.PackDIPDport(rec.SrcIP, rec.SrcPort))
-		r.memoryAccesses += 7 // one Bloom insert per record, as Observe charges per packet
-		r.packets += int64(rec.SYNACKs)
-	}
-	if r.Burst != nil {
-		// A NetFlow record collapses its SYNs into the record's start
-		// slot — the finest timing the export format carries.
-		if rec.Dir == netmodel.Inbound && rec.SYNs > 0 {
-			r.burstFlow(rec.Start, netmodel.PackDIPDport(rec.DstIP, rec.DstPort), rec.SYNs, +1)
-		}
-		if rec.Dir == netmodel.Outbound && rec.SYNACKs > 0 {
-			r.burstFlow(rec.Start, netmodel.PackDIPDport(rec.SrcIP, rec.SrcPort), rec.SYNACKs, -1)
-		}
-	}
-	if r.Reflect != nil {
-		// The two record classes the #SYN−#SYN/ACK accounting above
-		// ignores are exactly the reflection signal; packet counting is
-		// unchanged for them.
-		if rec.Dir == netmodel.Outbound && rec.SYNs > 0 {
-			r.reflectFlow(netmodel.PackDIPDport(rec.SrcIP, rec.DstPort), rec.SYNs, -1)
-		}
-		if rec.Dir == netmodel.Inbound && rec.SYNACKs > 0 {
-			r.reflectFlow(netmodel.PackDIPDport(rec.DstIP, rec.SrcPort), rec.SYNACKs, +1)
-		}
-	}
-}
-
-// burstFlow applies one flow record's count to the burst monitor as
-// chunked weighted updates (linearity makes chunks exact).
-func (r *Recorder) burstFlow(ts time.Time, key uint64, count int, sign int32) {
-	slot := r.Burst.Slot(ts)
-	for left := count; left > 0; {
-		c := left
-		if c > flowChunk {
-			c = flowChunk
-		}
-		r.Burst.Update(slot, key, sign*int32(c))
-		left -= c
-	}
-	r.memoryAccesses += int64(r.Burst.AccessesPerUpdate()) * int64(count)
-}
-
-// reflectFlow applies one flow record's count to the reflection monitor.
-func (r *Recorder) reflectFlow(key uint64, count int, sign int32) {
-	for left := count; left > 0; {
-		c := left
-		if c > flowChunk {
-			c = flowChunk
-		}
-		r.Reflect.Update(key, sign*int32(c))
-		r.VerReflect.Update(key, sign*int32(c))
-		left -= c
-	}
-	r.memoryAccesses += int64(r.cfg.RS48.Stages+r.cfg.Verifier.Stages) * int64(count)
+	r.record(rec.Dir, rec.SrcIP, rec.DstIP, rec.SrcPort, rec.DstPort, syns, acks, rec.Start)
 }
 
 // flowChunk bounds one weighted update's collapsed packet count well
 // inside int32 range.
 const flowChunk = 1 << 30
 
-// update applies value v to every #SYN−#SYN/ACK structure under
-// connection (sip,dip,dport) and syn to the OS sketch, accounting
-// memory accesses for n collapsed packets. Each key's hash work happens
-// exactly once: the five hashed values (three packed connection keys
-// plus the two 2D y-keys) get their polynomial powers computed up front
-// and fanned out to every structure consuming them, and counter writes
-// go through the recorder's preallocated bucket plans. State is
+// record is the one per-event routine: syns SYNs and acks SYN/ACKs that
+// crossed the edge in direction dir from sip:sport to dip:dport, seen at
+// ts. Inbound SYNs and outbound SYN/ACKs are the #SYN−#SYN/ACK signal of
+// connection client→server:port (for a SYN/ACK the client is the
+// destination): they feed the sketch set through update, the burst
+// monitor under {server, port}, and for SYN/ACKs the active-service
+// filter. Outbound SYNs and inbound SYN/ACKs feed only the reflection
+// monitor, under {internal host, service port}: a benign round trip nets
+// to zero there, and unsolicited SYN/ACKs (reflected floods) accumulate.
+// The chunk loop keeps every int32 weight exact for counts past 2^31 (a
+// count ≡ 0 mod 2^32 must not skip the OS sketch); chunks are exact by
+// linearity, and a realistic record takes one iteration.
+func (r *Recorder) record(dir netmodel.Direction, sip, dip netmodel.IPv4, sport, dport uint16, syns, acks int64, ts time.Time) {
+	var (
+		client, server netmodel.IPv4
+		port           uint16
+		conn, refl     int64 // signed counts: the main signal, the reflection signal
+		reflKey        uint64
+	)
+	switch dir {
+	case netmodel.Inbound:
+		client, server, port = sip, dip, dport
+		conn, refl = syns, acks
+		reflKey = netmodel.PackDIPDport(dip, sport)
+	case netmodel.Outbound:
+		client, server, port = dip, sip, sport
+		conn, refl = -acks, -syns
+		reflKey = netmodel.PackDIPDport(sip, dport)
+		if acks > 0 {
+			r.Services.Add(netmodel.PackDIPDport(server, port))
+			r.memoryAccesses += 7 // k≈7 bit-writes for a 1% Bloom filter
+		}
+	default:
+		return
+	}
+	slot := 0
+	if r.Burst != nil {
+		slot = r.Burst.Slot(ts)
+	}
+	if r.Reflect == nil {
+		refl = 0
+	}
+	for conn != 0 || refl != 0 {
+		c := max(-flowChunk, min(conn, flowChunk))
+		f := max(-flowChunk, min(refl, flowChunk))
+		if c != 0 {
+			r.update(client, server, port, int32(c))
+			if r.Burst != nil {
+				r.Burst.Update(slot, netmodel.PackDIPDport(server, port), int32(c))
+				r.memoryAccesses += int64(r.Burst.AccessesPerUpdate()) * max(c, -c)
+			}
+		}
+		if f != 0 {
+			r.Reflect.Update(reflKey, int32(f))
+			r.VerReflect.Update(reflKey, int32(f))
+			r.memoryAccesses += int64(r.cfg.RS48.Stages+r.cfg.Verifier.Stages) * max(f, -f)
+		}
+		conn -= c
+		refl -= f
+	}
+}
+
+// update applies weight v to every #SYN−#SYN/ACK structure under
+// connection (sip,dip,dport) — +c for c SYNs, −c for c SYN/ACKs — and
+// a positive v to the OS sketch, accounting memory accesses for the |v|
+// packets it collapses. Each key's hash work happens exactly once: the
+// five hashed values (three packed connection keys plus the two 2D
+// y-keys) get their polynomial powers computed up front and fanned out
+// to every structure consuming them, and counter writes go through the
+// recorder's preallocated bucket plans. State is
 // bit-identical to calling each structure's Update in turn: power-basis
 // Poly4 evaluation equals Horner on the reduced field, plans cache
 // exactly the indices Update derives, and weighted adds equal repeated
 // adds by linearity (the differential suite checks all three against a
 // reference written that way).
-func (r *Recorder) update(sip, dip netmodel.IPv4, dport uint16, v, syn int32, n int64) {
+func (r *Recorder) update(sip, dip netmodel.IPv4, dport uint16, v int32) {
 	kSipDport := netmodel.PackSIPDport(sip, dport)
 	kDipDport := netmodel.PackDIPDport(dip, dport)
 	kSipDip := netmodel.PackSIPDIP(sip, dip)
@@ -382,47 +354,22 @@ func (r *Recorder) update(sip, dip netmodel.IPv4, dport uint16, v, syn int32, n 
 	r.VerSipDport.UpdateAt(p.verSipDport, v)
 	r.VerDipDport.UpdateAt(p.verDipDport, v)
 	r.VerSipDip.UpdateAt(p.verSipDip, v)
-	if syn != 0 {
+	if v > 0 {
 		r.OSDipDport.FillPlan(ppDipDport, p.osDipDport)
-		r.OSDipDport.UpdateAt(p.osDipDport, syn)
+		r.OSDipDport.UpdateAt(p.osDipDport, v)
 	}
 	r.TwoDSipDportXDip.UpdateAt(p.twoDSipDportXDip, v)
 	r.TwoDSipDipXDport.UpdateAt(p.twoDSipDipXDport, v)
 
-	// Counter writes per packet: 6 per RS ×3, 6 per verifier ×3, 5 per 2D
-	// ×2, plus 6 for the OS on SYNs — the fixed per-packet access budget
-	// of paper §5.5.2 (no per-flow state anywhere), scaled by the number
-	// of packets this weighted update collapses.
-	acc := int64(3*r.cfg.RS48.Stages + 3*r.cfg.Verifier.Stages + 2*r.cfg.TwoD.Stages)
-	if syn != 0 {
+	// Counter writes per packet: Stages per RS (two at the RS48 geometry,
+	// one at RS64), per verifier ×3 and per 2D ×2, plus the OS sketch's
+	// on SYNs — the fixed per-packet access budget of paper §5.5.2 (no
+	// per-flow state anywhere), scaled by the packets v collapses.
+	acc := int64(2*r.cfg.RS48.Stages + r.cfg.RS64.Stages + 3*r.cfg.Verifier.Stages + 2*r.cfg.TwoD.Stages)
+	if v > 0 {
 		acc += int64(r.cfg.Original.Stages)
 	}
-	r.memoryAccesses += acc * n
-}
-
-// flushFlow adds syns SYNs and acks SYN/ACKs under connection
-// (sip,dip,dport) as exact weighted updates, (+syns with the OS sketch
-// fed) then (−acks without it). Chunking keeps the int32 weight
-// faithful for pathological counts (a count ≡ 0 mod 2^32 must not skip
-// the OS sketch) — one iteration for any realistic record — and chunked
-// updates are exact by sketch linearity.
-func (r *Recorder) flushFlow(sip, dip netmodel.IPv4, dport uint16, syns, acks int64) {
-	for left := syns; left > 0; {
-		c := left
-		if c > flowChunk {
-			c = flowChunk
-		}
-		r.update(sip, dip, dport, int32(c), int32(c), c)
-		left -= c
-	}
-	for left := acks; left > 0; {
-		c := left
-		if c > flowChunk {
-			c = flowChunk
-		}
-		r.update(sip, dip, dport, -int32(c), 0, c)
-		left -= c
-	}
+	r.memoryAccesses += acc * int64(max(v, -v))
 }
 
 // Packets returns how many packets were observed.

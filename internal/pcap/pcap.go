@@ -196,6 +196,10 @@ func (pr *Reader) Next() (netmodel.Packet, error) {
 		}
 		data := pr.buf[:inclLen]
 		if _, err := io.ReadFull(pr.r, data); err != nil {
+			if err == io.EOF {
+				// A capture cut after a record header is truncated, not ended.
+				err = io.ErrUnexpectedEOF
+			}
 			return netmodel.Packet{}, fmt.Errorf("pcap: record body: %w", err)
 		}
 		ns := int64(frac) * 1000

@@ -365,3 +365,35 @@ func TestReaderNextAllocs(t *testing.T) {
 		t.Errorf("decoding %d packets allocates %v times, want 0 per Next", len(want), allocs)
 	}
 }
+
+// TestReaderCutAfterRecordHeaderIsTruncated holds the end-of-capture
+// contract replay loops rely on: Next returns a bare io.EOF only when
+// the capture ends on a record boundary. A capture cut right after a
+// record header has lost that record's body, so it must report
+// truncation, not a clean end.
+func TestReaderCutAfterRecordHeaderIsTruncated(t *testing.T) {
+	full := fuzzSeedCapture(t)
+	first := globalHeaderLen + packetHeaderLen + ethernetLen + ipv4MinLen + tcpMinLen
+	r, err := NewReader(bytes.NewReader(full[:first+packetHeaderLen]), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); err != nil {
+		t.Fatalf("first record: %v", err)
+	}
+	_, err = r.Next()
+	if errors.Is(err, io.EOF) || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("capture cut after a record header: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+
+	r, err = NewReader(bytes.NewReader(full[:first]), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); err != nil {
+		t.Fatalf("first record: %v", err)
+	}
+	if _, err := r.Next(); err != io.EOF {
+		t.Fatalf("capture ending on a record boundary: err = %v, want io.EOF", err)
+	}
+}

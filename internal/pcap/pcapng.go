@@ -117,6 +117,10 @@ func (nr *NGReader) readBlock() (uint32, []byte, error) {
 	}
 	body := make([]byte, total-8)
 	if _, err := io.ReadFull(nr.r, body); err != nil {
+		if err == io.EOF {
+			// A capture cut after a block header is truncated, not ended.
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, fmt.Errorf("pcapng: block body: %w", err)
 	}
 	trailer := nr.order.Uint32(body[len(body)-4:])
@@ -294,29 +298,11 @@ func OpenReader(r io.Reader, edge *netmodel.EdgeNetwork) (PacketSource, error) {
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("pcap: read magic: %w", err)
 	}
-	joined := io.MultiReader(newPrefixReader(magic[:]), r)
+	joined := io.MultiReader(bytes.NewReader(magic[:]), r)
 	if binary.LittleEndian.Uint32(magic[:]) == blockSHB {
 		return NewNGReader(joined, edge)
 	}
 	return NewReader(joined, edge)
-}
-
-// newPrefixReader returns a reader over a copied prefix.
-func newPrefixReader(b []byte) io.Reader {
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	return &prefixReader{data: cp}
-}
-
-type prefixReader struct{ data []byte }
-
-func (p *prefixReader) Read(buf []byte) (int, error) {
-	if len(p.data) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(buf, p.data)
-	p.data = p.data[n:]
-	return n, nil
 }
 
 // NGWriter writes a pcapng capture of synthesized Ethernet/IPv4/TCP

@@ -250,3 +250,32 @@ func TestOpenReaderAutoDetects(t *testing.T) {
 		t.Error("one-byte stream accepted")
 	}
 }
+
+// TestNGReaderCutAfterBlockHeaderIsTruncated is the pcapng side of the
+// end-of-capture contract: a capture cut right after a block header
+// reports truncation, and one ending on a block boundary a bare io.EOF.
+func TestNGReaderCutAfterBlockHeaderIsTruncated(t *testing.T) {
+	b := newNGBuilder()
+	b.shb()
+	b.idb(linkTypeEthernet, 6)
+	boundary := b.buf.Len()
+	b.epb(0, 0, samplePackets()[0])
+	full := b.buf.Bytes()
+
+	r, err := NewNGReader(bytes.NewReader(full[:boundary+8]), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.Next()
+	if errors.Is(err, io.EOF) || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("capture cut after a block header: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+
+	r, err = NewNGReader(bytes.NewReader(full[:boundary]), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); err != io.EOF {
+		t.Fatalf("capture ending on a block boundary: err = %v, want io.EOF", err)
+	}
+}

@@ -58,60 +58,64 @@ func ReplayPcapContext(ctx context.Context, r io.Reader, edgeCIDRs []string, d R
 	if err != nil {
 		return nil, err
 	}
-	var (
-		results       []Result
-		intervalStart time.Time
-		sawPacket     bool
-		interval      = d.Interval()
-		n             int
-	)
-	for {
-		n++
-		if n%ctxCheckStride == 0 && ctx.Err() != nil {
-			return flushPartial(results, sawPacket, d, ctx)
-		}
+	return replay(ctx, d, func() (netmodel.Packet, time.Time, error) {
 		pkt, err := pr.Next()
+		return pkt, pkt.Timestamp, err
+	}, d.observeInternal)
+}
+
+// replay is the interval loop both inputs share. next returns the next
+// event and its capture time, or an error (io.EOF at a clean end of
+// input); observe records the event. An interval closes whenever
+// capture time reaches the interval's end, the first event opening the
+// first interval; the last, partial interval closes when the input ends
+// or ctx is canceled, so everything observed reaches detection.
+func replay[E any](ctx context.Context, d Replayable, next func() (E, time.Time, error), observe func(E)) ([]Result, error) {
+	var (
+		results  []Result
+		start    time.Time
+		started  bool
+		canceled error
+		interval = d.Interval()
+	)
+	closeInterval := func() error {
+		res, err := d.EndInterval()
+		if err != nil {
+			return err
+		}
+		results = append(results, res)
+		return nil
+	}
+	for n := 1; ; n++ {
+		if n%ctxCheckStride == 0 {
+			if canceled = ctx.Err(); canceled != nil {
+				break
+			}
+		}
+		ev, ts, err := next()
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
 			return results, fmt.Errorf("hifind: replay: %w", err)
 		}
-		if !sawPacket {
-			intervalStart = pkt.Timestamp
-			sawPacket = true
+		if !started {
+			start, started = ts, true
 		}
-		for pkt.Timestamp.Sub(intervalStart) >= interval {
-			res, err := d.EndInterval()
-			if err != nil {
+		for ts.Sub(start) >= interval {
+			if err := closeInterval(); err != nil {
 				return results, err
 			}
-			results = append(results, res)
-			intervalStart = intervalStart.Add(interval)
+			start = start.Add(interval)
 		}
-		d.observeInternal(pkt)
+		observe(ev)
 	}
-	if sawPacket {
-		res, err := d.EndInterval()
-		if err != nil {
+	if started {
+		if err := closeInterval(); err != nil {
 			return results, err
 		}
-		results = append(results, res)
 	}
-	return results, nil
-}
-
-// flushPartial closes the in-progress interval on cancellation so the
-// tail of the trace is detected, not dropped, then reports ctx.Err().
-func flushPartial(results []Result, saw bool, d Replayable, ctx context.Context) ([]Result, error) {
-	if saw {
-		res, err := d.EndInterval()
-		if err != nil {
-			return results, err
-		}
-		results = append(results, res)
-	}
-	return results, ctx.Err()
+	return results, canceled
 }
 
 // ReplayNetFlow streams a length-delimited NetFlow v5 export file (as
@@ -135,49 +139,15 @@ func ReplayNetFlowContext(ctx context.Context, r io.Reader, edgeCIDRs []string, 
 		return nil, err
 	}
 	nr := netflow.NewReader(r)
-	var (
-		results       []Result
-		intervalStart time.Time
-		sawFlow       bool
-		interval      = d.Interval()
-		n             int
-	)
-	for {
-		n++
-		if n%ctxCheckStride == 0 && ctx.Err() != nil {
-			return flushPartial(results, sawFlow, d, ctx)
-		}
-		rec, hdr, err := nr.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return results, fmt.Errorf("hifind: netflow replay: %w", err)
-		}
-		fr, ok := netflow.ToFlowRecord(rec, hdr, edge)
-		if !ok {
-			continue
-		}
-		if !sawFlow {
-			intervalStart = fr.End
-			sawFlow = true
-		}
-		for fr.End.Sub(intervalStart) >= interval {
-			res, err := d.EndInterval()
+	return replay(ctx, d, func() (netmodel.FlowRecord, time.Time, error) {
+		for {
+			rec, hdr, err := nr.Next()
 			if err != nil {
-				return results, err
+				return netmodel.FlowRecord{}, time.Time{}, err
 			}
-			results = append(results, res)
-			intervalStart = intervalStart.Add(interval)
+			if fr, ok := netflow.ToFlowRecord(rec, hdr, edge); ok {
+				return fr, fr.End, nil
+			}
 		}
-		d.observeFlowInternal(fr)
-	}
-	if sawFlow {
-		res, err := d.EndInterval()
-		if err != nil {
-			return results, err
-		}
-		results = append(results, res)
-	}
-	return results, nil
+	}, d.observeFlowInternal)
 }
